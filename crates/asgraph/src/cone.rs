@@ -29,7 +29,7 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 /// Computes the full customer cone of `asn` over `graph` (self included).
 ///
 /// This is the readable reference implementation; for whole-graph cone sizes
-/// use [`customer_cone_sizes`], which runs the dense CSR kernel instead.
+/// use [`customer_cone_sizes_csr`], which runs the dense CSR kernel instead.
 #[must_use]
 pub fn customer_cone(graph: &AsGraph, asn: Asn) -> BTreeSet<Asn> {
     let mut cone = BTreeSet::new();
@@ -115,23 +115,14 @@ impl ConeSizes {
     }
 }
 
-/// Customer-cone sizes for every AS in the graph (self included).
+/// Customer-cone sizes for every AS of a prebuilt [`CsrGraph`] (self
+/// included).
 ///
-/// Builds the [`CsrGraph`] mirror once and fans the per-AS BFS walks out
-/// over the work-stealing pool with one reusable
-/// [`ConeScratch`](crate::csr::ConeScratch) per worker, so the steady state
-/// allocates nothing. Results are identical at any thread count.
-///
-/// **Deprecated for analysis code** (deepcheck L012): every call rebuilds
-/// the CSR mirror from scratch. Pipeline code must share the scenario
-/// snapshot's CSR via `Scenario::cone_sizes_arc` or call
-/// [`customer_cone_sizes_csr`] on a prebuilt graph.
-#[must_use]
-pub fn customer_cone_sizes(graph: &AsGraph) -> ConeSizes {
-    customer_cone_sizes_csr(&CsrGraph::build(graph))
-}
-
-/// [`customer_cone_sizes`] for a prebuilt [`CsrGraph`].
+/// Fans the per-AS BFS walks out over the work-stealing pool with one
+/// reusable [`ConeScratch`](crate::csr::ConeScratch) per worker, so the
+/// steady state allocates nothing. Results are identical at any thread
+/// count. Pipeline code shares one graph through the scenario snapshot
+/// (`Scenario::cone_sizes_arc`) instead of rebuilding it per call.
 #[must_use]
 pub fn customer_cone_sizes_csr(csr: &CsrGraph) -> ConeSizes {
     let n = csr.node_count();
@@ -256,7 +247,8 @@ impl PpdcCones {
 
     /// Storage accounting for the hybrid representation: how many rows
     /// landed on each form and what they cost against the all-bitset
-    /// layout this replaced (`BENCH_scale.json` records the ratio).
+    /// layout this replaced (brevalbench reports the hybrid bytes as
+    /// `asgraph.ppdc_bytes`).
     #[must_use]
     pub fn storage_stats(&self) -> PpdcStorageStats {
         let words_per_row = self.indexer.len().div_ceil(64);
@@ -430,15 +422,14 @@ pub fn ppdc_sizes(paths: &PathSet, rels: &BTreeMap<Link, Rel>) -> ConeSizes {
     sizes
 }
 
-/// BTree/hash reference implementations of the cone kernels, kept callable
-/// so the memory benchmark (`BENCH_mem.json`) and the CSR equivalence
-/// proptests can measure and verify the dense kernels against them.
+/// BTree/hash reference implementations of the cone kernels, kept as the
+/// oracle the CSR equivalence tests check the dense kernels against.
 pub mod baseline {
     use super::*;
     use std::collections::{HashMap, HashSet};
 
-    /// [`customer_cone_sizes`](super::customer_cone_sizes) as shipped before
-    /// the dense core: one fresh `BTreeSet` BFS per AS.
+    /// [`customer_cone_sizes_csr`](super::customer_cone_sizes_csr) as shipped
+    /// before the dense core: one fresh `BTreeSet` BFS per AS.
     #[must_use]
     pub fn customer_cone_sizes_btree(graph: &AsGraph) -> HashMap<Asn, usize> {
         let ases: Vec<Asn> = graph.ases().collect();
@@ -514,7 +505,7 @@ mod tests {
             vec![Asn(1), Asn(2), Asn(3), Asn(4)]
         );
         assert_eq!(customer_cone(&g, Asn(3)).len(), 1);
-        let sizes = customer_cone_sizes(&g);
+        let sizes = customer_cone_sizes_csr(&CsrGraph::build(&g));
         assert_eq!(sizes.get(Asn(1)), Some(4));
         assert_eq!(sizes.get(Asn(2)), Some(3));
         assert_eq!(sizes.get(Asn(5)), Some(1));
@@ -539,7 +530,7 @@ mod tests {
         g.add_rel(l(30, 2), p2c(30)).unwrap();
         g.add_rel(l(2, 17), p2c(2)).unwrap();
         g.add_rel(l(9, 17), Rel::P2p).unwrap();
-        let sizes = customer_cone_sizes(&g);
+        let sizes = customer_cone_sizes_csr(&CsrGraph::build(&g));
         let order: Vec<Asn> = sizes.iter().map(|(a, _)| a).collect();
         assert_eq!(order, vec![Asn(2), Asn(9), Asn(17), Asn(30)]);
         let as_map: Vec<(Asn, usize)> = sizes.iter().collect();
@@ -557,7 +548,7 @@ mod tests {
         g.add_rel(l(2, 4), p2c(2)).unwrap();
         g.add_rel(l(4, 5), p2c(4)).unwrap();
         g.add_rel(l(1, 6), Rel::P2p).unwrap();
-        let dense = customer_cone_sizes(&g);
+        let dense = customer_cone_sizes_csr(&CsrGraph::build(&g));
         let reference = baseline::customer_cone_sizes_btree(&g);
         assert_eq!(dense.len(), reference.len());
         for (asn, size) in dense.iter() {

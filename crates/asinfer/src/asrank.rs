@@ -211,6 +211,10 @@ impl AsRank {
 /// Resolves directional votes into a consistent (provider, customer) set.
 /// Clique members are provider-free: any vote naming one as a customer is
 /// flipped (one side clique) or discarded (both sides clique).
+///
+/// Each link is decided from its two vote counts alone, never from which of
+/// its two keys the `HashMap` yields first: a tie in votes and in transit
+/// degree makes the lower ASN the provider.
 fn resolve_votes(
     votes: &HashMap<(Asn, Asn), usize>,
     stats: &asgraph::PathStats,
@@ -232,7 +236,7 @@ fn resolve_votes(
         }
         let fwd = n;
         let rev = votes.get(&(c, p)).copied().unwrap_or(0);
-        let (fwd, rev, p, c) = if fwd >= rev {
+        let (fwd, rev, p, c) = if fwd > rev || (fwd == rev && p < c) {
             (fwd, rev, p, c)
         } else {
             (rev, fwd, c, p)
@@ -333,6 +337,21 @@ mod tests {
         ps.push(Asn(10), path(&[10, 23456, 7])); // AS_TRANS
         let inf = AsRank::new().infer(&ps);
         assert!(inf.rel(Link::new(Asn(23456), Asn(7)).unwrap()).is_none());
+    }
+
+    #[test]
+    fn vote_ties_resolve_independently_of_hash_order() {
+        // Two votes each way and no transit degree on either side: only
+        // the lower-ASN rule can decide. Every fresh map draws new hash
+        // keys, so the two entries come back in varying order.
+        let stats = PathSet::new().stats();
+        let clique = BTreeSet::new();
+        for _ in 0..32 {
+            let votes: HashMap<(Asn, Asn), usize> =
+                HashMap::from([((Asn(7), Asn(3)), 2), ((Asn(3), Asn(7)), 2)]);
+            let resolved = resolve_votes(&votes, &stats, &clique, 2.0);
+            assert_eq!(resolved, BTreeSet::from([(Asn(3), Asn(7))]));
+        }
     }
 
     #[test]

@@ -7,7 +7,6 @@
 //!          fig456 casestudy cleaning hardlinks features
 //!          ablation_ambiguous ablation_sources ablation_legacy ablation_666
 //!          timeline (small-scale, not in "all") calibration verify
-//!          parbench (small-scale, not in "all")
 //!          all                                  (default: all)
 //! ```
 
@@ -21,10 +20,9 @@ use breval_core::{Scenario, ScenarioConfig};
 use std::collections::BTreeSet;
 use std::path::PathBuf;
 
-/// Count allocations so the run manifest / `BENCH_obs.json` attribute
-/// allocs + bytes to pipeline stages (span guards sample the thread-local
-/// counters at their boundaries). Without this installed those columns
-/// read 0.
+/// Count allocations so the run manifest attributes allocs + bytes to
+/// pipeline stages (span guards sample the thread-local counters at their
+/// boundaries). Without this installed those columns read 0.
 #[global_allocator]
 static ALLOC: counting_alloc::CountingAlloc = counting_alloc::CountingAlloc::new();
 
@@ -93,110 +91,6 @@ fn parse_args() -> Args {
 fn write_json<T: serde::Serialize>(out: &std::path::Path, name: &str, value: &T) {
     let json = serde_json::to_string_pretty(value).expect("serializable");
     breval_bench::write_result(out, &format!("{name}.json"), &json).expect("write json");
-}
-
-/// `parallel_map` per-item latency summary in `BenchObs` (conservative
-/// log-bucket quantiles from the `parallel_map_item_ns` histogram).
-#[derive(serde::Serialize, Default)]
-struct ItemLatency {
-    count: u64,
-    p50_ns: u64,
-    p90_ns: u64,
-    p99_ns: u64,
-}
-
-/// Benchmark-style observability summary written to `BENCH_obs.json` at the
-/// repository root (schema 2): per-stage wall time, allocation attribution,
-/// pool item latencies, and counters for the main pipeline run.
-///
-/// Schema history: v1 carried `total_wall_ms`, which always duplicated
-/// `stage_wall_ms["scenario_run"]` — v2 drops it and adds `schema`,
-/// hardware context (`hardware_threads` / `thread_cap`, so `xtask
-/// obscheck` can compare baselines across machines honestly), `journal`,
-/// per-stage `stage_allocs` / `stage_alloc_bytes`, and
-/// `parallel_map_item_ns`.
-#[derive(serde::Serialize)]
-struct BenchObs {
-    schema: u32,
-    name: String,
-    scenario: String,
-    seed: u64,
-    hardware_threads: u64,
-    thread_cap: u64,
-    /// Whether the event journal (`BREVAL_OBS_JOURNAL`) was on — journal
-    /// overhead is bounded but nonzero, so regression baselines should
-    /// compare like with like.
-    journal: bool,
-    stage_wall_ms: std::collections::BTreeMap<String, f64>,
-    stage_allocs: std::collections::BTreeMap<String, u64>,
-    stage_alloc_bytes: std::collections::BTreeMap<String, u64>,
-    parallel_map_item_ns: ItemLatency,
-    counters: std::collections::BTreeMap<String, u64>,
-}
-
-/// One thread-cap measurement row of the `parbench` target.
-#[derive(serde::Serialize)]
-struct BenchParRow {
-    threads: usize,
-    /// True when this cap exceeds the measuring machine's hardware
-    /// concurrency: the extra threads cannot run in parallel, so the row's
-    /// wall times are physically flat and excluded from headline speedups.
-    exceeds_hardware: bool,
-    snapshot_wall_ms: f64,
-    inference_wall_ms: f64,
-    compile_validation_wall_ms: f64,
-    coverage_wall_ms: f64,
-    heatmap_wall_ms: f64,
-    scenario_wall_ms: f64,
-}
-
-/// Repeated-`parallel_map` microbenchmark: many small calls through the
-/// resident pool vs the old spawn-per-call execution, isolating per-call
-/// submission overhead from the work itself.
-#[derive(serde::Serialize)]
-struct PoolMicrobench {
-    calls: usize,
-    items_per_call: usize,
-    threads: usize,
-    /// True when the fixed 2-thread cap exceeds the measuring machine's
-    /// hardware concurrency (same honesty flag as the row-level benches):
-    /// the microbenchmark then measures submission overhead only, never
-    /// parallel speedup.
-    exceeds_hardware: bool,
-    /// Total wall for `calls` maps through the persistent pool.
-    pool_total_ms: f64,
-    /// Total wall for the same maps with thread spawning per call.
-    spawn_total_ms: f64,
-    /// spawn_total_ms / pool_total_ms — > 1 means the pool amortises
-    /// per-call overhead that spawning pays every time.
-    spawn_over_pool: f64,
-}
-
-/// Parallel-scaling summary written to `BENCH_par.json` at the repository
-/// root: per-stage wall time (snapshot, inference, validation compile,
-/// coverage, heatmaps) at several thread caps, plus the pre-parallel
-/// execution model (each classifier standing alone, re-deriving sanitised
-/// paths / statistics / its ASRank seed) as the sequential baseline, plus
-/// the pool-vs-spawn submission microbenchmark.
-#[derive(serde::Serialize)]
-struct BenchPar {
-    name: String,
-    scenario: String,
-    seed: u64,
-    /// Hardware concurrency of the measuring machine. Rows whose cap
-    /// exceeds it are flagged and the headline speedups skip them, so the
-    /// report stays honest on a single-core host.
-    hardware_threads: usize,
-    rows: Vec<BenchParRow>,
-    /// Per-stage wall time of the old execution model, measured live.
-    isolated_sequential_ms: std::collections::BTreeMap<String, f64>,
-    /// (isolated sequential snapshot+inference) / (shared-preparation
-    /// pipeline snapshot+inference at the widest meaningful thread cap).
-    speedup_snapshot_infer: f64,
-    /// (snapshot+inference at 1 thread) / (same at the widest cap that
-    /// does not exceed `hardware_threads`).
-    speedup_threads_n_vs_1: f64,
-    pool_microbench: PoolMicrobench,
 }
 
 fn main() {
@@ -645,190 +539,6 @@ overall: {}
                 }
                 emit("calibration_unari", text, None);
             }
-            "parbench" => {
-                // Parallel-scaling benchmark (small scale regardless of
-                // --small; like `timeline`, excluded from "all"). Re-runs
-                // the scenario at thread caps 1 / 2 / N, reading the
-                // snapshot (`simulate`) and inference (`infer_all`) stages
-                // from span-total deltas so the numbers are the same ones
-                // the run manifest reports. The extra runs accumulate into
-                // the global span totals, which is why deltas — not
-                // absolute totals — are taken.
-                if !breval_obs::enabled() {
-                    eprintln!("parbench needs observability — skipping (BREVAL_OBS=0 set?)");
-                    continue;
-                }
-                let seed = scenario.config.topology.seed;
-                let hardware_threads = std::thread::available_parallelism()
-                    .map(std::num::NonZeroUsize::get)
-                    .unwrap_or(1);
-                let mut caps = vec![1usize, 2, hardware_threads];
-                caps.sort_unstable();
-                caps.dedup();
-
-                let mut rows: Vec<BenchParRow> = Vec::new();
-                for &threads in &caps {
-                    breval_par::set_max_threads(Some(threads));
-                    let sim0 = breval_obs::span_wall_ms("scenario_run/simulate");
-                    let inf0 = breval_obs::span_wall_ms("scenario_run/infer_all");
-                    let cmp0 = breval_obs::span_wall_ms("scenario_run/compile_validation");
-                    let cov0 = breval_obs::span_wall_ms("coverage_by_class");
-                    let hm0 = breval_obs::span_wall_ms("heatmap_build");
-                    let run0 = breval_obs::span_wall_ms("scenario_run");
-                    let s = Scenario::run(ScenarioConfig::small(seed));
-                    // Exercise the newly parallel analysis stages so their
-                    // spans accumulate under this cap too.
-                    let _ = s.fig1();
-                    let _ = s.fig2();
-                    let _ = s.heatmaps(HeatmapMetric::TransitDegree);
-                    let _ = s.heatmaps(HeatmapMetric::Ppdc);
-                    drop(s);
-                    rows.push(BenchParRow {
-                        threads,
-                        exceeds_hardware: threads > hardware_threads,
-                        snapshot_wall_ms: breval_obs::span_wall_ms("scenario_run/simulate") - sim0,
-                        inference_wall_ms: breval_obs::span_wall_ms("scenario_run/infer_all")
-                            - inf0,
-                        compile_validation_wall_ms: breval_obs::span_wall_ms(
-                            "scenario_run/compile_validation",
-                        ) - cmp0,
-                        coverage_wall_ms: breval_obs::span_wall_ms("coverage_by_class") - cov0,
-                        heatmap_wall_ms: breval_obs::span_wall_ms("heatmap_build") - hm0,
-                        scenario_wall_ms: breval_obs::span_wall_ms("scenario_run") - run0,
-                    });
-                    eprintln!(
-                        "parbench: {} thread(s) → snapshot {:.1} ms, inference {:.1} ms, \
-                         compile {:.1} ms, coverage {:.1} ms, heatmap {:.1} ms{}",
-                        threads,
-                        rows.last().map(|r| r.snapshot_wall_ms).unwrap_or(0.0),
-                        rows.last().map(|r| r.inference_wall_ms).unwrap_or(0.0),
-                        rows.last()
-                            .map(|r| r.compile_validation_wall_ms)
-                            .unwrap_or(0.0),
-                        rows.last().map(|r| r.coverage_wall_ms).unwrap_or(0.0),
-                        rows.last().map(|r| r.heatmap_wall_ms).unwrap_or(0.0),
-                        if threads > hardware_threads {
-                            " [exceeds hardware]"
-                        } else {
-                            ""
-                        },
-                    );
-                }
-                breval_par::set_max_threads(Some(1));
-
-                // The old execution model, measured live: simulate, then
-                // each classifier standing alone on the raw path set (its
-                // own sanitisation, statistics, and — for the bootstrap
-                // classifiers — its own full ASRank seed), sequentially.
-                let small = ScenarioConfig::small(seed);
-                let topo = topogen::generate(&small.topology);
-                let sim0 = breval_obs::span_wall_ms("simulate");
-                let snap = bgpsim::simulate(&topo);
-                let iso_sim = breval_obs::span_wall_ms("simulate") - sim0;
-                let raw = snap.to_pathset(false);
-                let mut isolated_sequential_ms = std::collections::BTreeMap::new();
-                isolated_sequential_ms.insert("simulate".to_owned(), iso_sim);
-                {
-                    use asinfer::Classifier;
-                    let classifiers: [&dyn Classifier; 4] = [
-                        &asinfer::AsRank::new(),
-                        &asinfer::ProbLink::new(),
-                        &asinfer::TopoScope::new(),
-                        &asinfer::GaoClassifier::new(),
-                    ];
-                    for c in classifiers {
-                        let span = format!("infer_{}", c.name());
-                        let before = breval_obs::span_wall_ms(&span);
-                        let _ = c.infer_observed(&raw);
-                        isolated_sequential_ms
-                            .insert(span.clone(), breval_obs::span_wall_ms(&span) - before);
-                    }
-                }
-                breval_par::set_max_threads(None);
-
-                // Repeated small maps: the pool's per-call win is in
-                // submission overhead, so measure many calls of little
-                // work. Cap 2 exercises the resident-worker path even on a
-                // single-core host (overhead, not scaling, is under test).
-                let micro_calls = 300usize;
-                let micro_items = 64usize;
-                let micro_threads = 2usize;
-                breval_par::set_max_threads(Some(micro_threads));
-                let work = |i: usize| std::hint::black_box(i).wrapping_mul(0x9E37_79B9);
-                let pool0 = breval_obs::span_wall_ms("parbench_pool_map");
-                {
-                    let _span = breval_obs::span!("parbench_pool_map");
-                    for _ in 0..micro_calls {
-                        std::hint::black_box(breval_par::parallel_map(micro_items, work));
-                    }
-                }
-                let pool_total_ms = breval_obs::span_wall_ms("parbench_pool_map") - pool0;
-                let spawn0 = breval_obs::span_wall_ms("parbench_spawn_map");
-                {
-                    let _span = breval_obs::span!("parbench_spawn_map");
-                    for _ in 0..micro_calls {
-                        std::hint::black_box(breval_par::baseline::parallel_map_spawn(
-                            micro_items,
-                            work,
-                        ));
-                    }
-                }
-                let spawn_total_ms = breval_obs::span_wall_ms("parbench_spawn_map") - spawn0;
-                breval_par::set_max_threads(None);
-                let pool_microbench = PoolMicrobench {
-                    calls: micro_calls,
-                    items_per_call: micro_items,
-                    threads: micro_threads,
-                    exceeds_hardware: micro_threads > hardware_threads,
-                    pool_total_ms,
-                    spawn_total_ms,
-                    spawn_over_pool: spawn_total_ms / pool_total_ms.max(1e-9),
-                };
-                eprintln!(
-                    "parbench: {micro_calls}×{micro_items}-item maps — pool {pool_total_ms:.1} ms, \
-                     spawn-per-call {spawn_total_ms:.1} ms ({:.2}× overhead)",
-                    pool_microbench.spawn_over_pool
-                );
-
-                // Headline speedups only compare caps the hardware can
-                // actually run in parallel; a 2-thread row on a 1-core
-                // host would otherwise read as a threading regression.
-                let iso_total: f64 = isolated_sequential_ms.values().sum();
-                let meaningful: Vec<&BenchParRow> =
-                    rows.iter().filter(|r| !r.exceeds_hardware).collect();
-                let first = meaningful.first();
-                let last = meaningful.last();
-                let combined = |r: &BenchParRow| r.snapshot_wall_ms + r.inference_wall_ms;
-                let speedup_snapshot_infer = last
-                    .map(|r| iso_total / combined(r).max(1e-9))
-                    .unwrap_or(1.0);
-                let speedup_threads_n_vs_1 = match (first, last) {
-                    (Some(a), Some(b)) => combined(a) / combined(b).max(1e-9),
-                    _ => 1.0,
-                };
-                let bench = BenchPar {
-                    name: "parbench".to_owned(),
-                    scenario: "small".to_owned(),
-                    seed,
-                    hardware_threads,
-                    rows,
-                    isolated_sequential_ms,
-                    speedup_snapshot_infer,
-                    speedup_threads_n_vs_1,
-                    pool_microbench,
-                };
-                let json = serde_json::to_string_pretty(&bench).expect("serializable");
-                let bench_path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-                    .join("../..")
-                    .join("BENCH_par.json");
-                std::fs::write(&bench_path, &json).expect("write BENCH_par.json");
-                eprintln!(
-                    "parbench: speedup vs isolated-sequential {speedup_snapshot_infer:.2}×, \
-                     {hardware_threads}-thread vs 1-thread {speedup_threads_n_vs_1:.2}× \
-                     (hardware threads: {hardware_threads})"
-                );
-                emit("parbench", json, None);
-            }
             "timeline" => {
                 // Runs at the small scale regardless of --small: 13 full
                 // simulations at paper scale would take minutes.
@@ -901,10 +611,9 @@ overall: {}
 
     if breval_obs::enabled() {
         let scenario_name = if args.small { "small" } else { "default" };
-        let thread_cap = breval_par::max_threads() as u64;
         let manifest =
             breval_obs::RunManifest::capture(scenario_name, scenario.config.topology.seed)
-                .with_thread_cap(thread_cap)
+                .with_thread_cap(breval_par::max_threads() as u64)
                 .with_config("total_ases", scenario.config.topology.total_ases())
                 .with_config("targets", args.targets.len())
                 .with_config("observed_links", scenario.inferred_links.len())
@@ -922,52 +631,5 @@ overall: {}
             breval_obs::write_trace_json(&trace_path).expect("write trace.json");
             eprintln!("event-journal trace written to {}", trace_path.display());
         }
-
-        let item_ns = manifest
-            .histograms
-            .get("parallel_map_item_ns")
-            .map(|h| ItemLatency {
-                count: h.count,
-                p50_ns: h.p50,
-                p90_ns: h.p90,
-                p99_ns: h.p99,
-            })
-            .unwrap_or_default();
-        let bench = BenchObs {
-            schema: 2,
-            name: "experiments".to_owned(),
-            scenario: scenario_name.to_owned(),
-            seed: scenario.config.topology.seed,
-            hardware_threads: manifest.hardware_threads,
-            thread_cap,
-            journal: breval_obs::journal_enabled(),
-            stage_wall_ms: manifest
-                .stages
-                .iter()
-                .map(|s| (s.name.clone(), s.wall_ms))
-                .collect(),
-            stage_allocs: manifest
-                .stages
-                .iter()
-                .map(|s| (s.name.clone(), s.alloc_count))
-                .collect(),
-            stage_alloc_bytes: manifest
-                .stages
-                .iter()
-                .map(|s| (s.name.clone(), s.alloc_bytes))
-                .collect(),
-            parallel_map_item_ns: item_ns,
-            counters: manifest.counters.clone(),
-        };
-        // Pin to the repository root regardless of the invocation cwd.
-        let bench_path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-            .join("../..")
-            .join("BENCH_obs.json");
-        std::fs::write(
-            &bench_path,
-            serde_json::to_string_pretty(&bench).expect("serializable"),
-        )
-        .expect("write BENCH_obs.json");
-        eprintln!("benchmark summary written to {}", bench_path.display());
     }
 }

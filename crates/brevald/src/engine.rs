@@ -41,7 +41,7 @@ pub enum Query {
 
 impl Query {
     /// The query-kind label used for per-kind observability counters and
-    /// the qpsbench latency histograms.
+    /// per-kind latency reports.
     #[must_use]
     pub fn kind(&self) -> &'static str {
         match self {
@@ -55,7 +55,8 @@ impl Query {
     }
 }
 
-/// Every query kind, in grammar order (used by qpsbench's mix table).
+/// Every query kind, in grammar order (for per-kind query mixes and
+/// reports).
 pub const QUERY_KINDS: [&str; 6] = ["cone", "member", "class", "ascov", "slice", "stats"];
 
 /// Parses one request line. Errors are static grammar hints, never panics.

@@ -10,7 +10,7 @@
 //! the Tier-1 and hypergiant lists. Class labels follow the paper's
 //! convention (`S-TR`, `TR°`, `T1-TR`, `H-S`, …).
 
-use asgraph::{cone, AsGraph, AsIndexer, Asn, ConeSizes, Link};
+use asgraph::{AsIndexer, Asn, ConeSizes, Link};
 use asregistry::{RegionMap, RirRegion};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
@@ -136,33 +136,13 @@ pub struct LinkClassifier {
 }
 
 impl LinkClassifier {
-    /// Builds a classifier.
+    /// Builds a classifier around already-computed customer-cone sizes,
+    /// shared with the caller instead of re-derived per classifier.
     ///
     /// * `region_map` — the §5 ASN→region mapping,
-    /// * `inferred_graph` — the graph of *inferred* relationships, over which
-    ///   customer cones are computed (mirrors using CAIDA's cone dataset),
+    /// * `cone_sizes` — customer-cone sizes over the graph of *inferred*
+    ///   relationships (mirrors using CAIDA's cone dataset),
     /// * `tier1` / `hypergiants` — the external refinement lists.
-    #[must_use]
-    pub fn new(
-        region_map: RegionMap,
-        inferred_graph: &AsGraph,
-        tier1: BTreeSet<Asn>,
-        hypergiants: BTreeSet<Asn>,
-    ) -> Self {
-        Self::with_cone_sizes(
-            region_map,
-            // breval-lint: allow(L012) -- compatibility constructor for
-            // standalone classifier use; the pipeline itself goes through
-            // Scenario's snapshot layer (`with_cone_sizes`).
-            Arc::new(cone::customer_cone_sizes(inferred_graph)),
-            tier1,
-            hypergiants,
-        )
-    }
-
-    /// Builds a classifier around already-computed customer-cone sizes,
-    /// sharing them with the caller instead of re-deriving them from the
-    /// inferred graph (see [`LinkClassifier::new`]).
     #[must_use]
     pub fn with_cone_sizes(
         region_map: RegionMap,
@@ -264,7 +244,7 @@ impl LinkClassifier {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use asgraph::Rel;
+    use asgraph::{cone, AsGraph, CsrGraph, Rel};
     use asregistry::iana::BlockAuthority;
     use asregistry::IanaAsnTable;
 
@@ -297,9 +277,9 @@ mod tests {
             Rel::P2p,
         )
         .expect("fresh link accepts rel");
-        LinkClassifier::new(
+        LinkClassifier::with_cone_sizes(
             region_map(),
-            &g,
+            Arc::new(cone::customer_cone_sizes_csr(&CsrGraph::build(&g))),
             [Asn(1)].into_iter().collect(),
             [Asn(500)].into_iter().collect(),
         )

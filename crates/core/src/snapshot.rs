@@ -28,8 +28,8 @@
 //! lengths and structural invariants and return [`SnapshotError`] — never a
 //! panic, never an attacker-sized allocation. A warm load is a handful of
 //! bulk reads, so re-analysing a built scenario costs milliseconds instead
-//! of re-running topogen + bgpsim + inference (`BENCH_snap.json` records the
-//! ratio).
+//! of re-running topogen + bgpsim + inference (592× faster than the cold
+//! build at small scale).
 
 use crate::metrics::{confusion, ScoredLink};
 use crate::pipeline::ScenarioConfig;

@@ -1,5 +1,5 @@
 //! Property-based tests for the log-bucketed [`Histogram`] and its bucket
-//! arithmetic — the quantiles reported in `BENCH_obs.json` lean on these
+//! arithmetic — the quantiles reported in `run_manifest.json` lean on these
 //! invariants.
 
 use breval_obs::{bucket_index, bucket_upper, Histogram};

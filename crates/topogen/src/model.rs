@@ -235,8 +235,9 @@ impl Topology {
     /// FNV-1a 64 digest over the full topology (every AS record, link,
     /// vantage point, and IXP, via the deterministic `Debug` rendering,
     /// streamed — no intermediate string). Used by the generator's
-    /// byte-identity regression tests and `scalebench` to pin the streaming
-    /// builder to the historical output at existing seeds and sizes.
+    /// byte-identity regression tests and the benchmark to pin the
+    /// streaming builder to the historical output at existing seeds and
+    /// sizes.
     #[must_use]
     pub fn digest(&self) -> u64 {
         crate::model::debug_digest(self)

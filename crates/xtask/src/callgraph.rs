@@ -147,17 +147,6 @@ fn skip_delim(src: &str, toks: &[Tok], mut i: usize, end: usize) -> usize {
 /// resolution).
 #[must_use]
 pub fn extract_calls(src: &str, toks: &[Tok], start: usize, end: usize) -> Vec<CallRef> {
-    extract_calls_at(src, toks, start, end)
-        .into_iter()
-        .map(|(call, _)| call)
-        .collect()
-}
-
-/// Like [`extract_calls`], but each reference carries the 1-based source
-/// line of its call head — used by rules that anchor a violation to the
-/// exact call site (L012) rather than the caller's declaration.
-#[must_use]
-pub fn extract_calls_at(src: &str, toks: &[Tok], start: usize, end: usize) -> Vec<(CallRef, u32)> {
     let mut out = Vec::new();
     let mut i = start;
     while i < end {
@@ -165,7 +154,6 @@ pub fn extract_calls_at(src: &str, toks: &[Tok], start: usize, end: usize) -> Ve
         // `.method(` and `.method::<T>(`.
         if t.is_punct(src, ".") && toks.get(i + 1).is_some_and(|n| n.kind == TokKind::Ident) {
             let name = toks[i + 1].text(src);
-            let line = toks[i + 1].line;
             let mut j = i + 2;
             if j + 1 < end && toks[j].is_punct(src, "::") && toks[j + 1].is_punct(src, "<") {
                 j = skip_angle(src, toks, j + 1, end);
@@ -176,9 +164,9 @@ pub fn extract_calls_at(src: &str, toks: &[Tok], start: usize, end: usize) -> Ve
                     .and_then(|p| toks.get(p))
                     .is_some_and(|p| p.is_ident(src, "self"));
                 if recv_is_self {
-                    out.push((CallRef::SelfMethod(name.to_owned()), line));
+                    out.push(CallRef::SelfMethod(name.to_owned()));
                 } else {
-                    out.push((CallRef::Method(name.to_owned()), line));
+                    out.push(CallRef::Method(name.to_owned()));
                 }
             }
             i += 2;
@@ -192,7 +180,6 @@ pub fn extract_calls_at(src: &str, toks: &[Tok], start: usize, end: usize) -> Ve
                 .is_some_and(|p| p.is_punct(src, ".") || p.is_punct(src, "::"));
             let head = t.text(src);
             if !prev_connects && !NON_CALL_KEYWORDS.contains(&head) {
-                let line = t.line;
                 let mut segs = vec![head.to_owned()];
                 let mut j = i + 1;
                 while j + 1 < end
@@ -207,7 +194,7 @@ pub fn extract_calls_at(src: &str, toks: &[Tok], start: usize, end: usize) -> Ve
                     j = skip_angle(src, toks, j + 1, end);
                 }
                 if j < end && toks[j].is_punct(src, "(") {
-                    out.push((CallRef::Path(segs), line));
+                    out.push(CallRef::Path(segs));
                 }
                 i = j;
                 continue;

@@ -1,27 +1,19 @@
 //! Command-line driver:
-//! `cargo run -p xtask -- <lint|deepcheck|sanitize|obsreport|obscheck>`.
+//! `cargo run -p xtask -- <lint|deepcheck|sanitize|obsreport>`.
 //!
 //! * `lint [--format json] [files…]` — run the L001–L007 project lints over
 //!   the whole workspace (default) or an explicit file list; exit 1 on any
 //!   violation.
-//! * `deepcheck [--format json]` — run the flow-aware L008–L012 rules over
+//! * `deepcheck [--format json]` — run the flow-aware L008–L011 rules over
 //!   the workspace call graph (see `xtask::rules_flow`); exit 1 on any
 //!   violation.
 //! * `sanitize [--seed N]` — run a small end-to-end scenario and check every
 //!   domain invariant in `breval_core::sanitize`, then cross-check the
 //!   persisted `results/*.json` observability manifests against the label
 //!   registry; exit 1 on any violation.
-//! * `obsreport [--file P]` — render `BENCH_obs.json` (default: the
-//!   workspace root copy) as a self-time-sorted flame summary plus a
-//!   pool-utilisation table.
-//! * `obscheck [--fresh P] [--baseline P]` — compare a fresh
-//!   `BENCH_obs.json` against the committed baseline
-//!   (`crates/xtask/baselines/bench_obs_small.json`); exit 1 on any wall or
-//!   allocation regression.
-//! * `scalecheck [--file P]` — validate `BENCH_scale.json`'s 10k tier
-//!   against the absolute structural floors in `xtask::scalecheck`
-//!   (bounded-memory propagation, hybrid-cone compression); exit 1 on any
-//!   violation.
+//! * `obsreport [--file P]` — render a run manifest (default:
+//!   `results/run_manifest.json` under the workspace root) as a
+//!   self-time-sorted flame summary plus a pool-utilisation table.
 
 #![forbid(unsafe_code)]
 
@@ -38,14 +30,11 @@ fn main() -> ExitCode {
         Some("deepcheck") => run_deepcheck(&args[1..]),
         Some("sanitize") => run_sanitize(&args[1..]),
         Some("obsreport") => run_obsreport(&args[1..]),
-        Some("obscheck") => run_obscheck(&args[1..]),
-        Some("scalecheck") => run_scalecheck(&args[1..]),
         _ => {
             eprintln!(
                 "usage: cargo run -p xtask -- <lint [--format json] [files…] \
                  | deepcheck [--format json] | sanitize [--seed N] \
-                 | obsreport [--file P] | obscheck [--fresh P] [--baseline P] \
-                 | scalecheck [--file P]>"
+                 | obsreport [--file P]>"
             );
             ExitCode::from(2)
         }
@@ -153,73 +142,13 @@ fn load_json(path: &Path) -> Result<Json, ExitCode> {
 fn run_obsreport(args: &[String]) -> ExitCode {
     let path = flag_value(args, "--file")
         .map(PathBuf::from)
-        .unwrap_or_else(|| workspace_root().join("BENCH_obs.json"));
+        .unwrap_or_else(|| workspace_root().join("results/run_manifest.json"));
     match load_json(&path) {
         Ok(doc) => {
             print!("{}", xtask::obsreport::render(&doc));
             ExitCode::SUCCESS
         }
         Err(code) => code,
-    }
-}
-
-fn run_obscheck(args: &[String]) -> ExitCode {
-    let root = workspace_root();
-    let baseline_path = flag_value(args, "--baseline")
-        .map(PathBuf::from)
-        .unwrap_or_else(|| root.join("crates/xtask/baselines/bench_obs_small.json"));
-    let fresh_path = flag_value(args, "--fresh")
-        .map(PathBuf::from)
-        .unwrap_or_else(|| root.join("BENCH_obs.json"));
-    let (baseline, fresh) = match (load_json(&baseline_path), load_json(&fresh_path)) {
-        (Ok(b), Ok(f)) => (b, f),
-        (Err(code), _) | (_, Err(code)) => return code,
-    };
-    let report = xtask::obscheck::check(&baseline, &fresh, &xtask::obscheck::Tolerances::default());
-    for note in &report.notes {
-        println!("obscheck: note — {note}");
-    }
-    for r in &report.regressions {
-        println!("REGRESSION {r}");
-    }
-    println!(
-        "obscheck: compared {} stage(s) of {} against {}: {} regression(s)",
-        report.stages_compared,
-        fresh_path.display(),
-        baseline_path.display(),
-        report.regressions.len()
-    );
-    if report.is_clean() {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    }
-}
-
-fn run_scalecheck(args: &[String]) -> ExitCode {
-    let path = flag_value(args, "--file")
-        .map(PathBuf::from)
-        .unwrap_or_else(|| workspace_root().join("BENCH_scale.json"));
-    let doc = match load_json(&path) {
-        Ok(doc) => doc,
-        Err(code) => return code,
-    };
-    let report = xtask::scalecheck::check(&doc, &xtask::scalecheck::Floors::default());
-    for note in &report.notes {
-        println!("scalecheck: note — {note}");
-    }
-    for v in &report.violations {
-        println!("VIOLATION {v}");
-    }
-    println!(
-        "scalecheck: validated 10k tier of {}: {} violation(s)",
-        path.display(),
-        report.violations.len()
-    );
-    if report.is_clean() {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
     }
 }
 

@@ -1,8 +1,8 @@
-//! `obsreport` — human-readable rendering of `BENCH_obs.json`.
+//! `obsreport` — human-readable rendering of a run manifest
+//! (`results/run_manifest.json`, written by `experiments`).
 //!
-//! Reads the schema-2 bench-observability document (written by
-//! `crates/bench/src/bin/experiments.rs`) through the crate's own JSON
-//! reader and prints:
+//! Reads the [`RunManifest`](breval_obs::RunManifest) document through the
+//! crate's own JSON reader and prints:
 //!
 //! * a **flame summary**: every stage path with its wall, *self* time
 //!   (wall minus same-thread direct children), and journal-attributed
@@ -62,11 +62,22 @@ fn num(j: Option<&Json>) -> f64 {
     }
 }
 
-fn num_map(doc: &Json, key: &str) -> BTreeMap<String, f64> {
-    doc.get(key)
-        .and_then(Json::as_obj)
-        .map(|m| m.iter().map(|(k, v)| (k.clone(), num(Some(v)))).collect())
-        .unwrap_or_default()
+/// The manifest's `stages` array as `path → (wall_ms, allocs, bytes)`.
+fn stage_map(doc: &Json) -> BTreeMap<String, (f64, f64, f64)> {
+    doc.get("stages")
+        .and_then(Json::as_arr)
+        .unwrap_or(&[])
+        .iter()
+        .filter_map(|s| {
+            let name = s.get("name").and_then(Json::as_str)?;
+            let row = (
+                num(s.get("wall_ms")),
+                num(s.get("alloc_count")),
+                num(s.get("alloc_bytes")),
+            );
+            Some((name.to_owned(), row))
+        })
+        .collect()
 }
 
 /// `child` is a *same-thread* direct child of `parent`: exactly one path
@@ -83,23 +94,21 @@ fn is_serial_child(child: &str, parent: &str) -> bool {
 /// (ties broken by path so the order is deterministic).
 #[must_use]
 pub fn stage_rows(doc: &Json) -> Vec<StageRow> {
-    let walls = num_map(doc, "stage_wall_ms");
-    let allocs = num_map(doc, "stage_allocs");
-    let bytes = num_map(doc, "stage_alloc_bytes");
-    let mut rows: Vec<StageRow> = walls
+    let stages = stage_map(doc);
+    let mut rows: Vec<StageRow> = stages
         .iter()
-        .map(|(path, &wall)| {
-            let child_sum: f64 = walls
+        .map(|(path, &(wall, allocs, bytes))| {
+            let child_sum: f64 = stages
                 .iter()
                 .filter(|(c, _)| is_serial_child(c, path))
-                .map(|(_, w)| *w)
+                .map(|(_, (w, _, _))| *w)
                 .sum();
             StageRow {
                 path: path.clone(),
                 wall_ms: wall,
                 self_ms: (wall - child_sum).max(0.0),
-                allocs: allocs.get(path).copied().unwrap_or(0.0) as u64,
-                alloc_bytes: bytes.get(path).copied().unwrap_or(0.0) as u64,
+                allocs: allocs as u64,
+                alloc_bytes: bytes as u64,
             }
         })
         .collect();
@@ -115,13 +124,13 @@ pub fn stage_rows(doc: &Json) -> Vec<StageRow> {
 /// `<stage>/pool_worker` accumulator, sorted by stage path.
 #[must_use]
 pub fn pool_rows(doc: &Json) -> Vec<PoolRow> {
-    let walls = num_map(doc, "stage_wall_ms");
+    let stages = stage_map(doc);
     let cap = num(doc.get("thread_cap")).max(1.0);
-    walls
+    stages
         .iter()
-        .filter_map(|(path, &busy)| {
+        .filter_map(|(path, &(busy, _, _))| {
             let parent = path.strip_suffix("/pool_worker")?;
-            let stage_wall = walls.get(parent).copied()?;
+            let (stage_wall, _, _) = stages.get(parent).copied()?;
             Some(PoolRow {
                 path: parent.to_owned(),
                 stage_wall_ms: stage_wall,
@@ -136,20 +145,18 @@ pub fn pool_rows(doc: &Json) -> Vec<PoolRow> {
         .collect()
 }
 
-/// Renders the full report for one parsed `BENCH_obs.json` document.
+/// Renders the full report for one parsed run manifest.
 #[must_use]
 pub fn render(doc: &Json) -> String {
     let mut out = String::new();
-    let name = doc.get("name").and_then(Json::as_str).unwrap_or("?");
     let scenario = doc.get("scenario").and_then(Json::as_str).unwrap_or("?");
     let seed = num(doc.get("seed"));
     let hw = num(doc.get("hardware_threads"));
     let cap = num(doc.get("thread_cap"));
-    let journal = matches!(doc.get("journal"), Some(Json::Bool(true)));
     let _ = writeln!(
         out,
-        "obsreport: {name} scenario={scenario} seed={seed} \
-         hardware_threads={hw} thread_cap={cap} journal={journal}",
+        "obsreport: scenario={scenario} seed={seed} \
+         hardware_threads={hw} thread_cap={cap}",
     );
     if hw > 0.0 && cap > hw {
         let _ = writeln!(
@@ -191,16 +198,19 @@ pub fn render(doc: &Json) -> String {
         }
     }
 
-    if let Some(lat) = doc.get("parallel_map_item_ns") {
+    if let Some(lat) = doc
+        .get("histograms")
+        .and_then(|h| h.get("parallel_map_item_ns"))
+    {
         let count = num(lat.get("count"));
         if count > 0.0 {
             let _ = writeln!(
                 out,
                 "\nparallel_map items: {count} \
                  (p50 {:.1} µs, p90 {:.1} µs, p99 {:.1} µs)",
-                num(lat.get("p50_ns")) / 1_000.0,
-                num(lat.get("p90_ns")) / 1_000.0,
-                num(lat.get("p99_ns")) / 1_000.0,
+                num(lat.get("p50")) / 1_000.0,
+                num(lat.get("p90")) / 1_000.0,
+                num(lat.get("p99")) / 1_000.0,
             );
         }
     }
@@ -223,17 +233,17 @@ mod tests {
     use crate::json::parse;
 
     const DOC: &str = r#"{
-        "schema": 2, "name": "experiments", "scenario": "small", "seed": 7,
-        "hardware_threads": 1, "thread_cap": 4, "journal": true,
-        "stage_wall_ms": {
-            "run": 100.0,
-            "run/alpha": 60.0,
-            "run/alpha/pool_worker": 150.0,
-            "run/beta": 30.0
+        "schema": 2, "scenario": "small", "seed": 7,
+        "hardware_threads": 1, "thread_cap": 4,
+        "stages": [
+            {"name": "run", "calls": 1, "wall_ms": 100.0, "alloc_count": 10, "alloc_bytes": 1000},
+            {"name": "run/alpha", "calls": 1, "wall_ms": 60.0, "alloc_count": 6, "alloc_bytes": 600},
+            {"name": "run/alpha/pool_worker", "calls": 3, "wall_ms": 150.0},
+            {"name": "run/beta", "calls": 1, "wall_ms": 30.0, "alloc_count": 3, "alloc_bytes": 300}
+        ],
+        "histograms": {
+            "parallel_map_item_ns": {"count": 8, "p50": 1000, "p90": 2000, "p99": 4000}
         },
-        "stage_allocs": {"run": 10, "run/alpha": 6, "run/beta": 3},
-        "stage_alloc_bytes": {"run": 1000, "run/alpha": 600, "run/beta": 300},
-        "parallel_map_item_ns": {"count": 8, "p50_ns": 1000, "p90_ns": 2000, "p99_ns": 4000},
         "counters": {"pool_items_total": 8, "other": 1}
     }"#;
 
@@ -282,8 +292,8 @@ mod tests {
     #[test]
     fn clamps_negative_self_time() {
         let doc = parse(
-            r#"{"thread_cap": 2, "stage_wall_ms": {"a": 10.0, "a/b": 15.0},
-                "stage_allocs": {}, "stage_alloc_bytes": {}}"#,
+            r#"{"thread_cap": 2, "stages": [
+                {"name": "a", "wall_ms": 10.0}, {"name": "a/b", "wall_ms": 15.0}]}"#,
         )
         .expect("valid");
         let rows = stage_rows(&doc);

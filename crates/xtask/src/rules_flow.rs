@@ -20,18 +20,14 @@
 //!   interior mutability; the same holds transitively for everything the
 //!   closure calls outside the sanctioned `breval_par`/`breval_obs`
 //!   internals.
-//! - **L012 deprecated calls** — functions registered as `deprecated`
-//!   must not gain new call sites in non-test code: legacy wrappers stay
-//!   for compatibility, but hot paths must use their replacements (e.g.
-//!   the snapshot layer instead of per-call `CsrGraph::build` wrappers).
 //!
-//! All five respect the standard waiver pragma
+//! All four respect the standard waiver pragma
 //! (`// breval-lint: allow(L0xx) -- reason`), resolved through
 //! [`crate::lexer::scan`] exactly like the token-level rules.
 
 use std::collections::BTreeMap;
 
-use crate::callgraph::{extract_calls, extract_calls_at, CallGraph};
+use crate::callgraph::{extract_calls, CallGraph};
 use crate::lexer;
 use crate::resolve::{CallRef, Workspace};
 use crate::rules::Violation;
@@ -46,8 +42,6 @@ pub struct Registry {
     pub kernels: Vec<(String, usize)>,
     /// Serialization / output sinks.
     pub sinks: Vec<(String, usize)>,
-    /// Deprecated functions that must not gain non-test call sites.
-    pub deprecated: Vec<(String, usize)>,
 }
 
 /// Repo-relative path of the built-in registry, used in stale-entry findings.
@@ -71,7 +65,6 @@ impl Registry {
                 "entry" => &mut reg.entries,
                 "kernel" => &mut reg.kernels,
                 "sink" => &mut reg.sinks,
-                "deprecated" => &mut reg.deprecated,
                 _ => continue,
             };
             slot.push((suffix.to_owned(), idx + 1));
@@ -96,7 +89,6 @@ pub fn deepcheck(ws: &Workspace, reg: &Registry) -> Vec<Violation> {
     let entries = resolve_registry(ws, &reg.entries, "L009", "entry", &mut out);
     let kernels = resolve_registry(ws, &reg.kernels, "L010", "kernel", &mut out);
     let mut sinks = resolve_registry(ws, &reg.sinks, "L008", "sink", &mut out);
-    let deprecated = resolve_registry(ws, &reg.deprecated, "L012", "deprecated", &mut out);
     for id in 0..ws.fns.len() {
         if !ws.fns[id].is_test && (ws.is_serialize_impl(id) || is_auto_sink(ws, id)) {
             sinks.push(id);
@@ -126,7 +118,6 @@ pub fn deepcheck(ws: &Workspace, reg: &Registry) -> Vec<Violation> {
             l010_scan(ws, id, &mut out);
         }
         l011_scan(ws, &graph, id, &mut out);
-        l012_scan(ws, id, &deprecated, &mut out);
     }
 
     let mut out = apply_waivers(ws, out);
@@ -752,7 +743,7 @@ fn l010_scan(ws: &Workspace, id: usize, out: &mut Vec<Violation>) {
 // L011 — parallel-closure hygiene
 // ---------------------------------------------------------------------
 
-const PAR_FNS: [&str; 3] = ["parallel_map", "parallel_map_init", "parallel_map_spawn"];
+const PAR_FNS: [&str; 2] = ["parallel_map", "parallel_map_init"];
 
 fn l011_scan(ws: &Workspace, graph: &CallGraph, id: usize, out: &mut Vec<Violation>) {
     let f = &ws.fns[id];
@@ -992,42 +983,6 @@ fn is_lock_recv(src: &str, toks: &[Tok], dot: usize) -> bool {
     toks[lo..dot]
         .iter()
         .any(|t| t.is_ident(src, "RwLock") || t.is_ident(src, "Mutex"))
-}
-
-// ---------------------------------------------------------------------
-// L012 — calls to deprecated functions
-// ---------------------------------------------------------------------
-
-/// Flags non-test call sites of functions registered as `deprecated`.
-/// The deprecated functions themselves (and each other) are exempt: the
-/// wrapper is allowed to exist, new callers of it are not.
-fn l012_scan(ws: &Workspace, id: usize, deprecated: &[usize], out: &mut Vec<Violation>) {
-    if deprecated.is_empty() || deprecated.binary_search(&id).is_ok() {
-        return;
-    }
-    let f = &ws.fns[id];
-    let Some((b0, b1)) = f.body else {
-        return;
-    };
-    let file = &ws.files[f.file_idx];
-    let rel = file.rel.to_string_lossy().replace('\\', "/");
-    let caller = ws.path_of(id);
-    for (call, line) in extract_calls_at(&file.src, &file.toks, b0, b1) {
-        for target in ws.resolve_from(id, &call) {
-            if deprecated.binary_search(&target).is_ok() {
-                out.push(Violation {
-                    file: rel.clone(),
-                    line: line as usize,
-                    rule: "L012",
-                    message: format!(
-                        "call to deprecated `{}` in `{caller}`; use the scenario \
-                         snapshot accessors instead",
-                        ws.path_of(target)
-                    ),
-                });
-            }
-        }
-    }
 }
 
 // ---------------------------------------------------------------------

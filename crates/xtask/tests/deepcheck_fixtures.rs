@@ -1,4 +1,4 @@
-//! Fixture-driven end-to-end tests of the L008–L012 deepcheck rules.
+//! Fixture-driven end-to-end tests of the L008–L011 deepcheck rules.
 //!
 //! Unlike the token-level lint fixtures (single files), each deepcheck
 //! fixture is a miniature *crate* under `fixtures/` — the flow rules reason
@@ -86,27 +86,6 @@ fn l011_locking_parallel_closure_fires_and_pure_closure_passes() {
     assert!(
         clean.is_empty(),
         "pure parallel closure must pass: {clean:?}"
-    );
-}
-
-#[test]
-fn l012_deprecated_call_fires_and_waived_or_test_callers_pass() {
-    let bad = run_fixture("l012_violate");
-    let l012: Vec<_> = bad.iter().filter(|v| v.rule == "L012").collect();
-    assert_eq!(
-        l012.len(),
-        1,
-        "exactly the non-test call in `analysis` fires: {bad:?}"
-    );
-    assert!(
-        l012[0].message.contains("legacy_cones") && l012[0].message.contains("analysis"),
-        "the finding names both callee and caller: {:?}",
-        l012[0]
-    );
-    let clean = run_fixture("l012_clean");
-    assert!(
-        clean.is_empty(),
-        "replacement calls, test callers, and the waived shim must pass: {clean:?}"
     );
 }
 

@@ -52,7 +52,9 @@ fn parallel_run_matches_single_thread() {
         }
         out
     };
-    for seed in [5u64, 21] {
+    // Seed 9 has ASRank vote ties between endpoints of equal transit
+    // degree, which only the lower-ASN rule decides.
+    for seed in [5u64, 9, 21] {
         // `with_thread_cap` scopes + serialises the process-global cap, so
         // concurrently running tests can't observe each other's override.
         let (single, single_analyses, single_kernels) =
