@@ -13,9 +13,9 @@
 //! Both hot kernels run over the dense core ([`crate::index::AsIndexer`] /
 //! [`crate::csr::CsrGraph`]): cone sizes come from an allocation-free BFS
 //! with per-worker [`ConeScratch`](crate::csr::ConeScratch) state, and PPDC
-//! cones are per-AS bitsets (one `u64` word per 64 observed ASes). The
-//! original BTree/hash implementations live on in [`baseline`] so the memory
-//! benchmark and the equivalence proptests can compare against them.
+//! cones are per-AS hybrid rows (a sorted id list while sparse, a bitset
+//! once dense). The BTree/hash implementations they replaced live on as the
+//! oracle of `tests/csr_equivalence.rs`.
 
 use crate::asn::Asn;
 use crate::csr::{ConeScratch, CsrGraph};
@@ -328,8 +328,7 @@ pub fn ppdc_cones(paths: &PathSet, rels: &BTreeMap<Link, Rel>) -> PpdcCones {
             };
             if from_provider_or_peer {
                 let x_id = indexer.id(x).expect("path hop is an observed AS");
-                // Self-membership, matching the `or_default().insert(asn)`
-                // of the hash-based baseline.
+                // Self-membership: every observed AS is in its own cone.
                 let row = rows[x_id as usize].get_or_insert_with(|| BuildRow::Sparse(vec![x_id]));
                 for &d in &c[i + 1..] {
                     let d_id = indexer.id(d).expect("path hop is an observed AS");
@@ -422,60 +421,6 @@ pub fn ppdc_sizes(paths: &PathSet, rels: &BTreeMap<Link, Rel>) -> ConeSizes {
     sizes
 }
 
-/// BTree/hash reference implementations of the cone kernels, kept as the
-/// oracle the CSR equivalence tests check the dense kernels against.
-pub mod baseline {
-    use super::*;
-    use std::collections::{HashMap, HashSet};
-
-    /// [`customer_cone_sizes_csr`](super::customer_cone_sizes_csr) as shipped
-    /// before the dense core: one fresh `BTreeSet` BFS per AS.
-    #[must_use]
-    pub fn customer_cone_sizes_btree(graph: &AsGraph) -> HashMap<Asn, usize> {
-        let ases: Vec<Asn> = graph.ases().collect();
-        let sizes: Vec<usize> =
-            breval_par::parallel_map(ases.len(), |i| customer_cone(graph, ases[i]).len());
-        ases.into_iter().zip(sizes).collect()
-    }
-
-    /// [`ppdc_cones`](super::ppdc_cones) as shipped before the dense core:
-    /// per-AS `HashSet` cones in a `HashMap`.
-    #[must_use]
-    pub fn ppdc_cones_hash(
-        paths: &PathSet,
-        rels: &BTreeMap<Link, Rel>,
-    ) -> HashMap<Asn, HashSet<Asn>> {
-        let mut cones: HashMap<Asn, HashSet<Asn>> = HashMap::new();
-        for op in paths.paths() {
-            let c = op.path.compressed();
-            for i in 1..c.len() {
-                let upstream = c[i - 1];
-                let x = c[i];
-                let Some(link) = Link::new(upstream, x) else {
-                    continue;
-                };
-                let from_provider_or_peer = match rels.get(&link) {
-                    Some(Rel::P2p) => true,
-                    Some(Rel::P2c { provider }) => *provider == upstream,
-                    _ => false,
-                };
-                if from_provider_or_peer {
-                    let cone = cones.entry(x).or_default();
-                    for &d in &c[i + 1..] {
-                        cone.insert(d);
-                    }
-                }
-            }
-        }
-        // Every observed AS is in its own cone.
-        let stats = paths.stats();
-        for asn in stats.ases() {
-            cones.entry(asn).or_default().insert(asn);
-        }
-        cones
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -541,22 +486,6 @@ mod tests {
     }
 
     #[test]
-    fn dense_cone_sizes_match_btree_baseline() {
-        let mut g = AsGraph::new();
-        g.add_rel(l(1, 2), p2c(1)).unwrap();
-        g.add_rel(l(2, 3), p2c(2)).unwrap();
-        g.add_rel(l(2, 4), p2c(2)).unwrap();
-        g.add_rel(l(4, 5), p2c(4)).unwrap();
-        g.add_rel(l(1, 6), Rel::P2p).unwrap();
-        let dense = customer_cone_sizes_csr(&CsrGraph::build(&g));
-        let reference = baseline::customer_cone_sizes_btree(&g);
-        assert_eq!(dense.len(), reference.len());
-        for (asn, size) in dense.iter() {
-            assert_eq!(reference.get(&asn), Some(&size));
-        }
-    }
-
-    #[test]
     fn ppdc_counts_only_provider_or_peer_upstream() {
         let mut rels = BTreeMap::new();
         rels.insert(l(1, 2), p2c(1)); // 1 provider of 2
@@ -612,12 +541,6 @@ mod tests {
         assert_eq!(cones.contains(Asn(2), Asn(12)), Some(true));
         assert_eq!(cones.contains(Asn(11), Asn(12)), Some(true));
         assert_eq!(cones.contains(Asn(11), Asn(3)), Some(false));
-        // Both forms agree with the hash baseline, member for member.
-        let reference = baseline::ppdc_cones_hash(&ps, &rels);
-        for (&asn, members) in &reference {
-            let expect: BTreeSet<Asn> = members.iter().copied().collect();
-            assert_eq!(cones.members(asn), Some(expect), "cone of {asn:?}");
-        }
     }
 
     #[test]
@@ -641,24 +564,5 @@ mod tests {
             cones.members(Asn(2)).unwrap(),
             BTreeSet::from([Asn(2), Asn(3), Asn(4)])
         );
-    }
-
-    #[test]
-    fn ppdc_bitsets_match_hash_baseline() {
-        let mut rels = BTreeMap::new();
-        rels.insert(l(1, 2), p2c(1));
-        rels.insert(l(2, 3), p2c(2));
-        rels.insert(l(3, 4), p2c(3));
-        rels.insert(l(5, 2), Rel::P2p);
-        let mut ps = PathSet::new();
-        ps.push(Asn(1), AsPath::new(vec![Asn(1), Asn(2), Asn(3), Asn(4)]));
-        ps.push(Asn(5), AsPath::new(vec![Asn(5), Asn(2), Asn(3)]));
-        let dense = ppdc_cones(&ps, &rels);
-        let reference = baseline::ppdc_cones_hash(&ps, &rels);
-        assert_eq!(dense.indexer().len(), reference.len());
-        for (&asn, members) in &reference {
-            let expect: BTreeSet<Asn> = members.iter().copied().collect();
-            assert_eq!(dense.members(asn), Some(expect), "cone of {asn:?}");
-        }
     }
 }

@@ -1,22 +1,24 @@
 //! Role-segmented compressed-sparse-row adjacency.
 //!
-//! [`CsrGraph`] is the dense mirror of [`AsGraph`](crate::AsGraph): ASNs are
+//! [`CsrGraph`] is the one dense adjacency layout of the workspace: ASNs are
 //! interned to `u32` ids ([`AsIndexer`]) and each relationship role
 //! (providers / customers / peers / siblings) becomes one CSR array — an
 //! `offsets` prefix-sum plus a flat `targets` buffer — so a node's neighbor
-//! list is a contiguous `&[u32]` slice. The hot kernels (customer-cone BFS,
-//! class partition) walk these slices instead of chasing
-//! `BTreeMap`/`BTreeSet` nodes, and the per-worker [`ConeScratch`] makes the
-//! cone BFS allocation-free after warm-up: visited state is an epoch-stamped
-//! `Vec<u32>` that is *never cleared* between cones — bumping the epoch
-//! invalidates all stamps in O(1).
+//! list is a contiguous `&[u32]` slice. The analysis kernels (customer-cone
+//! BFS, class partition) and the BGP propagator walk these slices instead of
+//! chasing `BTreeMap`/`BTreeSet` nodes, and the per-worker [`ConeScratch`]
+//! makes the cone BFS allocation-free after warm-up: visited state is an
+//! epoch-stamped `Vec<u32>` that is *never cleared* between cones — bumping
+//! the epoch invalidates all stamps in O(1).
 //!
 //! Neighbor slices are sorted by id (= by ASN, since ids are assigned in
 //! ASN order), so CSR iteration reproduces the BTree iteration order
 //! bit-for-bit.
 
-use crate::graph::AsGraph;
+use crate::graph::{AsGraph, NeighborRole};
 use crate::index::AsIndexer;
+use crate::link::Link;
+use crate::rel::Rel;
 
 /// One role's adjacency in compressed-sparse-row form. Fields are
 /// crate-visible so the binary codec (`crate::io`) can rebuild a role
@@ -26,81 +28,92 @@ pub(crate) struct Csr {
     /// `offsets[i]..offsets[i + 1]` indexes `targets` for node `i`;
     /// length `node_count + 1`.
     pub(crate) offsets: Vec<u32>,
-    /// Concatenated neighbor ids, sorted within each node's segment.
+    /// Concatenated neighbor ids, strictly ascending within each node's
+    /// segment.
     pub(crate) targets: Vec<u32>,
 }
 
 impl Csr {
-    fn with_nodes(n: usize) -> Self {
-        let mut offsets = Vec::with_capacity(n + 1);
-        offsets.push(0);
-        Csr {
-            offsets,
-            targets: Vec::new(),
-        }
-    }
-
-    fn close_node(&mut self) {
-        self.offsets.push(self.targets.len() as u32);
-    }
-
     fn neighbors(&self, id: u32) -> &[u32] {
         let lo = self.offsets[id as usize] as usize;
         let hi = self.offsets[id as usize + 1] as usize;
         &self.targets[lo..hi]
     }
+
+    /// `true` if every node's segment is strictly ascending. Requires
+    /// offsets that are a monotone prefix sum over `targets`.
+    pub(crate) fn segments_ascending(&self) -> bool {
+        self.offsets.windows(2).all(|w| {
+            self.targets[w[0] as usize..w[1] as usize]
+                .windows(2)
+                .all(|pair| pair[0] < pair[1])
+        })
+    }
 }
 
-/// A relationship-labelled AS graph in dense CSR form. Built once from an
-/// [`AsGraph`] and immutable afterwards; all ids refer to
-/// [`CsrGraph::indexer`].
+/// A relationship-labelled AS graph in dense CSR form, immutable once
+/// built; all ids refer to [`CsrGraph::indexer`].
 #[derive(Debug, Clone, Default)]
 pub struct CsrGraph {
     pub(crate) indexer: AsIndexer,
-    pub(crate) providers: Csr,
-    pub(crate) customers: Csr,
-    pub(crate) peers: Csr,
-    pub(crate) siblings: Csr,
+    /// One CSR per [`NeighborRole`], at `role as usize`: providers,
+    /// customers, peers, siblings (also the codec's order).
+    pub(crate) roles: [Csr; 4],
 }
 
 impl CsrGraph {
-    /// Builds the CSR mirror of `graph` in one pass over its adjacency.
-    ///
-    /// The source adjacency iterates ASes and neighbor sets in ascending
-    /// ASN order, so every CSR segment comes out sorted by id without a
-    /// sort pass.
+    /// Builds the CSR mirror of `graph` over all of its ASes.
     #[must_use]
     pub fn build(graph: &AsGraph) -> Self {
         let indexer = AsIndexer::from_sorted(graph.ases().collect());
+        let csr = CsrGraph::from_links(indexer, graph.links());
+        breval_obs::counter("csr_nodes_indexed", csr.node_count() as u64);
+        csr
+    }
+
+    /// Counting-sorts `(link, rel)` pairs into the four role segments of the
+    /// nodes of `indexer`, in O(1) allocations; links with an endpoint
+    /// outside `indexer` are skipped. `links` must come in strictly
+    /// ascending [`Link`] order, as any `BTreeMap<Link, _>` iterates: each
+    /// node's neighbors then arrive in ascending id order, so every segment
+    /// comes out sorted (debug builds assert it).
+    #[must_use]
+    pub fn from_links<I>(indexer: AsIndexer, links: I) -> Self
+    where
+        I: IntoIterator<Item = (Link, Rel)>,
+        I::IntoIter: Clone,
+    {
+        let links = links.into_iter();
         let n = indexer.len();
-        let mut providers = Csr::with_nodes(n);
-        let mut customers = Csr::with_nodes(n);
-        let mut peers = Csr::with_nodes(n);
-        let mut siblings = Csr::with_nodes(n);
-        for (_, adj) in graph.adjacency_entries() {
-            for (csr, set) in [
-                (&mut providers, &adj.providers),
-                (&mut customers, &adj.customers),
-                (&mut peers, &adj.peers),
-                (&mut siblings, &adj.siblings),
-            ] {
-                for &neighbor in set {
-                    let id = indexer
-                        .id(neighbor)
-                        .expect("every neighbor is a graph node");
-                    csr.targets.push(id);
-                }
-                csr.close_node();
+        let mut roles: [Csr; 4] = std::array::from_fn(|_| Csr {
+            offsets: vec![0; n + 1],
+            targets: Vec::new(),
+        });
+        // Pass 1 counts each node's segment length into `offsets[node + 1]`.
+        // An exclusive scan turns that slot into the node's write cursor at
+        // its segment start; pass 2 advances it to the segment end, which
+        // leaves the prefix sum.
+        for_each_edge(&indexer, links.clone(), |role, node, _| {
+            roles[role as usize].offsets[node as usize + 1] += 1;
+        });
+        for csr in &mut roles {
+            let mut start = 0;
+            for slot in csr.offsets.iter_mut().skip(1) {
+                start += std::mem::replace(slot, start);
             }
+            csr.targets = vec![0; start as usize];
         }
-        breval_obs::counter("csr_nodes_indexed", n as u64);
-        CsrGraph {
-            indexer,
-            providers,
-            customers,
-            peers,
-            siblings,
-        }
+        for_each_edge(&indexer, links, |role, node, target| {
+            let csr = &mut roles[role as usize];
+            let cursor = &mut csr.offsets[node as usize + 1];
+            csr.targets[*cursor as usize] = target;
+            *cursor += 1;
+        });
+        debug_assert!(
+            roles.iter().all(Csr::segments_ascending),
+            "CsrGraph::from_links requires links in strictly ascending order"
+        );
+        CsrGraph { indexer, roles }
     }
 
     /// The ASN ↔ id bijection this graph was built with.
@@ -118,25 +131,25 @@ impl CsrGraph {
     /// Transit providers of node `id`, sorted by id.
     #[must_use]
     pub fn providers(&self, id: u32) -> &[u32] {
-        self.providers.neighbors(id)
+        self.roles[NeighborRole::Provider as usize].neighbors(id)
     }
 
     /// Transit customers of node `id`, sorted by id.
     #[must_use]
     pub fn customers(&self, id: u32) -> &[u32] {
-        self.customers.neighbors(id)
+        self.roles[NeighborRole::Customer as usize].neighbors(id)
     }
 
     /// Settlement-free peers of node `id`, sorted by id.
     #[must_use]
     pub fn peers(&self, id: u32) -> &[u32] {
-        self.peers.neighbors(id)
+        self.roles[NeighborRole::Peer as usize].neighbors(id)
     }
 
     /// Same-organisation siblings of node `id`, sorted by id.
     #[must_use]
     pub fn siblings(&self, id: u32) -> &[u32] {
-        self.siblings.neighbors(id)
+        self.roles[NeighborRole::Sibling as usize].neighbors(id)
     }
 
     /// Size of the customer cone of `id` (self included), computed by an
@@ -175,6 +188,31 @@ impl CsrGraph {
                 }
             }
         }
+    }
+}
+
+/// Calls `edge(role, node, neighbor)` for both directions of every link
+/// whose endpoints are both in `indexer`, in link order; `neighbor` plays
+/// `role` relative to `node`.
+fn for_each_edge(
+    indexer: &AsIndexer,
+    links: impl Iterator<Item = (Link, Rel)>,
+    mut edge: impl FnMut(NeighborRole, u32, u32),
+) {
+    for (link, rel) in links {
+        let (Some(a), Some(b)) = (indexer.id(link.a()), indexer.id(link.b())) else {
+            continue;
+        };
+        let (role_of_b, role_of_a) = match rel {
+            Rel::P2c { provider } if provider == link.a() => {
+                (NeighborRole::Customer, NeighborRole::Provider)
+            }
+            Rel::P2c { .. } => (NeighborRole::Provider, NeighborRole::Customer),
+            Rel::P2p => (NeighborRole::Peer, NeighborRole::Peer),
+            Rel::S2s => (NeighborRole::Sibling, NeighborRole::Sibling),
+        };
+        edge(role_of_b, a, b);
+        edge(role_of_a, b, a);
     }
 }
 
@@ -232,8 +270,6 @@ impl ConeScratch {
 mod tests {
     use super::*;
     use crate::asn::Asn;
-    use crate::link::Link;
-    use crate::rel::Rel;
 
     fn l(a: u32, b: u32) -> Link {
         Link::new(Asn(a), Asn(b)).expect("distinct endpoints")
@@ -268,6 +304,20 @@ mod tests {
         assert_eq!(asns(csr.peers(id(2))), vec![Asn(5)]);
         assert_eq!(asns(csr.siblings(id(2))), vec![Asn(6)]);
         assert!(csr.customers(id(3)).is_empty());
+    }
+
+    #[test]
+    fn from_links_skips_links_outside_the_indexer() {
+        let indexer = AsIndexer::from_sorted(vec![Asn(1), Asn(2), Asn(3)]);
+        let links = [(l(1, 2), p2c(1)), (l(1, 3), Rel::P2p), (l(2, 9), p2c(9))];
+        let csr = CsrGraph::from_links(indexer, links);
+        assert_eq!(csr.node_count(), 3);
+        assert_eq!(csr.providers(1), &[0]);
+        assert_eq!(csr.customers(0), &[1]);
+        assert_eq!(csr.peers(0), &[2]);
+        assert_eq!(csr.peers(2), &[0]);
+        let edges: usize = csr.roles.iter().map(|role| role.targets.len()).sum();
+        assert_eq!(edges, 4);
     }
 
     #[test]

@@ -21,11 +21,11 @@ pub enum NeighborRole {
 }
 
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
-pub(crate) struct Adjacency {
-    pub(crate) providers: BTreeSet<Asn>,
-    pub(crate) customers: BTreeSet<Asn>,
-    pub(crate) peers: BTreeSet<Asn>,
-    pub(crate) siblings: BTreeSet<Asn>,
+struct Adjacency {
+    providers: BTreeSet<Asn>,
+    customers: BTreeSet<Asn>,
+    peers: BTreeSet<Asn>,
+    siblings: BTreeSet<Asn>,
 }
 
 /// A relationship-labelled, undirected AS-level graph.
@@ -133,20 +133,14 @@ impl AsGraph {
         self.links.contains_key(&link)
     }
 
-    /// Iterates over all `(link, rel)` pairs in deterministic order.
-    pub fn links(&self) -> impl Iterator<Item = (Link, Rel)> + '_ {
+    /// Iterates over all `(link, rel)` pairs in ascending link order.
+    pub fn links(&self) -> impl Iterator<Item = (Link, Rel)> + Clone + '_ {
         self.links.iter().map(|(l, r)| (*l, *r))
     }
 
     /// Iterates over all ASes in deterministic order.
     pub fn ases(&self) -> impl Iterator<Item = Asn> + '_ {
         self.adj.keys().copied()
-    }
-
-    /// Iterates `(asn, adjacency)` pairs in ascending ASN order — the
-    /// one-pass source for the CSR build in [`crate::csr::CsrGraph`].
-    pub(crate) fn adjacency_entries(&self) -> impl Iterator<Item = (Asn, &Adjacency)> + '_ {
-        self.adj.iter().map(|(a, adj)| (*a, adj))
     }
 
     /// Transit providers of `asn`.

@@ -12,8 +12,8 @@
 //! against the bytes actually remaining *before* any allocation happens
 //! (a corrupt length can never trigger an OOM-sized reservation), every
 //! structural invariant (sorted indexers, monotone CSR offsets, in-range
-//! targets) is re-checked on load, and every failure surfaces as an
-//! [`IoError`] — never a panic.
+//! and per-node strictly ascending targets) is re-checked on load, and
+//! every failure surfaces as an [`IoError`] — never a panic.
 
 use crate::asn::Asn;
 use crate::cone::{sparse_cutoff, ConeSizes, PpdcCones, PpdcRow};
@@ -339,12 +339,7 @@ pub fn read_indexer(r: &mut ByteReader) -> Result<AsIndexer, IoError> {
 /// customers, peers, siblings) the offsets and targets arrays.
 pub fn write_csr_graph(w: &mut ByteWriter, graph: &CsrGraph) {
     write_indexer(w, graph.indexer());
-    for csr in [
-        &graph.providers,
-        &graph.customers,
-        &graph.peers,
-        &graph.siblings,
-    ] {
+    for csr in &graph.roles {
         w.put_u32_slice(&csr.offsets);
         w.put_u32_slice(&csr.targets);
     }
@@ -352,7 +347,8 @@ pub fn write_csr_graph(w: &mut ByteWriter, graph: &CsrGraph) {
 
 /// Reads one role's CSR arrays and re-validates the CSR invariants:
 /// `n + 1` monotone offsets starting at 0 and ending at `targets.len()`,
-/// every target a valid node id.
+/// every target a valid node id, every node's segment strictly ascending
+/// (lookups binary-search it).
 fn read_csr(r: &mut ByteReader, n: usize) -> Result<Csr, IoError> {
     let at = r.offset();
     let offsets = r.take_u32_slice()?;
@@ -377,24 +373,27 @@ fn read_csr(r: &mut ByteReader, n: usize) -> Result<Csr, IoError> {
             what: "CSR target id out of range for the indexer",
         });
     }
-    Ok(Csr { offsets, targets })
+    let csr = Csr { offsets, targets };
+    if !csr.segments_ascending() {
+        return Err(IoError::Invalid {
+            offset: at,
+            what: "CSR segment targets are not strictly ascending",
+        });
+    }
+    Ok(csr)
 }
 
 /// Reads a [`CsrGraph`] written by [`write_csr_graph`].
 pub fn read_csr_graph(r: &mut ByteReader) -> Result<CsrGraph, IoError> {
     let indexer = read_indexer(r)?;
     let n = indexer.len();
-    let providers = read_csr(r, n)?;
-    let customers = read_csr(r, n)?;
-    let peers = read_csr(r, n)?;
-    let siblings = read_csr(r, n)?;
-    Ok(CsrGraph {
-        indexer,
-        providers,
-        customers,
-        peers,
-        siblings,
-    })
+    let roles = [
+        read_csr(r, n)?,
+        read_csr(r, n)?,
+        read_csr(r, n)?,
+        read_csr(r, n)?,
+    ];
+    Ok(CsrGraph { indexer, roles })
 }
 
 /// Writes a [`ConeSizes`]: its indexer plus the id-aligned sizes as `u64`.
@@ -749,21 +748,41 @@ mod tests {
         )));
     }
 
+    /// A three-node CSR graph stream with the given providers and
+    /// customers roles and empty peers and siblings.
+    fn csr_stream(providers: (&[u32], &[u32]), customers: (&[u32], &[u32])) -> Vec<u8> {
+        let mut w = ByteWriter::new();
+        write_indexer(
+            &mut w,
+            &AsIndexer::from_sorted(vec![Asn(1), Asn(2), Asn(3)]),
+        );
+        for (offsets, targets) in [providers, customers, (&[0; 4], &[]), (&[0; 4], &[])] {
+            w.put_u32_slice(offsets);
+            w.put_u32_slice(targets);
+        }
+        w.into_bytes()
+    }
+
+    fn csr_rejected(bytes: &[u8]) -> bool {
+        let mut r = ByteReader::new(bytes);
+        matches!(read_csr_graph(&mut r), Err(IoError::Invalid { .. }))
+    }
+
     #[test]
     fn csr_offsets_are_validated() {
-        let mut w = ByteWriter::new();
-        write_indexer(&mut w, &AsIndexer::from_sorted(vec![Asn(1), Asn(2)]));
-        w.put_u32_slice(&[0, 2, 1]); // non-monotone offsets
-        w.put_u32_slice(&[0, 1]);
-        for _ in 0..3 {
-            w.put_u32_slice(&[0, 0, 0]);
-            w.put_u32_slice(&[]);
-        }
-        let bytes = w.into_bytes();
-        let mut r = ByteReader::new(&bytes);
-        assert!(matches!(
-            read_csr_graph(&mut r),
-            Err(IoError::Invalid { .. })
-        ));
+        let empty: (&[u32], &[u32]) = (&[0; 4], &[]);
+        // Non-monotone offsets.
+        assert!(csr_rejected(&csr_stream((&[0, 2, 1, 2], &[0, 1]), empty)));
+        // Target id beyond the indexer.
+        assert!(csr_rejected(&csr_stream((&[0, 1, 1, 1], &[3]), empty)));
+        // Out-of-order segment: providers(0) = [2, 1].
+        assert!(csr_rejected(&csr_stream((&[0, 2, 2, 2], &[2, 1]), empty)));
+        // Duplicate target: customers(1) = [0, 0].
+        assert!(csr_rejected(&csr_stream(empty, (&[0, 0, 2, 2], &[0, 0]))));
+        // Well-formed ascending segments decode.
+        assert!(!csr_rejected(&csr_stream(
+            (&[0, 2, 2, 3], &[1, 2, 0]),
+            (&[0, 1, 1, 2], &[2, 0])
+        )));
     }
 }

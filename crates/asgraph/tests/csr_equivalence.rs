@@ -1,11 +1,129 @@
-//! Property-based equivalence of the dense core against the BTree substrate:
-//! `CsrGraph` must mirror `AsGraph` exactly (per-role neighbors, cone sets,
-//! cone sizes) and the bitset PPDC cones must match the hash-based baseline
-//! on arbitrary seeded inputs.
+//! Equivalence of the dense core against the BTree substrate: `CsrGraph`
+//! must mirror `AsGraph` exactly (per-role neighbors, cone sets, cone
+//! sizes) and the hybrid PPDC cones must match a hash-based oracle, on fixed
+//! and on arbitrary seeded inputs. The oracles are the BTree/hash kernels
+//! the dense core replaced; they live here so release builds never compile
+//! them.
 
 use asgraph::{cone, AsGraph, AsPath, Asn, ConeScratch, CsrGraph, Link, PathSet, Rel};
 use proptest::prelude::*;
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+
+/// Reference customer-cone sizes: one fresh `BTreeSet` BFS per AS.
+fn customer_cone_sizes_btree(graph: &AsGraph) -> HashMap<Asn, usize> {
+    graph
+        .ases()
+        .map(|asn| (asn, cone::customer_cone(graph, asn).len()))
+        .collect()
+}
+
+/// Reference PPDC cones: per-AS `HashSet` cones in a `HashMap`.
+fn ppdc_cones_hash(paths: &PathSet, rels: &BTreeMap<Link, Rel>) -> HashMap<Asn, HashSet<Asn>> {
+    let mut cones: HashMap<Asn, HashSet<Asn>> = HashMap::new();
+    for op in paths.paths() {
+        let c = op.path.compressed();
+        for i in 1..c.len() {
+            let upstream = c[i - 1];
+            let x = c[i];
+            let Some(link) = Link::new(upstream, x) else {
+                continue;
+            };
+            let from_provider_or_peer = match rels.get(&link) {
+                Some(Rel::P2p) => true,
+                Some(Rel::P2c { provider }) => *provider == upstream,
+                _ => false,
+            };
+            if from_provider_or_peer {
+                let cone = cones.entry(x).or_default();
+                for &d in &c[i + 1..] {
+                    cone.insert(d);
+                }
+            }
+        }
+    }
+    // Every observed AS is in its own cone.
+    let stats = paths.stats();
+    for asn in stats.ases() {
+        cones.entry(asn).or_default().insert(asn);
+    }
+    cones
+}
+
+/// Asserts that the dense PPDC cones of `paths` equal the oracle's.
+fn assert_ppdc_matches_oracle(paths: &PathSet, rels: &BTreeMap<Link, Rel>) {
+    let dense = cone::ppdc_cones(paths, rels);
+    let reference = ppdc_cones_hash(paths, rels);
+    assert_eq!(dense.indexer().len(), reference.len());
+    for (&asn, members) in &reference {
+        let expect: BTreeSet<Asn> = members.iter().copied().collect();
+        assert_eq!(dense.members(asn), Some(expect), "cone of {asn:?}");
+    }
+}
+
+fn l(a: u32, b: u32) -> Link {
+    Link::new(Asn(a), Asn(b)).expect("distinct endpoints")
+}
+
+fn p2c(provider: u32) -> Rel {
+    Rel::P2c {
+        provider: Asn(provider),
+    }
+}
+
+fn path(hops: &[u32]) -> AsPath {
+    AsPath::new(hops.iter().map(|&a| Asn(a)).collect())
+}
+
+#[test]
+fn dense_cone_sizes_match_btree_baseline() {
+    let mut g = AsGraph::new();
+    for (link, rel) in [
+        (l(1, 2), p2c(1)),
+        (l(2, 3), p2c(2)),
+        (l(2, 4), p2c(2)),
+        (l(4, 5), p2c(4)),
+        (l(1, 6), Rel::P2p),
+    ] {
+        g.add_rel(link, rel).expect("fresh link accepts rel");
+    }
+    let dense = cone::customer_cone_sizes_csr(&CsrGraph::build(&g));
+    let reference = customer_cone_sizes_btree(&g);
+    assert_eq!(dense.len(), reference.len());
+    for (asn, size) in dense.iter() {
+        assert_eq!(reference.get(&asn), Some(&size));
+    }
+}
+
+#[test]
+fn ppdc_bitsets_match_hash_baseline() {
+    let rels = BTreeMap::from([
+        (l(1, 2), p2c(1)),
+        (l(2, 3), p2c(2)),
+        (l(3, 4), p2c(3)),
+        (l(5, 2), Rel::P2p),
+    ]);
+    let mut ps = PathSet::new();
+    ps.push(Asn(1), path(&[1, 2, 3, 4]));
+    ps.push(Asn(5), path(&[5, 2, 3]));
+    assert_ppdc_matches_oracle(&ps, &rels);
+}
+
+/// A 12-AS provider chain puts the big cones on dense rows and the short
+/// tail cones on sparse ones (the cutoff floor of 8 applies): both forms
+/// agree with the oracle, member for member.
+#[test]
+fn hybrid_rows_match_hash_baseline() {
+    let chain: Vec<u32> = (1..=12).collect();
+    let rels: BTreeMap<Link, Rel> = chain
+        .windows(2)
+        .map(|w| (l(w[0], w[1]), p2c(w[0])))
+        .collect();
+    let mut ps = PathSet::new();
+    ps.push(Asn(1), path(&chain));
+    let stats = cone::ppdc_cones(&ps, &rels).storage_stats();
+    assert!(stats.sparse_rows > 0 && stats.dense_rows > 0, "{stats:?}");
+    assert_ppdc_matches_oracle(&ps, &rels);
+}
 
 fn arb_asn() -> impl Strategy<Value = Asn> {
     (1u32..200).prop_map(Asn)
@@ -91,7 +209,7 @@ proptest! {
     #[test]
     fn dense_cone_sizes_match_baseline(g in arb_graph()) {
         let dense = cone::customer_cone_sizes_csr(&CsrGraph::build(&g));
-        let reference = cone::baseline::customer_cone_sizes_btree(&g);
+        let reference = customer_cone_sizes_btree(&g);
         prop_assert_eq!(dense.len(), reference.len());
         for (asn, size) in dense.iter() {
             prop_assert_eq!(reference.get(&asn).copied(), Some(size));
@@ -104,9 +222,9 @@ proptest! {
     /// iteration — whichever representation each row landed on.
     #[test]
     fn ppdc_bitsets_match_baseline(ps in arb_pathset(), g in arb_graph()) {
-        let rels: std::collections::BTreeMap<Link, Rel> = g.links().collect();
+        let rels: BTreeMap<Link, Rel> = g.links().collect();
         let dense = cone::ppdc_cones(&ps, &rels);
-        let reference = cone::baseline::ppdc_cones_hash(&ps, &rels);
+        let reference = ppdc_cones_hash(&ps, &rels);
         prop_assert_eq!(dense.indexer().len(), reference.len());
         let sizes = dense.sizes();
         let all: Vec<Asn> = dense.indexer().iter().collect();

@@ -1,6 +1,7 @@
-//! Memory bounds of the scale path on a 10k-AS topology: propagation reuses
-//! its buffers across origins, and hybrid PPDC rows never cost more than the
-//! flat all-bitset layout.
+//! Memory bounds of the scale path on a 10k-AS topology: the sim graph is
+//! built in a constant number of allocations, propagation reuses its buffers
+//! across origins, and hybrid PPDC rows never cost more than the flat
+//! all-bitset layout.
 
 use asgraph::{cone, AsPath, Link, PathSet, Rel};
 use bgpsim::{OriginRoutes, PropScratch, Propagator, SimGraph};
@@ -14,11 +15,22 @@ const ORIGINS: usize = 16;
 /// Steady-state allocation ceiling per origin: buffer reuse leaves only a
 /// few bucket-queue stragglers, never a per-node cost.
 const MAX_STEADY_ALLOCS_PER_ORIGIN: u64 = 64;
+/// Allocation ceiling of `SimGraph::build`: the counting-sort CSR build
+/// allocates per role and per array, never per node or per link.
+const MAX_SIMGRAPH_ALLOCS: u64 = 64;
 
 #[test]
 fn propagation_and_ppdc_stay_bounded_at_10k() {
     let topology = topogen::generate(&topogen::TopologyConfig::scaled(10_000, 42));
+    let before = counting_alloc::thread_allocation_count();
     let g = SimGraph::build(&topology);
+    let build_allocs = counting_alloc::thread_allocation_count() - before;
+    assert!(
+        build_allocs <= MAX_SIMGRAPH_ALLOCS,
+        "SimGraph::build allocates {build_allocs} times at {} ASes \
+         (ceiling {MAX_SIMGRAPH_ALLOCS}): the build is no longer O(1) in allocations",
+        g.len()
+    );
     let origins: Vec<u32> = (0..ORIGINS)
         .map(|i| (i * g.len() / ORIGINS) as u32)
         .collect();

@@ -150,8 +150,6 @@ struct Candidate {
     len: u16,
     parent: u32,
     scoped: bool,
-    #[allow(dead_code)] // reconstructed paths read the per-node flag instead
-    prepended: bool,
 }
 
 /// Deterministic bucket queue keyed by path length.
@@ -258,30 +256,24 @@ impl<'g> Propagator<'g> {
         Propagator { g }
     }
 
-    /// Runs full propagation of `origin`'s announcement.
+    /// Runs full propagation of `origin`'s announcement into fresh buffers.
     #[must_use]
     pub fn propagate(&self, origin: u32) -> OriginRoutes {
-        self.propagate_masked(origin, None)
-    }
-
-    /// Like [`Propagator::propagate`], but when `allowed_provider` is `Some`,
-    /// the origin announces to that provider only (per-prefix traffic
-    /// engineering). Peers, siblings and everything downstream are
-    /// unaffected — only the origin's own provider announcements are scoped.
-    #[must_use]
-    pub fn propagate_masked(&self, origin: u32, allowed_provider: Option<u32>) -> OriginRoutes {
         let mut r = OriginRoutes::reusable();
-        let mut s = PropScratch::new();
-        self.propagate_into(origin, allowed_provider, &mut r, &mut s);
+        self.propagate_into(origin, None, &mut r, &mut PropScratch::new());
         r
     }
 
-    /// Bounded-memory form of [`Propagator::propagate_masked`]: fills `r` in
-    /// place, using `s` for the queue and settled set. A worker that reuses
-    /// one `(OriginRoutes, PropScratch)` pair across a whole origin stream
-    /// allocates nothing per origin once the buffers have grown to the graph
-    /// size. The result is identical to the allocating form — same scans,
-    /// same relaxation order.
+    /// Propagates `origin`'s announcement, filling `r` in place and using
+    /// `s` for the queue and settled set. When `allowed_provider` is `Some`,
+    /// the origin announces to that provider only (per-prefix traffic
+    /// engineering); peers, siblings and everything downstream are
+    /// unaffected — only the origin's own provider announcements are scoped.
+    ///
+    /// A worker that reuses one `(OriginRoutes, PropScratch)` pair across a
+    /// whole origin stream allocates nothing per origin once the buffers have
+    /// grown to the graph size; the routes do not depend on the buffers'
+    /// history.
     pub fn propagate_into(
         &self,
         origin: u32,
@@ -292,6 +284,7 @@ impl<'g> Propagator<'g> {
         let n = self.g.len();
         r.reset(origin, n);
         let g = self.g;
+        let csr = g.csr();
 
         // `better`: does candidate (len, parent) beat node's stored route of
         // the same class? Equal lengths are broken by the node's own
@@ -314,7 +307,6 @@ impl<'g> Propagator<'g> {
             len: 0,
             parent: NO_PARENT,
             scoped: false,
-            prepended: false,
         });
         while let Some(c) = s.q.pop() {
             let i = c.node as usize;
@@ -327,7 +319,7 @@ impl<'g> Propagator<'g> {
             }
             let prepend = g.prepends(c.node);
             let weight: u16 = if prepend { 3 } else { 1 };
-            for &(provider, partial) in g.providers(c.node) {
+            for &provider in csr.providers(c.node) {
                 if c.node == origin {
                     if let Some(allowed) = allowed_provider {
                         if provider != allowed {
@@ -342,6 +334,7 @@ impl<'g> Propagator<'g> {
                 if r.class[provider as usize] == 0 && s.is_done(provider as usize) {
                     continue;
                 }
+                let partial = g.is_partial(c.node, provider);
                 r.class[provider as usize] = 0;
                 r.len[provider as usize] = cand_len;
                 r.parent[provider as usize] = c.node;
@@ -352,12 +345,11 @@ impl<'g> Propagator<'g> {
                     len: cand_len,
                     parent: c.node,
                     scoped: partial,
-                    prepended: prepend,
                 });
             }
             // Siblings exchange everything; sibling-learned stays customer
             // class and unscoped links keep climbing.
-            for &sib in g.siblings(c.node) {
+            for &sib in csr.siblings(c.node) {
                 let cand_len = c.len.saturating_add(1);
                 if r.class[sib as usize] == 0
                     && (s.is_done(sib as usize) || !better(r, sib, cand_len, c.node))
@@ -374,7 +366,6 @@ impl<'g> Propagator<'g> {
                     len: cand_len,
                     parent: c.node,
                     scoped: c.scoped,
-                    prepended: false,
                 });
             }
         }
@@ -394,7 +385,7 @@ impl<'g> Propagator<'g> {
             let prepend = g.prepends(u);
             let weight: u16 = if prepend { 3 } else { 1 };
             let cand_len = r.len[u as usize].saturating_add(weight);
-            for &v in g.peers(u) {
+            for &v in csr.peers(u) {
                 let vi = v as usize;
                 match r.class[vi] {
                     0 => {} // customer route is strictly better
@@ -425,7 +416,6 @@ impl<'g> Propagator<'g> {
                     len: r.len[i as usize],
                     parent: r.parent[i as usize],
                     scoped: r.scoped[i as usize],
-                    prepended: r.prepended[i as usize],
                 });
             }
         }
@@ -436,48 +426,25 @@ impl<'g> Propagator<'g> {
             }
             s.mark_done(i);
             let cand_len = c.len.saturating_add(1);
-            for &(customer, _) in g.customers(c.node) {
-                let ci = customer as usize;
+            for &next in csr.customers(c.node).iter().chain(csr.siblings(c.node)) {
+                let ni = next as usize;
                 // Adopt only if no better-class route exists.
-                let adopt = match r.class[ci] {
+                let adopt = match r.class[ni] {
                     CLASS_NONE => true,
-                    2 => !s.is_done(ci) && better(r, customer, cand_len, c.node),
+                    2 => !s.is_done(ni) && better(r, next, cand_len, c.node),
                     _ => false,
                 };
                 if adopt {
-                    r.class[ci] = 2;
-                    r.len[ci] = cand_len;
-                    r.parent[ci] = c.node;
-                    r.scoped[ci] = false;
-                    r.prepended[ci] = false;
+                    r.class[ni] = 2;
+                    r.len[ni] = cand_len;
+                    r.parent[ni] = c.node;
+                    r.scoped[ni] = false;
+                    r.prepended[ni] = false;
                     s.q.push(Candidate {
-                        node: customer,
+                        node: next,
                         len: cand_len,
                         parent: c.node,
                         scoped: false,
-                        prepended: false,
-                    });
-                }
-            }
-            for &sib in g.siblings(c.node) {
-                let si = sib as usize;
-                let adopt = match r.class[si] {
-                    CLASS_NONE => true,
-                    2 => !s.is_done(si) && better(r, sib, cand_len, c.node),
-                    _ => false,
-                };
-                if adopt {
-                    r.class[si] = 2;
-                    r.len[si] = cand_len;
-                    r.parent[si] = c.node;
-                    r.scoped[si] = false;
-                    r.prepended[si] = false;
-                    s.q.push(Candidate {
-                        node: sib,
-                        len: cand_len,
-                        parent: c.node,
-                        scoped: false,
-                        prepended: false,
                     });
                 }
             }
@@ -527,10 +494,11 @@ mod tests {
         // Reuse one buffer pair across many origins (including TE masks) and
         // compare against the allocating path every time.
         for origin in (0..g.len() as u32).step_by(41) {
-            let mask = g.providers(origin).first().map(|(p, _)| *p);
+            let mask = g.csr().providers(origin).first().copied();
             for m in [None, mask] {
                 engine.propagate_into(origin, m, &mut routes, &mut scratch);
-                let fresh = engine.propagate_masked(origin, m);
+                let mut fresh = OriginRoutes::reusable();
+                engine.propagate_into(origin, m, &mut fresh, &mut PropScratch::new());
                 assert_eq!(routes.reached(), fresh.reached(), "origin {origin}");
                 for node in 0..g.len() as u32 {
                     assert_eq!(routes.class(node), fresh.class(node));
@@ -568,10 +536,11 @@ mod tests {
         // Find a partial-transit customer of cogent.
         let cogent = g.node(topo.cogent).expect("cogent is in the sim graph");
         let partial_customer = g
+            .csr()
             .customers(cogent)
             .iter()
-            .find(|(_, partial)| *partial)
-            .map(|(c, _)| *c)
+            .copied()
+            .find(|&c| g.is_partial(c, cogent))
             .expect("cogent has partial customers");
         let routes = engine.propagate(partial_customer);
         // Cogent itself has the route, scoped.
@@ -693,10 +662,10 @@ mod tests {
         let engine = Propagator::new(&g);
         // Find a prepending AS with a provider.
         let prepender = (0..g.len() as u32)
-            .find(|&i| g.prepends(i) && !g.providers(i).is_empty())
+            .find(|&i| g.prepends(i) && !g.csr().providers(i).is_empty())
             .expect("some AS prepends");
         let routes = engine.propagate(prepender);
-        let (provider, _) = g.providers(prepender)[0];
+        let provider = g.csr().providers(prepender)[0];
         if let Some(path) = routes.path(provider, &g) {
             if path.len() > 2 {
                 let dup = path.windows(2).filter(|w| w[0] == w[1]).count();

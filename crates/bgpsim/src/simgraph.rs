@@ -1,114 +1,86 @@
-//! Index-compressed view of a topology for fast per-origin propagation.
+//! The topology as the propagator sees it: a [`CsrGraph`] of the base
+//! relationships plus the two facts Gao–Rexford routing needs beyond them.
 
-use asgraph::{Asn, Rel};
+use asgraph::{AsIndexer, Asn, CsrGraph};
 use topogen::Topology;
 
-/// Dense-index adjacency view over a [`Topology`].
+/// Dense view of a [`Topology`] for per-origin propagation.
 ///
-/// Node ids are `u32` indices into sorted-ASN order, so per-origin state fits
-/// in flat arrays.
+/// Node ids are the [`CsrGraph`]'s, i.e. positions in sorted-ASN order over
+/// every AS of the topology, so per-origin state fits in flat arrays.
 #[derive(Debug, Clone)]
 pub struct SimGraph {
-    asn_of: Vec<Asn>,
-    /// providers[i] = (provider node, this edge is partial-transit)
-    providers: Vec<Vec<(u32, bool)>>,
-    customers: Vec<Vec<(u32, bool)>>,
-    peers: Vec<Vec<u32>>,
-    siblings: Vec<Vec<u32>>,
+    csr: CsrGraph,
+    /// Partial-transit links as `(customer, provider)` ids, ascending.
+    partial: Vec<(u32, u32)>,
     prepends: Vec<bool>,
 }
 
 impl SimGraph {
-    /// Builds the indexed view from a topology's *base* relationships.
+    /// Builds the view from a topology's *base* relationships in O(1)
+    /// allocations.
     #[must_use]
     pub fn build(topology: &Topology) -> Self {
-        let asn_of: Vec<Asn> = topology.ases.keys().copied().collect();
-        let n = asn_of.len();
-        let idx = |asn: Asn| -> Option<u32> { asn_of.binary_search(&asn).ok().map(|i| i as u32) };
-        let mut providers = vec![Vec::new(); n];
-        let mut customers = vec![Vec::new(); n];
-        let mut peers = vec![Vec::new(); n];
-        let mut siblings = vec![Vec::new(); n];
-        for (link, gt) in &topology.links {
-            let (Some(a), Some(b)) = (idx(link.a()), idx(link.b())) else {
-                continue;
-            };
-            match gt.base {
-                Rel::P2c { provider } => {
-                    let (p, c) = if provider == link.a() { (a, b) } else { (b, a) };
-                    providers[c as usize].push((p, gt.partial_transit));
-                    customers[p as usize].push((c, gt.partial_transit));
-                }
-                Rel::P2p => {
-                    peers[a as usize].push(b);
-                    peers[b as usize].push(a);
-                }
-                Rel::S2s => {
-                    siblings[a as usize].push(b);
-                    siblings[b as usize].push(a);
-                }
-            }
-        }
-        let prepends = asn_of
+        let indexer = AsIndexer::from_sorted(topology.ases.keys().copied().collect());
+        let csr = CsrGraph::from_links(
+            indexer,
+            topology.links.iter().map(|(link, gt)| (*link, gt.base)),
+        );
+        let id = |asn: Asn| csr.indexer().id(asn);
+        let mut partial: Vec<(u32, u32)> = topology
+            .links
             .iter()
-            .map(|asn| topology.ases[asn].prepends)
+            .filter(|(_, gt)| gt.partial_transit)
+            .filter_map(|(link, gt)| {
+                let provider = gt.base.provider()?;
+                Some((id(link.other(provider)?)?, id(provider)?))
+            })
             .collect();
+        partial.sort_unstable();
+        let prepends = topology.ases.values().map(|info| info.prepends).collect();
         SimGraph {
-            asn_of,
-            providers,
-            customers,
-            peers,
-            siblings,
+            csr,
+            partial,
             prepends,
         }
+    }
+
+    /// The adjacency: per-role neighbor slices, sorted by id.
+    #[must_use]
+    pub fn csr(&self) -> &CsrGraph {
+        &self.csr
     }
 
     /// Number of nodes.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.asn_of.len()
+        self.csr.node_count()
     }
 
     /// `true` if the graph has no nodes.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.asn_of.is_empty()
+        self.len() == 0
     }
 
     /// The ASN of node `i`.
     #[must_use]
     pub fn asn(&self, i: u32) -> Asn {
-        self.asn_of[i as usize]
+        self.csr.indexer().asn(i)
     }
 
     /// The node id of `asn`.
     #[must_use]
     pub fn node(&self, asn: Asn) -> Option<u32> {
-        self.asn_of.binary_search(&asn).ok().map(|i| i as u32)
+        self.csr.indexer().id(asn)
     }
 
-    /// Providers of node `i` with the partial-transit edge flag.
+    /// Whether the P2C link from `customer` up to `provider` is partial
+    /// transit: the provider uses the customer's routes but exports them
+    /// only downward.
     #[must_use]
-    pub fn providers(&self, i: u32) -> &[(u32, bool)] {
-        &self.providers[i as usize]
-    }
-
-    /// Customers of node `i` with the partial-transit edge flag.
-    #[must_use]
-    pub fn customers(&self, i: u32) -> &[(u32, bool)] {
-        &self.customers[i as usize]
-    }
-
-    /// Peers of node `i`.
-    #[must_use]
-    pub fn peers(&self, i: u32) -> &[u32] {
-        &self.peers[i as usize]
-    }
-
-    /// Siblings of node `i`.
-    #[must_use]
-    pub fn siblings(&self, i: u32) -> &[u32] {
-        &self.siblings[i as usize]
+    pub fn is_partial(&self, customer: u32, provider: u32) -> bool {
+        self.partial.binary_search(&(customer, provider)).is_ok()
     }
 
     /// Whether node `i` prepends on upward/lateral exports.
@@ -149,20 +121,17 @@ mod tests {
         let topo = topogen::generate(&TopologyConfig::small(5));
         let g = SimGraph::build(&topo);
         assert_eq!(g.len(), topo.as_count());
-        // Spot-check: every ground-truth P2C edge appears in both directions.
+        // Every role of every AS equals the ground-truth view, in ASN order.
         let graph = topo.ground_truth_graph().unwrap();
-        for asn in graph.ases() {
+        let csr = g.csr();
+        let asns = |ids: &[u32]| -> Vec<Asn> { ids.iter().map(|&n| g.asn(n)).collect() };
+        for &asn in topo.ases.keys() {
             let i = g.node(asn).unwrap();
             assert_eq!(g.asn(i), asn);
-            let mut sim_provs: Vec<Asn> = g.providers(i).iter().map(|(p, _)| g.asn(*p)).collect();
-            sim_provs.sort();
-            assert_eq!(sim_provs, graph.providers(asn));
-            let mut sim_peers: Vec<Asn> = g.peers(i).iter().map(|p| g.asn(*p)).collect();
-            sim_peers.sort();
-            sim_peers.dedup();
-            let mut exp_peers = graph.peers(asn);
-            exp_peers.sort();
-            assert_eq!(sim_peers, exp_peers);
+            assert_eq!(asns(csr.providers(i)), graph.providers(asn));
+            assert_eq!(asns(csr.customers(i)), graph.customers(asn));
+            assert_eq!(asns(csr.peers(i)), graph.peers(asn));
+            assert_eq!(asns(csr.siblings(i)), graph.siblings(asn));
         }
     }
 
@@ -170,11 +139,27 @@ mod tests {
     fn partial_flags_survive() {
         let topo = topogen::generate(&TopologyConfig::small(5));
         let g = SimGraph::build(&topo);
-        let n_partial_topo = topo.links.values().filter(|r| r.partial_transit).count();
-        let n_partial_sim: usize = (0..g.len() as u32)
-            .map(|i| g.providers(i).iter().filter(|(_, p)| *p).count())
-            .sum();
-        assert_eq!(n_partial_topo, n_partial_sim);
-        assert!(n_partial_sim > 0);
+        let mut expected: Vec<(Asn, Asn)> = topo
+            .links
+            .iter()
+            .filter(|(_, gt)| gt.partial_transit)
+            .map(|(link, gt)| {
+                let provider = gt.base.provider().expect("partial transit is P2C");
+                (link.other(provider).unwrap(), provider)
+            })
+            .collect();
+        expected.sort();
+        let mut flagged = Vec::new();
+        for customer in 0..g.len() as u32 {
+            for &provider in g.csr().providers(customer) {
+                assert!(!g.is_partial(provider, customer), "flag is directed");
+                if g.is_partial(customer, provider) {
+                    flagged.push((g.asn(customer), g.asn(provider)));
+                }
+            }
+        }
+        flagged.sort();
+        assert_eq!(flagged, expected);
+        assert!(!flagged.is_empty());
     }
 }

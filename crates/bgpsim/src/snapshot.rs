@@ -115,7 +115,7 @@ where
                 let mut out = Vec::new();
                 // Group this origin's prefixes by their TE mask so each
                 // distinct announcement scope propagates once.
-                let providers = graph.providers(origin);
+                let providers = graph.csr().providers(origin);
                 let mut by_mask: Vec<(Option<u32>, Vec<bgpwire::Ipv4Prefix>)> = Vec::new();
                 for (i, prefix) in info.prefixes.iter().enumerate() {
                     let mask = info
@@ -124,7 +124,7 @@ where
                         .copied()
                         .flatten()
                         .filter(|_| !providers.is_empty())
-                        .map(|k| providers[usize::from(k) % providers.len()].0);
+                        .map(|k| providers[usize::from(k) % providers.len()]);
                     match by_mask.iter_mut().find(|(m, _)| *m == mask) {
                         Some((_, list)) => list.push(*prefix),
                         None => by_mask.push((mask, vec![*prefix])),
