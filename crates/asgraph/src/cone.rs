@@ -295,16 +295,14 @@ pub struct PpdcStorageStats {
 pub fn ppdc_cones(paths: &PathSet, rels: &BTreeMap<Link, Rel>) -> PpdcCones {
     // Intern every AS observed on a multi-hop compressed path — exactly the
     // key set of `PathStats::ases` (only `windows(2)` contribute degree),
-    // derived here without building the full path statistics. One compression
-    // buffer is reused across all paths, so the whole build allocates the
-    // indexer, the row table, and one bitset row per provider/peer-reached
-    // AS — nothing per path.
-    let mut buf: Vec<Asn> = Vec::new();
+    // derived here without building the full path statistics. Paths are read
+    // as slices of the store, so the whole build allocates the indexer, the
+    // row table, and one bitset row per provider/peer-reached AS — nothing
+    // per path.
     let mut observed: Vec<Asn> = Vec::new();
-    for op in paths.paths() {
-        compress_into(op.path.hops(), &mut buf);
-        if buf.len() >= 2 {
-            observed.extend_from_slice(&buf);
+    for (_, c) in paths.iter() {
+        if c.len() >= 2 {
+            observed.extend_from_slice(c);
         }
     }
     let indexer = AsIndexer::from_unsorted(observed);
@@ -312,9 +310,7 @@ pub fn ppdc_cones(paths: &PathSet, rels: &BTreeMap<Link, Rel>) -> PpdcCones {
     let words = n.div_ceil(64);
     let cutoff = sparse_cutoff(n);
     let mut rows: Vec<Option<BuildRow>> = vec![None; n];
-    for op in paths.paths() {
-        compress_into(op.path.hops(), &mut buf);
-        let c = buf.as_slice();
+    for (_, c) in paths.iter() {
         for i in 1..c.len() {
             let upstream = c[i - 1];
             let x = c[i];
@@ -400,17 +396,6 @@ fn to_bitset(ids: &[u32], words: usize) -> Box<[u64]> {
         bits[id as usize / 64] |= 1u64 << (id % 64);
     }
     bits
-}
-
-/// Writes the prepend-compressed form of `hops` into `buf` (cleared first),
-/// reusing its capacity across calls.
-fn compress_into(hops: &[Asn], buf: &mut Vec<Asn>) {
-    buf.clear();
-    for &hop in hops {
-        if buf.last() != Some(&hop) {
-            buf.push(hop);
-        }
-    }
 }
 
 /// PPDC cone *sizes* (see [`ppdc_cones`]), in dense ASN-ordered form.

@@ -9,9 +9,9 @@
 //! * [`Rel`] / [`GtRel`] — simple and ground-truth (complex) business relationships.
 //! * [`AsGraph`] — a relationship-labelled adjacency structure with degree,
 //!   provider/customer/peer views and customer-cone computation.
-//! * [`AsPath`] / [`PathSet`] — observed BGP AS paths with the derived statistics
-//!   (node degree, transit degree, vantage-point visibility) that the inference
-//!   algorithms in `asinfer` consume.
+//! * [`PathSet`] — observed BGP AS paths, each once and prepend-compressed in one
+//!   flat array, with the derived statistics (node degree, transit degree,
+//!   vantage-point visibility) that the inference algorithms in `asinfer` consume.
 //! * [`clique`] — Tier-1 clique inference over transit-degree rankings, as used by
 //!   the ASRank pipeline.
 //! * [`AsIndexer`] / [`CsrGraph`] — the dense core: sorted-ASN ↔ `u32` id
@@ -44,6 +44,6 @@ pub use error::GraphError;
 pub use graph::{AsGraph, NeighborRole};
 pub use index::AsIndexer;
 pub use link::Link;
-pub use paths::{AsPath, ObservedPath, PathSet, PathStats};
+pub use paths::{has_loop, AsPath, PathSet, PathStats};
 pub use rel::{GtRel, Rel, RelClass};
 pub use valley::{check_valley_free, ValleyViolation};

@@ -2,20 +2,21 @@
 //!
 //! Relationship-inference algorithms never see the real graph — they see AS
 //! paths collected at vantage points (route-collector peers). This module
-//! provides the path representation plus the derived quantities the paper's
+//! provides the path store plus the derived quantities the paper's
 //! algorithms rely on: node degree, *transit degree* (Luckie et al. 2013),
 //! per-link vantage-point visibility, and AS triplets.
 
 use crate::asn::Asn;
 use crate::link::Link;
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::fmt;
+use std::ops::Range;
 
 /// A raw AS path as observed in a BGP update / RIB entry, nearest AS first
 /// (index 0 is the collector-adjacent AS, the last element is the origin).
-/// May contain prepending (consecutive repeats).
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+/// May contain prepending (consecutive repeats); [`PathSet::push`] stores it
+/// prepend-compressed.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct AsPath(Vec<Asn>);
 
 impl AsPath {
@@ -24,117 +25,40 @@ impl AsPath {
     pub fn new(hops: Vec<Asn>) -> Self {
         AsPath(hops)
     }
-
-    /// The raw hops, prepending included.
-    #[must_use]
-    pub fn hops(&self) -> &[Asn] {
-        &self.0
-    }
-
-    /// Number of raw hops.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.0.len()
-    }
-
-    /// `true` if the path has no hops.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.0.is_empty()
-    }
-
-    /// The originating AS (last hop), if any.
-    #[must_use]
-    pub fn origin(&self) -> Option<Asn> {
-        self.0.last().copied()
-    }
-
-    /// The collector-adjacent AS (first hop), if any.
-    #[must_use]
-    pub fn head(&self) -> Option<Asn> {
-        self.0.first().copied()
-    }
-
-    /// The path with consecutive duplicates (prepending) removed.
-    #[must_use]
-    pub fn compressed(&self) -> Vec<Asn> {
-        let mut out: Vec<Asn> = Vec::with_capacity(self.0.len());
-        for &hop in &self.0 {
-            if out.last() != Some(&hop) {
-                out.push(hop);
-            }
-        }
-        out
-    }
-
-    /// `true` if an AS re-appears non-consecutively (a routing loop artefact);
-    /// such paths are discarded by every sanitisation stage in the paper's
-    /// algorithms.
-    #[must_use]
-    pub fn has_loop(&self) -> bool {
-        let compressed = self.compressed();
-        let mut seen = HashSet::with_capacity(compressed.len());
-        compressed.iter().any(|hop| !seen.insert(*hop))
-    }
-
-    /// `true` if any hop is a reserved ASN or `AS_TRANS`.
-    #[must_use]
-    pub fn has_reserved(&self) -> bool {
-        self.0.iter().any(|a| a.is_reserved())
-    }
-
-    /// The links of the compressed path, in order.
-    #[must_use]
-    pub fn links(&self) -> Vec<Link> {
-        let c = self.compressed();
-        c.windows(2).filter_map(|w| Link::new(w[0], w[1])).collect()
-    }
-
-    /// The AS triplets `(left, middle, right)` of the compressed path.
-    #[must_use]
-    pub fn triplets(&self) -> Vec<(Asn, Asn, Asn)> {
-        let c = self.compressed();
-        c.windows(3).map(|w| (w[0], w[1], w[2])).collect()
-    }
-
-    /// How many times the origin prepended itself beyond the first occurrence.
-    #[must_use]
-    pub fn origin_prepend_count(&self) -> usize {
-        let Some(origin) = self.origin() else {
-            return 0;
-        };
-        self.0.iter().rev().take_while(|&&h| h == origin).count() - 1
-    }
 }
 
-impl fmt::Display for AsPath {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let mut first = true;
-        for hop in &self.0 {
-            if !first {
-                write!(f, " ")?;
-            }
-            write!(f, "{}", hop.0)?;
-            first = false;
-        }
-        Ok(())
-    }
-}
-
-/// A path together with the vantage point (collector-peer AS) it was observed at.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ObservedPath {
-    /// The vantage-point AS that exported this path to the collector.
-    pub vp: Asn,
-    /// The observed path (the VP itself is the first hop).
-    pub path: AsPath,
+/// `true` if an AS re-appears non-consecutively on `hops` (a routing loop
+/// artefact); prepending is not a loop. Such paths are discarded by every
+/// sanitisation stage in the paper's algorithms. Quadratic, which is cheap
+/// on paths of a few hops, and allocation-free.
+#[must_use]
+pub fn has_loop(hops: &[Asn]) -> bool {
+    hops.iter().enumerate().any(|(i, hop)| {
+        hops[i + 1..]
+            .iter()
+            .skip_while(|next| *next == hop)
+            .any(|later| later == hop)
+    })
 }
 
 /// The collection of all paths observed across all vantage points — the input
-/// to every inference algorithm.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+/// to every inference algorithm — in one flat store.
+///
+/// Every path is kept once, prepend-compressed, as a slice of one shared hop
+/// array; [`PathSet::iter`] walks them as `(vantage point, &[Asn])` pairs.
+/// Prepending survives only as a sparse side list, which `Debug` reads to
+/// print each path as it was pushed.
+#[derive(Clone, Default)]
 pub struct PathSet {
-    paths: Vec<ObservedPath>,
+    /// The compressed hops of every path, concatenated in push order.
+    hops: Vec<Asn>,
+    /// `ends[i]` is where path `i` ends in `hops`; it starts at `ends[i - 1]`
+    /// (or 0).
+    ends: Vec<u32>,
+    /// `vps[i]` is the vantage point that observed path `i`.
+    vps: Vec<Asn>,
+    /// `(index into hops, extra copies)` of every prepended hop, ascending.
+    prepends: Vec<(u32, u32)>,
 }
 
 impl PathSet {
@@ -144,61 +68,100 @@ impl PathSet {
         Self::default()
     }
 
-    /// Builds from observed paths.
-    #[must_use]
-    pub fn from_paths(paths: Vec<ObservedPath>) -> Self {
-        PathSet { paths }
-    }
-
     /// Adds one observed path.
     pub fn push(&mut self, vp: Asn, path: AsPath) {
-        self.paths.push(ObservedPath { vp, path });
+        self.push_hops(vp, path.0);
     }
 
-    /// All observed paths.
-    #[must_use]
-    pub fn paths(&self) -> &[ObservedPath] {
-        &self.paths
+    /// Adds one observed path given as raw hops (VP first, origin last,
+    /// prepending allowed), compressing it on the way in.
+    pub fn push_hops(&mut self, vp: Asn, hops: impl IntoIterator<Item = Asn>) {
+        let start = self.hops.len();
+        for hop in hops {
+            if self.hops.len() > start && self.hops.last() == Some(&hop) {
+                let at = store_index(self.hops.len() - 1);
+                match self.prepends.last_mut() {
+                    Some((last, extra)) if *last == at => *extra += 1,
+                    _ => self.prepends.push((at, 1)),
+                }
+            } else {
+                self.hops.push(hop);
+            }
+        }
+        self.ends.push(store_index(self.hops.len()));
+        self.vps.push(vp);
+    }
+
+    /// Every path as `(vantage point, compressed hops)`, in push order.
+    pub fn iter(&self) -> impl Iterator<Item = (Asn, &[Asn])> + '_ {
+        self.spans().map(|(vp, span)| (vp, &self.hops[span]))
+    }
+
+    /// Every path as `(vantage point, range in hops)`, in push order.
+    fn spans(&self) -> impl Iterator<Item = (Asn, Range<usize>)> + '_ {
+        let starts = std::iter::once(0).chain(self.ends.iter().copied());
+        self.vps
+            .iter()
+            .zip(starts.zip(&self.ends))
+            .map(|(&vp, (start, &end))| (vp, start as usize..end as usize))
+    }
+
+    /// The prepend entries of the hops in `span`.
+    fn prepends_in(&self, span: &Range<usize>) -> &[(u32, u32)] {
+        let below = |end: usize| {
+            self.prepends
+                .partition_point(|&(at, _)| (at as usize) < end)
+        };
+        &self.prepends[below(span.start)..below(span.end)]
     }
 
     /// Number of observed paths.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.paths.len()
+        self.ends.len()
     }
 
     /// `true` if no paths were observed.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.paths.is_empty()
+        self.ends.is_empty()
     }
 
     /// The distinct vantage points, sorted.
     #[must_use]
     pub fn vantage_points(&self) -> Vec<Asn> {
-        let set: BTreeSet<Asn> = self.paths.iter().map(|p| p.vp).collect();
+        let set: BTreeSet<Asn> = self.vps.iter().copied().collect();
         set.into_iter().collect()
     }
 
     /// Retains only loop-free paths without reserved ASNs — the common
-    /// sanitisation prefix of all three classifiers.
+    /// sanitisation prefix of all three classifiers. The kept paths are
+    /// copied into a store sized for all of them, in O(1) allocations.
     #[must_use]
     pub fn sanitized(&self) -> PathSet {
         let _span = breval_obs::span!("sanitize");
-        let sanitized = PathSet {
-            paths: self
-                .paths
-                .iter()
-                .filter(|p| !p.path.has_loop() && !p.path.has_reserved())
-                .cloned()
-                .collect(),
+        let mut out = PathSet {
+            hops: Vec::with_capacity(self.hops.len()),
+            ends: Vec::with_capacity(self.ends.len()),
+            vps: Vec::with_capacity(self.vps.len()),
+            prepends: Vec::with_capacity(self.prepends.len()),
         };
-        breval_obs::counter(
-            "paths_sanitized_dropped",
-            (self.paths.len() - sanitized.paths.len()) as u64,
-        );
-        breval_obs::counter("paths_sanitized_kept", sanitized.paths.len() as u64);
-        sanitized
+        for (vp, span) in self.spans() {
+            let hops = &self.hops[span.clone()];
+            if has_loop(hops) || hops.iter().any(|a| a.is_reserved()) {
+                continue;
+            }
+            let (from, to) = (store_index(span.start), store_index(out.hops.len()));
+            let moved = self.prepends_in(&span).iter();
+            out.prepends
+                .extend(moved.map(|&(at, extra)| (at - from + to, extra)));
+            out.hops.extend_from_slice(hops);
+            out.ends.push(store_index(out.hops.len()));
+            out.vps.push(vp);
+        }
+        breval_obs::counter("paths_sanitized_dropped", (self.len() - out.len()) as u64);
+        breval_obs::counter("paths_sanitized_kept", out.len() as u64);
+        out
     }
 
     /// Computes the derived statistics in one pass.
@@ -207,13 +170,12 @@ impl PathSet {
         let mut neighbors: HashMap<Asn, HashSet<Asn>> = HashMap::new();
         let mut transit: HashMap<Asn, HashSet<Asn>> = HashMap::new();
         let mut link_vps: HashMap<Link, HashSet<Asn>> = HashMap::new();
-        for op in &self.paths {
-            let c = op.path.compressed();
+        for (vp, c) in self.iter() {
             for w in c.windows(2) {
                 if let Some(link) = Link::new(w[0], w[1]) {
                     neighbors.entry(w[0]).or_default().insert(w[1]);
                     neighbors.entry(w[1]).or_default().insert(w[0]);
-                    link_vps.entry(link).or_default().insert(op.vp);
+                    link_vps.entry(link).or_default().insert(vp);
                 }
             }
             for w in c.windows(3) {
@@ -228,6 +190,55 @@ impl PathSet {
             link_vp_count: link_vps.iter().map(|(l, s)| (*l, s.len())).collect(),
             links: link_vps.keys().copied().collect(),
         }
+    }
+}
+
+/// A hop count as a store index: the store addresses its hops with `u32`.
+fn store_index(n: usize) -> u32 {
+    u32::try_from(n).expect("a path set holds at most u32::MAX hops")
+}
+
+/// Prints what the derived `Debug` of the former
+/// `PathSet { paths: Vec<ObservedPath { vp, path: AsPath }> }` printed,
+/// prepending included, so digests of a path set's `Debug` stay put. Each
+/// path renders straight from the store, one at a time.
+impl fmt::Debug for PathSet {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let path = |vp: Asn, span: Range<usize>| {
+            DebugFn(move |f: &mut fmt::Formatter<'_>| {
+                let raw = DebugFn(|f: &mut fmt::Formatter<'_>| {
+                    let mut prepends = self.prepends_in(&span).iter().peekable();
+                    let hops = span.clone().flat_map(|at| {
+                        let extra = prepends.next_if(|p| p.0 as usize == at).map_or(0, |p| p.1);
+                        std::iter::repeat_n(self.hops[at], 1 + extra as usize)
+                    });
+                    f.debug_list().entries(hops).finish()
+                });
+                let path = DebugFn(|f: &mut fmt::Formatter<'_>| {
+                    f.debug_tuple("AsPath").field(&raw).finish()
+                });
+                f.debug_struct("ObservedPath")
+                    .field("vp", &vp)
+                    .field("path", &path)
+                    .finish()
+            })
+        };
+        let paths = DebugFn(|f: &mut fmt::Formatter<'_>| {
+            f.debug_list()
+                .entries(self.spans().map(|(vp, span)| path(vp, span)))
+                .finish()
+        });
+        f.debug_struct("PathSet").field("paths", &paths).finish()
+    }
+}
+
+/// Renders through a closure, so nested `Debug` builders need no
+/// intermediate values.
+struct DebugFn<F>(F);
+
+impl<F: Fn(&mut fmt::Formatter<'_>) -> fmt::Result> fmt::Debug for DebugFn<F> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        (self.0)(f)
     }
 }
 
@@ -292,57 +303,57 @@ mod tests {
         AsPath::new(hops.iter().map(|&h| Asn(h)).collect())
     }
 
+    fn asns(hops: &[u32]) -> Vec<Asn> {
+        hops.iter().map(|&h| Asn(h)).collect()
+    }
+
     #[test]
-    fn compression_removes_prepending() {
-        let p = path(&[1, 2, 2, 2, 3]);
-        assert_eq!(p.compressed(), vec![Asn(1), Asn(2), Asn(3)]);
-        assert_eq!(p.origin(), Some(Asn(3)));
-        assert_eq!(p.head(), Some(Asn(1)));
-        assert!(!p.has_loop());
-        assert_eq!(p.origin_prepend_count(), 0);
-        assert_eq!(path(&[1, 2, 3, 3, 3]).origin_prepend_count(), 2);
+    fn push_compresses_prepending() {
+        let mut ps = PathSet::new();
+        ps.push(Asn(1), path(&[1, 2, 2, 2, 3]));
+        ps.push(Asn(4), path(&[4, 3, 3]));
+        ps.push(Asn(5), path(&[]));
+        let paths: Vec<(Asn, &[Asn])> = ps.iter().collect();
+        assert_eq!(paths[0], (Asn(1), &asns(&[1, 2, 3])[..]));
+        assert_eq!(paths[1], (Asn(4), &asns(&[4, 3])[..]));
+        assert_eq!(paths[2], (Asn(5), &[][..]));
+        assert_eq!(ps.len(), 3);
+    }
+
+    #[test]
+    fn debug_restores_prepending() {
+        let mut ps = PathSet::new();
+        assert_eq!(format!("{ps:?}"), "PathSet { paths: [] }");
+        ps.push(Asn(1), path(&[1, 2, 2]));
+        assert_eq!(
+            format!("{ps:?}"),
+            "PathSet { paths: [ObservedPath { vp: Asn(1), \
+             path: AsPath([Asn(1), Asn(2), Asn(2)]) }] }"
+        );
     }
 
     #[test]
     fn loop_detection_ignores_prepending() {
-        assert!(!path(&[1, 2, 2, 3]).has_loop());
-        assert!(path(&[1, 2, 3, 2]).has_loop());
-        assert!(path(&[1, 2, 1]).has_loop());
-        assert!(!path(&[]).has_loop());
-    }
-
-    #[test]
-    fn links_and_triplets() {
-        let p = path(&[1, 2, 2, 3, 4]);
-        assert_eq!(
-            p.links(),
-            vec![
-                Link::new(Asn(1), Asn(2)).unwrap(),
-                Link::new(Asn(2), Asn(3)).unwrap(),
-                Link::new(Asn(3), Asn(4)).unwrap()
-            ]
-        );
-        assert_eq!(
-            p.triplets(),
-            vec![(Asn(1), Asn(2), Asn(3)), (Asn(2), Asn(3), Asn(4))]
-        );
-    }
-
-    #[test]
-    fn reserved_detection() {
-        assert!(path(&[1, 23456, 3]).has_reserved());
-        assert!(path(&[1, 64512, 3]).has_reserved());
-        assert!(!path(&[1, 2, 3]).has_reserved());
+        assert!(!has_loop(&asns(&[1, 2, 2, 3])));
+        assert!(has_loop(&asns(&[1, 2, 3, 2])));
+        assert!(has_loop(&asns(&[1, 2, 1])));
+        assert!(has_loop(&asns(&[1, 1, 2, 1])));
+        assert!(!has_loop(&[]));
     }
 
     #[test]
     fn sanitized_drops_bad_paths() {
         let mut ps = PathSet::new();
-        ps.push(Asn(1), path(&[1, 2, 3]));
         ps.push(Asn(1), path(&[1, 2, 1])); // loop
+        ps.push(Asn(1), path(&[1, 2, 2, 3]));
         ps.push(Asn(1), path(&[1, 23456, 3])); // AS_TRANS
+        ps.push(Asn(1), path(&[1, 64512, 3])); // private use
+        ps.push(Asn(7), path(&[7, 7, 8, 9, 9, 9]));
         let clean = ps.sanitized();
-        assert_eq!(clean.len(), 1);
+        let mut expected = PathSet::new();
+        expected.push(Asn(1), path(&[1, 2, 2, 3]));
+        expected.push(Asn(7), path(&[7, 7, 8, 9, 9, 9]));
+        assert_eq!(format!("{clean:?}"), format!("{expected:?}"));
     }
 
     #[test]
@@ -359,6 +370,16 @@ mod tests {
         assert_eq!(st.vp_count(Link::new(Asn(1), Asn(2)).unwrap()), 1);
         assert_eq!(st.links().len(), 4);
         assert_eq!(st.transit_degree_ranking()[0], Asn(2));
+    }
+
+    #[test]
+    fn stats_read_compressed_paths() {
+        let mut ps = PathSet::new();
+        ps.push(Asn(1), path(&[1, 2, 2, 3]));
+        let st = ps.stats();
+        // Prepending adds neither a self-link nor a transit neighbour.
+        assert_eq!(st.links().len(), 2);
+        assert_eq!(st.transit_degree(Asn(2)), 2);
     }
 
     #[test]

@@ -17,8 +17,7 @@ pub enum ValleyViolation {
     /// An uphill (customer→provider) step after the path already went
     /// lateral or downhill — the classic valley.
     UphillAfterTurn {
-        /// Index (into the compressed hop list) of the offending step's
-        /// receiver.
+        /// Index (into the hop list) of the offending step's receiver.
         at: usize,
     },
     /// A second lateral (peer) step after the path already turned.
@@ -54,11 +53,10 @@ impl fmt::Display for ValleyViolation {
 /// receiver: customer→provider steps are uphill, peer steps lateral,
 /// provider→customer steps downhill, sibling steps neutral.
 pub fn check_valley_free(graph: &AsGraph, hops: &[Asn]) -> Result<(), ValleyViolation> {
-    let mut compressed: Vec<Asn> = hops.to_vec();
-    compressed.dedup();
-    // Walk from the origin (end) towards the receiver (front).
+    // Walk from the origin (end) towards the receiver (front). A prepended
+    // hop pairs with itself, which is no link, and is skipped.
     let mut turned = false; // saw a lateral or downhill step already
-    for (i, w) in compressed.windows(2).enumerate().rev() {
+    for (i, w) in hops.windows(2).enumerate().rev() {
         // w[1] exported the route to w[0].
         let link = match crate::link::Link::new(w[0], w[1]) {
             Some(l) => l,

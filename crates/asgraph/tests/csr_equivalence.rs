@@ -20,8 +20,7 @@ fn customer_cone_sizes_btree(graph: &AsGraph) -> HashMap<Asn, usize> {
 /// Reference PPDC cones: per-AS `HashSet` cones in a `HashMap`.
 fn ppdc_cones_hash(paths: &PathSet, rels: &BTreeMap<Link, Rel>) -> HashMap<Asn, HashSet<Asn>> {
     let mut cones: HashMap<Asn, HashSet<Asn>> = HashMap::new();
-    for op in paths.paths() {
-        let c = op.path.compressed();
+    for (_, c) in paths.iter() {
         for i in 1..c.len() {
             let upstream = c[i - 1];
             let x = c[i];
@@ -157,9 +156,8 @@ fn arb_pathset() -> impl Strategy<Value = PathSet> {
     prop::collection::vec(prop::collection::vec(arb_asn(), 0..16), 0..25).prop_map(|paths| {
         let mut ps = PathSet::new();
         for hops in paths {
-            let path = AsPath::new(hops);
-            if let Some(vp) = path.head() {
-                ps.push(vp, path);
+            if let Some(&vp) = hops.first() {
+                ps.push_hops(vp, hops);
             }
         }
         ps

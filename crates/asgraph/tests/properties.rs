@@ -1,14 +1,63 @@
 //! Property-based tests for the asgraph substrate.
 
-use asgraph::{cone, AsGraph, AsPath, Asn, Link, PathSet, Rel};
+use asgraph::{cone, has_loop, AsGraph, AsPath, Asn, Link, PathSet, Rel};
 use proptest::prelude::*;
 
 fn arb_asn() -> impl Strategy<Value = Asn> {
     (1u32..500).prop_map(Asn)
 }
 
-fn arb_path() -> impl Strategy<Value = AsPath> {
-    prop::collection::vec(arb_asn(), 0..12).prop_map(AsPath::new)
+fn arb_path() -> impl Strategy<Value = Vec<Asn>> {
+    prop::collection::vec(arb_asn(), 0..12)
+}
+
+/// Raw paths over few ASes, some reserved, in runs of 1–3 copies:
+/// prepending, loops and reserved hops all occur.
+fn arb_prepended_path() -> impl Strategy<Value = Vec<Asn>> {
+    let hop = (0u32..12).prop_map(|i| match i {
+        10 => Asn(23456),
+        11 => Asn(64512),
+        _ => Asn(i + 1),
+    });
+    prop::collection::vec((hop, 1usize..4), 0..8).prop_map(|runs| {
+        runs.into_iter()
+            .flat_map(|(asn, n)| std::iter::repeat_n(asn, n))
+            .collect()
+    })
+}
+
+/// The path set's former layout, whose derived `Debug` the store reproduces.
+mod former {
+    // The fields are read only through the derived `Debug`.
+    #![allow(dead_code)]
+
+    use asgraph::{AsPath, Asn};
+
+    #[derive(Debug)]
+    pub struct PathSet {
+        paths: Vec<ObservedPath>,
+    }
+
+    #[derive(Debug)]
+    struct ObservedPath {
+        vp: Asn,
+        path: AsPath,
+    }
+
+    impl PathSet {
+        /// The paths whose raw hops pass `keep`, in order.
+        pub fn new(paths: &[(Asn, Vec<Asn>)], keep: impl Fn(&[Asn]) -> bool) -> Self {
+            let paths = paths
+                .iter()
+                .filter(|(_, hops)| keep(hops))
+                .map(|(vp, hops)| ObservedPath {
+                    vp: *vp,
+                    path: AsPath::new(hops.clone()),
+                })
+                .collect();
+            PathSet { paths }
+        }
+    }
 }
 
 proptest! {
@@ -27,39 +76,55 @@ proptest! {
         }
     }
 
-    /// Path compression is idempotent and removes exactly the consecutive runs.
+    /// The store keeps each path with exactly its consecutive runs removed,
+    /// and storing a stored path again changes nothing.
     #[test]
-    fn compression_idempotent(path in arb_path()) {
-        let c1 = path.compressed();
-        let recompressed = AsPath::new(c1.clone()).compressed();
-        prop_assert_eq!(&c1, &recompressed);
-        // No consecutive duplicates remain.
-        prop_assert!(c1.windows(2).all(|w| w[0] != w[1]));
-        // Same multiset of distinct ASes.
-        let mut orig: Vec<Asn> = path.hops().to_vec();
-        orig.dedup();
-        prop_assert_eq!(c1, orig);
+    fn push_compresses_idempotently(path in arb_prepended_path()) {
+        let mut expected = path.clone();
+        expected.dedup();
+        let mut ps = PathSet::new();
+        ps.push(Asn(1), AsPath::new(path));
+        let stored: Vec<Asn> = ps.iter().flat_map(|(_, hops)| hops.to_vec()).collect();
+        prop_assert_eq!(&stored, &expected);
+        let mut again = PathSet::new();
+        again.push_hops(Asn(1), stored.iter().copied());
+        prop_assert!(again.iter().all(|(_, hops)| hops == expected.as_slice()));
     }
 
-    /// A loop-free path never revisits an AS after compression.
+    /// `has_loop` gives one answer on a raw path and on its stored form,
+    /// and a loop-free stored path never revisits an AS.
     #[test]
-    fn loop_free_paths_have_unique_hops(path in arb_path()) {
-        if !path.has_loop() {
-            let c = path.compressed();
-            let mut sorted = c.clone();
+    fn loop_free_paths_have_unique_hops(path in arb_prepended_path()) {
+        let looped = has_loop(&path);
+        let mut ps = PathSet::new();
+        ps.push_hops(Asn(1), path);
+        for (_, c) in ps.iter() {
+            prop_assert_eq!(has_loop(c), looped);
+            let mut sorted = c.to_vec();
             sorted.sort();
             sorted.dedup();
-            prop_assert_eq!(sorted.len(), c.len());
+            prop_assert_eq!(sorted.len() == c.len(), !looped);
         }
     }
 
-    /// Triplet count equals max(compressed_len - 2, 0); link count equals
-    /// max(compressed_len - 1, 0).
+    /// `Debug` prints, byte for byte, what the derived `Debug` of the former
+    /// `Vec<ObservedPath { vp, path: AsPath }>` layout printed, prepending
+    /// included; `sanitized` keeps exactly the clean paths in that form.
     #[test]
-    fn triplet_and_link_counts(path in arb_path()) {
-        let n = path.compressed().len();
-        prop_assert_eq!(path.triplets().len(), n.saturating_sub(2));
-        prop_assert_eq!(path.links().len(), n.saturating_sub(1));
+    fn debug_matches_the_former_layout(
+        paths in prop::collection::vec((arb_asn(), arb_prepended_path()), 0..12)
+    ) {
+        let mut ps = PathSet::new();
+        for (vp, hops) in &paths {
+            ps.push(*vp, AsPath::new(hops.clone()));
+        }
+        let former = former::PathSet::new(&paths, |_| true);
+        prop_assert_eq!(format!("{ps:?}"), format!("{former:?}"));
+        prop_assert_eq!(format!("{ps:#?}"), format!("{former:#?}"));
+        let clean = former::PathSet::new(&paths, |hops| {
+            !has_loop(hops) && !hops.iter().any(|a| a.is_reserved())
+        });
+        prop_assert_eq!(format!("{:?}", ps.sanitized()), format!("{clean:?}"));
     }
 
     /// The customer cone always contains the AS itself and is monotone under
@@ -91,9 +156,9 @@ proptest! {
         paths in prop::collection::vec(arb_path(), 0..20)
     ) {
         let mut ps = PathSet::new();
-        for p in paths {
-            if let Some(vp) = p.head() {
-                ps.push(vp, p);
+        for hops in paths {
+            if let Some(&vp) = hops.first() {
+                ps.push(vp, AsPath::new(hops));
             }
         }
         let stats = ps.stats();

@@ -95,8 +95,7 @@ impl AsRank {
 
         for pass in 0..self.params.cascade_passes.max(1) {
             let mut new_votes: HashMap<(Asn, Asn), usize> = HashMap::new();
-            for op in clean.paths() {
-                let hops = op.path.compressed();
+            for (_, hops) in clean.iter() {
                 if hops.len() < 3 {
                     continue;
                 }

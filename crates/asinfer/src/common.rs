@@ -488,10 +488,8 @@ mod tests {
                 inf
             }
         }
-        let paths = PathSet::from_paths(vec![asgraph::ObservedPath {
-            vp: Asn(1),
-            path: asgraph::AsPath::new(vec![Asn(1), Asn(2), Asn(3)]),
-        }]);
+        let mut paths = PathSet::new();
+        paths.push_hops(Asn(1), [Asn(1), Asn(2), Asn(3)]);
         let clean = paths.sanitized();
         let stats = clean.stats();
         let via_prep = Echo.infer_prepared(PreparedPaths::new(&clean, &stats));

@@ -71,8 +71,7 @@ pub fn compute_features(
 
     // Triplet support: (w, u, v) with w in the clique supports (u, v).
     let mut support: HashMap<Link, usize> = HashMap::new();
-    for op in paths.paths() {
-        let hops = op.path.compressed();
+    for (_, hops) in paths.iter() {
         for w in hops.windows(3) {
             if clique.contains(&w[0]) {
                 if let Some(link) = Link::new(w[1], w[2]) {

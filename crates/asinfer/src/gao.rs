@@ -65,8 +65,7 @@ impl GaoClassifier {
     fn infer_clean(&self, clean: &PathSet, stats: &PathStats) -> Inference {
         // transit[(provider, customer)] vote counts.
         let mut votes: HashMap<(Asn, Asn), usize> = HashMap::new();
-        for op in clean.paths() {
-            let hops = op.path.compressed();
+        for (_, hops) in clean.iter() {
             if hops.len() < 2 {
                 continue;
             }

@@ -10,8 +10,8 @@
 
 use crate::asrank::AsRank;
 use crate::common::{break_provider_cycles_in_rels, Classifier, Inference, PreparedPaths};
-use asgraph::{Asn, Link, ObservedPath, PathSet, PathStats, Rel};
-use std::collections::{BTreeMap, HashMap};
+use asgraph::{Asn, Link, PathSet, PathStats, Rel};
+use std::collections::BTreeMap;
 
 /// Transit-degree boost applied to clique members during cycle repair, so
 /// an orientation flip can never rank a clique member below a non-member.
@@ -84,21 +84,17 @@ impl TopoScope {
         let vps = clean.vantage_points();
         let n_groups = self.params.n_groups.clamp(1, vps.len().max(1));
 
-        // Deterministic round-robin VP grouping over the sorted VP list.
-        let mut group_of: HashMap<Asn, usize> = HashMap::new();
-        for (i, vp) in vps.iter().enumerate() {
-            group_of.insert(*vp, i % n_groups);
-        }
-        let mut grouped: Vec<Vec<ObservedPath>> = vec![Vec::new(); n_groups];
-        for op in clean.paths() {
-            if let Some(&g) = group_of.get(&op.vp) {
-                grouped[g].push(op.clone());
+        // Deterministic round-robin VP grouping over the sorted VP list: a
+        // path joins the group of its VP's position, mod `n_groups`.
+        let mut grouped: Vec<PathSet> = vec![PathSet::new(); n_groups];
+        for (vp, hops) in clean.iter() {
+            if let Ok(i) = vps.binary_search(&vp) {
+                grouped[i % n_groups].push_hops(vp, hops.iter().copied());
             }
         }
 
         // Per-group inference. Groups are already sanitized (subsets of
         // `clean`), so each worker only derives the group's own statistics.
-        let grouped: Vec<PathSet> = grouped.into_iter().map(PathSet::from_paths).collect();
         // Sub-span around the per-group ensemble fan-out so the trace
         // separates it from the sequential vote reconciliation below.
         let group_results: Vec<Inference> = {

@@ -1,7 +1,8 @@
 //! Memory bounds of the scale path on a 10k-AS topology: the sim graph is
 //! built in a constant number of allocations, propagation reuses its buffers
 //! across origins, and hybrid PPDC rows never cost more than the flat
-//! all-bitset layout.
+//! all-bitset layout. The path store imports and sanitises paths in a
+//! constant number of allocations too.
 
 use asgraph::{cone, AsPath, Link, PathSet, Rel};
 use bgpsim::{OriginRoutes, PropScratch, Propagator, SimGraph};
@@ -18,6 +19,10 @@ const MAX_STEADY_ALLOCS_PER_ORIGIN: u64 = 64;
 /// Allocation ceiling of `SimGraph::build`: the counting-sort CSR build
 /// allocates per role and per array, never per node or per link.
 const MAX_SIMGRAPH_ALLOCS: u64 = 64;
+/// Allocation ceiling of filling a path store (`to_pathset`) or copying one
+/// (`sanitized`): the store grows a few flat arrays, never one allocation
+/// per path.
+const MAX_PATH_STORE_ALLOCS: u64 = 128;
 
 #[test]
 fn propagation_and_ppdc_stay_bounded_at_10k() {
@@ -67,8 +72,18 @@ fn propagation_and_ppdc_stay_bounded_at_10k() {
          (ceiling {MAX_STEADY_ALLOCS_PER_ORIGIN}): buffer reuse is broken"
     );
 
+    let before = counting_alloc::thread_allocation_count();
+    let clean = paths.sanitized();
+    let sanitize_allocs = counting_alloc::thread_allocation_count() - before;
+    assert!(
+        sanitize_allocs <= MAX_PATH_STORE_ALLOCS,
+        "sanitized() allocates {sanitize_allocs} times for {} paths \
+         (ceiling {MAX_PATH_STORE_ALLOCS}): it copies per path",
+        paths.len()
+    );
+
     let rels: BTreeMap<Link, Rel> = topology.links.iter().map(|(l, r)| (*l, r.base)).collect();
-    let stats = cone::ppdc_cones(&paths.sanitized(), &rels).storage_stats();
+    let stats = cone::ppdc_cones(&clean, &rels).storage_stats();
     assert!(
         stats.sparse_rows + stats.dense_rows > 0,
         "no PPDC rows: {stats:?}"
@@ -76,5 +91,21 @@ fn propagation_and_ppdc_stay_bounded_at_10k() {
     assert!(
         stats.hybrid_bytes <= stats.flat_bytes,
         "hybrid PPDC rows cost more than the flat layout: {stats:?}"
+    );
+}
+
+#[test]
+fn path_import_allocates_o1_times() {
+    let topology = topogen::generate(&topogen::TopologyConfig::small(7));
+    let rib = bgpsim::simulate(&topology);
+    let before = counting_alloc::thread_allocation_count();
+    let paths = rib.to_pathset(false);
+    let allocs = counting_alloc::thread_allocation_count() - before;
+    assert_eq!(paths.len(), rib.observations.len());
+    assert!(
+        allocs <= MAX_PATH_STORE_ALLOCS,
+        "to_pathset allocates {allocs} times for {} observations \
+         (ceiling {MAX_PATH_STORE_ALLOCS}): it builds a Vec per path",
+        rib.observations.len()
     );
 }

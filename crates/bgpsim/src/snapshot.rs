@@ -4,7 +4,7 @@
 use crate::communities::{collector_communities, AnyCommunity};
 use crate::propagate::{OriginRoutes, PropScratch, Propagator, RouteClass};
 use crate::simgraph::SimGraph;
-use asgraph::{asn::AS_TRANS, AsPath, Asn, PathSet};
+use asgraph::{asn::AS_TRANS, Asn, PathSet};
 use bgpwire::{
     attrs::{flatten_segments, AsPathSegment, PathAttribute},
     mrt, Community, LargeCommunity, WireError,
@@ -194,15 +194,15 @@ impl RibSnapshot {
             .collect();
         let mut ps = PathSet::new();
         for obs in &self.observations {
-            let hops: Vec<Asn> = if legacy_as4 && two_byte.contains(&obs.vp) {
-                obs.path
-                    .iter()
-                    .map(|a| if a.is_four_byte() { AS_TRANS } else { *a })
-                    .collect()
-            } else {
-                obs.path.clone()
+            let mangle = legacy_as4 && two_byte.contains(&obs.vp);
+            let hop = |&a: &Asn| {
+                if mangle && a.is_four_byte() {
+                    AS_TRANS
+                } else {
+                    a
+                }
             };
-            ps.push(obs.vp, AsPath::new(hops));
+            ps.push_hops(obs.vp, obs.path.iter().map(hop));
         }
         breval_obs::counter("paths_exported", ps.len() as u64);
         ps
@@ -339,7 +339,7 @@ pub fn pathset_from_mrt(bytes: &[u8], reconstruct_as4: bool) -> Result<PathSet, 
             } else {
                 as_path
             };
-            ps.push(vp, AsPath::new(hops));
+            ps.push_hops(vp, hops);
         }
     }
     Ok(ps)
@@ -432,11 +432,11 @@ mod tests {
             .map(|cp| cp.asn)
             .collect();
         let mut saw_as_trans = false;
-        for (m, l) in modern.paths().iter().zip(legacy.paths()) {
-            assert_eq!(m.vp, l.vp);
-            if m.path != l.path {
-                assert!(two_byte.contains(&m.vp));
-                assert!(l.path.hops().contains(&AS_TRANS));
+        for ((m_vp, m), (l_vp, l)) in modern.iter().zip(legacy.iter()) {
+            assert_eq!(m_vp, l_vp);
+            if m != l {
+                assert!(two_byte.contains(&m_vp));
+                assert!(l.contains(&AS_TRANS));
                 saw_as_trans = true;
             }
         }
@@ -456,14 +456,9 @@ mod tests {
         // Every observation appears (possibly repeated per prefix).
         assert!(modern.len() >= snap.observations.len());
         // Modern reconstruction never contains AS_TRANS.
-        for p in modern.paths() {
-            assert!(!p.path.hops().contains(&AS_TRANS));
-        }
+        assert!(modern.iter().all(|(_, hops)| !hops.contains(&AS_TRANS)));
         // Legacy view does, somewhere.
-        assert!(legacy
-            .paths()
-            .iter()
-            .any(|p| p.path.hops().contains(&AS_TRANS)));
+        assert!(legacy.iter().any(|(_, hops)| hops.contains(&AS_TRANS)));
     }
 
     #[test]

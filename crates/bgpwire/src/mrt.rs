@@ -304,22 +304,27 @@ pub fn write_dump(table: &PeerIndexTable, ribs: &[RibIpv4Unicast], timestamp: u3
     out
 }
 
-/// Reads a complete RIB dump produced by [`write_dump`]. The peer index table
-/// must precede any RIB record (as in real collector dumps), and every RIB
-/// entry must reference a valid peer index.
+/// Reads a complete RIB dump produced by [`write_dump`]. The one peer index
+/// table must precede any RIB record (as in real collector dumps), and every
+/// RIB entry must reference a valid peer index. A second peer index table is
+/// rejected: the entries read before it index the first one.
 pub fn read_dump(bytes: &[u8]) -> Result<(PeerIndexTable, Vec<RibIpv4Unicast>), WireError> {
     let mut slice = bytes;
     let mut table: Option<PeerIndexTable> = None;
     let mut ribs = Vec::new();
+    let misplaced = |subtype| WireError::UnsupportedMrt {
+        mrt_type: TYPE_TABLE_DUMP_V2,
+        subtype,
+    };
     while slice.has_remaining() {
         let (_, record) = MrtRecord::decode(&mut slice)?;
         match record {
+            MrtRecord::PeerIndexTable(_) if table.is_some() => {
+                return Err(misplaced(SUBTYPE_PEER_INDEX_TABLE))
+            }
             MrtRecord::PeerIndexTable(t) => table = Some(t),
             MrtRecord::RibIpv4Unicast(r) => {
-                let t = table.as_ref().ok_or(WireError::UnsupportedMrt {
-                    mrt_type: TYPE_TABLE_DUMP_V2,
-                    subtype: SUBTYPE_RIB_IPV4_UNICAST,
-                })?;
+                let t = table.as_ref().ok_or(misplaced(SUBTYPE_RIB_IPV4_UNICAST))?;
                 for e in &r.entries {
                     if usize::from(e.peer_index) >= t.peers.len() {
                         return Err(WireError::UnknownPeerIndex {
@@ -423,6 +428,32 @@ mod tests {
         assert!(matches!(
             read_dump(&bytes),
             Err(WireError::UnknownPeerIndex { index: 99 })
+        ));
+    }
+
+    #[test]
+    fn second_peer_table_rejected() {
+        // An entry valid against a three-peer table, then a one-peer table:
+        // the dump must not come back with the entry and the smaller table.
+        let mut three = sample_table();
+        three.peers.push(PeerEntry {
+            bgp_id: 3,
+            addr: 0x0A00_0003,
+            asn: Asn(174),
+            two_byte_only: false,
+        });
+        let mut rib = sample_rib(0);
+        rib.entries[0].peer_index = 2;
+        let mut one = sample_table();
+        one.peers.truncate(1);
+        let mut bytes = write_dump(&three, &[rib], 42);
+        bytes.extend(write_dump(&one, &[], 42));
+        assert!(matches!(
+            read_dump(&bytes),
+            Err(WireError::UnsupportedMrt {
+                subtype: SUBTYPE_PEER_INDEX_TABLE,
+                ..
+            })
         ));
     }
 

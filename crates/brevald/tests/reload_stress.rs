@@ -14,18 +14,16 @@ use std::sync::Arc;
 /// chain `1 → 2 → … → tag+3`, so `cone 1` reports a cone of `tag + 3`.
 /// Round-tripping through the codec materialises every snapshot part.
 fn tiny_set(tag: u32) -> SnapshotSet {
-    let mut g = asgraph::AsGraph::new();
-    for i in 1..=(tag + 2) {
-        let link = asgraph::Link::new(asgraph::Asn(i), asgraph::Asn(i + 1)).expect("distinct");
-        g.add_rel(
-            link,
-            asgraph::Rel::P2c {
+    let rels: BTreeMap<_, _> = (1..=(tag + 2))
+        .map(|i| {
+            let link = asgraph::Link::new(asgraph::Asn(i), asgraph::Asn(i + 1)).expect("distinct");
+            let rel = asgraph::Rel::P2c {
                 provider: asgraph::Asn(i),
-            },
-        )
-        .expect("fresh link");
-    }
-    let snap = build_snapshot("asrank", &g);
+            };
+            (link, rel)
+        })
+        .collect();
+    let snap = build_snapshot("asrank", &rels);
     let key = SnapshotKey {
         config_hash: u64::from(tag),
         seed: 0,

@@ -98,10 +98,10 @@ pub fn run_case_study(
 
     // Pre-index triplets (w, focus, v) with w in the inferred clique.
     let mut clique_triplets: BTreeMap<Asn, usize> = BTreeMap::new();
-    for op in paths.paths() {
-        for (w, u, v) in op.path.triplets() {
-            if u == focus && inference.clique.contains(&w) {
-                *clique_triplets.entry(v).or_insert(0) += 1;
+    for (_, hops) in paths.iter() {
+        for t in hops.windows(3) {
+            if t[1] == focus && inference.clique.contains(&t[0]) {
+                *clique_triplets.entry(t[2]).or_insert(0) += 1;
             }
         }
     }

@@ -94,8 +94,7 @@ pub fn classify_hard_links(
     // consecutive clique members? (v) Valley-free orientation votes.
     let mut has_clique_pair: HashSet<Link> = HashSet::new();
     let mut down_votes: HashMap<(Asn, Asn), usize> = HashMap::new();
-    for op in paths.paths() {
-        let hops = op.path.compressed();
+    for (_, hops) in paths.iter() {
         let clique_pair = hops
             .windows(2)
             .any(|w| clique.contains(&w[0]) && clique.contains(&w[1]));

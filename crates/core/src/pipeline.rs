@@ -9,7 +9,7 @@ use crate::heatmap::{Heatmap, HeatmapConfig};
 use crate::metrics::{EvalTable, ScoredLink};
 use crate::sanitize;
 use crate::snapshot::{self, ScenarioSnapshot, SnapshotError, SnapshotKey};
-use asgraph::{cone, AsGraph, ConeSizes, Link, PathSet, PathStats, PpdcCones};
+use asgraph::{cone, ConeSizes, Link, PathSet, PathStats, PpdcCones};
 use asinfer::{AsRank, Classifier, GaoClassifier, Inference, PreparedPaths, ProbLink, TopoScope};
 use bgpsim::RibSnapshot;
 use serde::{Deserialize, Serialize};
@@ -176,9 +176,8 @@ impl Scenario {
         // and the heatmaps all read the same `Arc`s.
         let (classifier, asrank_snapshot) = {
             let _span = breval_obs::span!("link_classifier");
-            let inferred_graph = graph_of(&asrank);
             breval_obs::counter("classifier_cone_links", asrank.rels.len() as u64);
-            let snap = snapshot::build_snapshot("asrank", &inferred_graph);
+            let snap = snapshot::build_snapshot("asrank", &asrank.rels);
             let cones = snap.cone_sizes().unwrap_or_default();
             let classifier = LinkClassifier::with_cone_sizes(
                 region_map(&topology),
@@ -250,15 +249,14 @@ impl Scenario {
         built
     }
 
-    /// The CSR mirror of the named inference's relationship graph,
-    /// materialised into the snapshot on first use and shared — the single
-    /// place the analysis layer ever builds a [`asgraph::CsrGraph`].
+    /// The CSR mirror of the named inference's relationships, materialised
+    /// into the snapshot on first use and shared.
     #[must_use]
     pub fn csr_arc(&self, classifier_name: &str) -> Arc<asgraph::CsrGraph> {
         let snap = self.snapshot_arc(classifier_name);
         Arc::clone(snap.csr.get_or_init(|| {
             Arc::new(match self.inferences.get(classifier_name) {
-                Some(inference) => asgraph::CsrGraph::build(&graph_of(inference)),
+                Some(inference) => snapshot::csr_of(&inference.rels),
                 None => asgraph::CsrGraph::default(),
             })
         }))
@@ -523,16 +521,6 @@ impl Scenario {
             Heatmap::build(validated.iter(), metric_fn, config),
         )
     }
-}
-
-/// Builds the plain relationship graph of an inference.
-fn graph_of(inference: &Inference) -> AsGraph {
-    let mut g = AsGraph::new();
-    for (link, rel) in &inference.rels {
-        // Conflicts cannot occur (one rel per link); ignore impossible errors.
-        let _ = g.add_rel(*link, *rel);
-    }
-    g
 }
 
 /// Builds the §5 region map from the topology's registry artefacts, going

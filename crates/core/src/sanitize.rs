@@ -26,7 +26,7 @@
 use crate::classes::{LinkClassifier, TopoClass};
 use crate::cleaning::CleanValidation;
 use crate::pipeline::Scenario;
-use asgraph::{check_valley_free, AsGraph, Asn, Link, NeighborRole, PathSet, Rel};
+use asgraph::{check_valley_free, has_loop, AsGraph, Asn, Link, NeighborRole, PathSet, Rel};
 use std::collections::{BTreeMap, BTreeSet};
 use topogen::Topology;
 
@@ -270,29 +270,29 @@ pub fn check_graph(g: &AsGraph) -> Vec<Violation> {
 pub fn check_pathset(ps: &PathSet) -> Vec<Violation> {
     let mut out = Vec::new();
     let (mut loops, mut reserved, mut detached) = (0usize, 0usize, 0usize);
-    for op in ps.paths() {
-        if op.path.has_loop() {
+    for (vp, hops) in ps.iter() {
+        if has_loop(hops) {
             push_capped(
                 &mut out,
                 &mut loops,
                 "path_loop",
-                format!("path [{}] revisits an AS", op.path),
+                format!("path {hops:?} revisits an AS"),
             );
         }
-        if op.path.has_reserved() {
+        if hops.iter().any(|a| a.is_reserved()) {
             push_capped(
                 &mut out,
                 &mut reserved,
                 "path_reserved",
-                format!("path [{}] traverses a reserved ASN", op.path),
+                format!("path {hops:?} traverses a reserved ASN"),
             );
         }
-        if op.path.head() != Some(op.vp) {
+        if hops.first() != Some(&vp) {
             push_capped(
                 &mut out,
                 &mut detached,
                 "path_detached_vp",
-                format!("path [{}] does not start at its VP AS{}", op.path, op.vp.0),
+                format!("path {hops:?} does not start at its VP AS{}", vp.0),
             );
         }
     }
@@ -325,19 +325,20 @@ pub fn check_valley(ps: &PathSet, topo: &Topology) -> (Vec<Violation>, BTreeMap<
     };
     let complex: BTreeSet<Link> = topo.complex_links().into_iter().collect();
     let mut flagged = 0usize;
-    for op in ps.paths() {
-        if op.path.links().iter().any(|l| complex.contains(l)) {
+    for (_, hops) in ps.iter() {
+        let mut links = hops.windows(2).filter_map(|w| Link::new(w[0], w[1]));
+        if links.any(|l| complex.contains(&l)) {
             *stats.entry("valley_skipped_complex".into()).or_insert(0) += 1;
             continue;
         }
-        match check_valley_free(&graph, op.path.hops()) {
+        match check_valley_free(&graph, hops) {
             Ok(()) => *stats.entry("valley_free".into()).or_insert(0) += 1,
             Err(v) => {
                 push_capped(
                     &mut out,
                     &mut flagged,
                     "valley_violation",
-                    format!("simple-link path [{}] is not valley-free: {v}", op.path),
+                    format!("simple-link path {hops:?} is not valley-free: {v}"),
                 );
                 *stats.entry("valley_violations".into()).or_insert(0) += 1;
             }

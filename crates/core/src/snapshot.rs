@@ -34,7 +34,8 @@
 use crate::metrics::{confusion, ScoredLink};
 use crate::pipeline::ScenarioConfig;
 use asgraph::io::{ByteReader, ByteWriter, IoError};
-use asgraph::{cone, Asn, ConeSizes, CsrGraph, Link, PpdcCones, Rel, RelClass};
+use asgraph::{cone, AsIndexer, Asn, ConeSizes, CsrGraph, Link, PpdcCones, Rel, RelClass};
+use std::collections::BTreeMap;
 use std::fmt;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, OnceLock};
@@ -465,12 +466,21 @@ fn read_scored(r: &mut ByteReader) -> Result<Vec<ScoredLink>, SnapshotError> {
     Ok(scored)
 }
 
-/// Builds the eager snapshot parts for one inference: the CSR mirror of its
-/// relationship graph plus customer-cone sizes over it. This is the single
-/// sanctioned `CsrGraph::build` call on the analysis path.
+/// The CSR mirror of an inference's relationships over the ASes its links
+/// touch — the single place the analysis path builds a [`CsrGraph`].
 #[must_use]
-pub fn build_snapshot(name: &str, graph: &asgraph::AsGraph) -> ScenarioSnapshot {
-    let csr = Arc::new(CsrGraph::build(graph));
+pub(crate) fn csr_of(rels: &BTreeMap<Link, Rel>) -> CsrGraph {
+    let indexer = AsIndexer::from_unsorted(rels.keys().flat_map(|l| [l.a(), l.b()]).collect());
+    let csr = CsrGraph::from_links(indexer, rels.iter().map(|(l, r)| (*l, *r)));
+    breval_obs::counter("csr_nodes_indexed", csr.node_count() as u64);
+    csr
+}
+
+/// Builds the eager snapshot parts for one inference: the CSR mirror of its
+/// relationships plus customer-cone sizes over it.
+#[must_use]
+pub fn build_snapshot(name: &str, rels: &BTreeMap<Link, Rel>) -> ScenarioSnapshot {
+    let csr = Arc::new(csr_of(rels));
     let cones = Arc::new(cone::customer_cone_sizes_csr(&csr));
     ScenarioSnapshot::new(name, csr, cones)
 }
@@ -480,12 +490,13 @@ mod tests {
     use super::*;
 
     fn sample_snapshot() -> ScenarioSnapshot {
-        let mut g = asgraph::AsGraph::new();
         let l = |a: u32, b: u32| Link::new(Asn(a), Asn(b)).unwrap();
-        g.add_rel(l(1, 2), Rel::P2c { provider: Asn(1) }).unwrap();
-        g.add_rel(l(2, 3), Rel::P2c { provider: Asn(2) }).unwrap();
-        g.add_rel(l(2, 5), Rel::P2p).unwrap();
-        let snap = build_snapshot("asrank", &g);
+        let rels = BTreeMap::from([
+            (l(1, 2), Rel::P2c { provider: Asn(1) }),
+            (l(2, 3), Rel::P2c { provider: Asn(2) }),
+            (l(2, 5), Rel::P2p),
+        ]);
+        let snap = build_snapshot("asrank", &rels);
         let _ = snap.scored.set(Arc::new(vec![ScoredLink {
             link: l(1, 2),
             validation: Rel::P2c { provider: Asn(1) },
@@ -568,7 +579,7 @@ mod tests {
         ));
         // Graph parts alone are still not enough — the scored join and the
         // PPDC cones would round-trip as silently empty tables.
-        let partial = build_snapshot("asrank", &asgraph::AsGraph::new());
+        let partial = build_snapshot("asrank", &BTreeMap::new());
         assert_eq!(partial.missing_part(), Some("ppdc_cones"));
         assert!(matches!(
             partial.save(&dir, &key()),

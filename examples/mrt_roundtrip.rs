@@ -46,14 +46,12 @@ fn main() {
     let modern = pathset_from_mrt(&mrt, true).expect("modern read");
     let legacy = pathset_from_mrt(&mrt, false).expect("legacy read");
     let legacy_as_trans = legacy
-        .paths()
         .iter()
-        .filter(|p| p.path.hops().contains(&AS_TRANS))
+        .filter(|(_, hops)| hops.contains(&AS_TRANS))
         .count();
     let modern_as_trans = modern
-        .paths()
         .iter()
-        .filter(|p| p.path.hops().contains(&AS_TRANS))
+        .filter(|(_, hops)| hops.contains(&AS_TRANS))
         .count();
     println!("paths containing AS23456 (AS_TRANS):");
     println!("  legacy decoder (ignores AS4_PATH): {legacy_as_trans}");

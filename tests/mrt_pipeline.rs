@@ -40,16 +40,12 @@ fn legacy_mrt_consumer_sees_as_trans() {
     let legacy = pathset_from_mrt(&bytes, false).unwrap();
 
     assert!(
-        modern
-            .paths()
-            .iter()
-            .all(|p| !p.path.hops().contains(&AS_TRANS)),
+        modern.iter().all(|(_, hops)| !hops.contains(&AS_TRANS)),
         "modern reconstruction must never contain AS_TRANS"
     );
     let n_legacy = legacy
-        .paths()
         .iter()
-        .filter(|p| p.path.hops().contains(&AS_TRANS))
+        .filter(|(_, hops)| hops.contains(&AS_TRANS))
         .count();
     assert!(
         n_legacy > 0,
