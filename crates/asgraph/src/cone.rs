@@ -199,7 +199,7 @@ impl PpdcCones {
     /// itself was never observed on a path. Allocation-free — a binary
     /// search on sparse rows, a bit probe on dense ones (rows carry the
     /// self entry; a rowless AS owns the implicit `{asn}` cone) — so it is
-    /// safe on the lock-free query path.
+    /// safe on the server's per-query path.
     #[must_use]
     pub fn contains(&self, asn: Asn, member: Asn) -> Option<bool> {
         let id = self.indexer.id(asn)?;

@@ -160,6 +160,44 @@ mod tests {
         assert!(from_caida_text("1|2|0\n1|2|-1\n").is_err());
     }
 
+    /// Every single-token substitution and insertion into a serial-1 text
+    /// is rejected, or parses to an inference that survives a round trip.
+    #[test]
+    fn mutated_text_is_rejected_or_round_trips() {
+        let text = "# input clique: 174 3356\n174|3356|0\n174|29791|-1|bgp\n";
+        let tokens = ["|", "-1", "#", "+5", "4294967296", "é", "\t", "\n"];
+        let cuts: Vec<usize> = text
+            .char_indices()
+            .map(|(i, _)| i)
+            .chain([text.len()])
+            .collect();
+        let mut mutants = Vec::new();
+        for tok in tokens {
+            for &at in &cuts {
+                mutants.push(format!("{}{tok}{}", &text[..at], &text[at..]));
+            }
+            for w in cuts.windows(2) {
+                mutants.push(format!("{}{tok}{}", &text[..w[0]], &text[w[1]..]));
+            }
+        }
+        let (mut rejected, mut parsed) = (0usize, 0usize);
+        for mutant in &mutants {
+            let Ok(inference) = from_caida_text(mutant) else {
+                rejected += 1;
+                continue;
+            };
+            let again = from_caida_text(&to_caida_text(&inference))
+                .unwrap_or_else(|e| panic!("{mutant:?} re-encodes unparsably: {e}"));
+            assert_eq!(again.rels, inference.rels, "{mutant:?}");
+            assert_eq!(again.clique, inference.clique, "{mutant:?}");
+            parsed += 1;
+        }
+        assert!(
+            rejected > 0 && parsed > 0,
+            "{rejected} rejected, {parsed} parsed"
+        );
+    }
+
     #[test]
     fn sibling_code() {
         let mut inf = Inference::default();

@@ -1,4 +1,4 @@
-//! # brevald — lock-free snapshot query server
+//! # brevald — snapshot query server
 //!
 //! A long-lived server loop answering per-AS and per-link queries against
 //! immutable scenario snapshots:
@@ -16,9 +16,10 @@
 //!   resolved into direct `Arc`s ([`set::ClassifierView`]) plus the
 //!   region×topology [`slices::SliceIndex`]. Incomplete snapshots are an
 //!   explicit error, never silently-empty answers.
-//! * [`store`] — the atomically-swapped generation slab: lock-free
-//!   readers ([`store::SnapshotStore::current`] is two atomic loads), a
-//!   single release-store publish, no `unsafe`.
+//! * [`store`] — one `Mutex<Arc<SnapshotSet>>` cell: a read
+//!   ([`store::SnapshotStore::current`]) clones the active `Arc` under the
+//!   lock, a publish swaps in the next generation, and an old generation
+//!   drops with its last reader. No capacity, no `unsafe`.
 //! * [`engine`] — parse → allocation-free eval kernel → format. Replies
 //!   are a pure function of (generation, query), so responses within a
 //!   generation are byte-identical at any thread count; batches fan out
@@ -41,4 +42,4 @@ pub use engine::{answer_batch, answer_line, eval, parse, Query, Reply};
 pub use server::Server;
 pub use set::{ClassifierView, SnapshotSet, MAX_CLASSIFIERS};
 pub use slices::{SliceIndex, SliceTable};
-pub use store::{PublishError, SnapshotStore, GENERATION_CAPACITY};
+pub use store::SnapshotStore;

@@ -20,16 +20,17 @@
 //! ```
 //!
 //! Malformed input gets an `err <hint>` line; the loop never panics and
-//! never exits on bad input. Every single query resolves the store's
-//! current generation once; a batch resolves it once for the *whole*
-//! batch, so a concurrent reload can never split a batch across
+//! never exits on bad input. A line that is not UTF-8 gets exactly one
+//! `err` line too, inside or outside a batch. Every single query resolves
+//! the store's current generation once; a batch resolves it once for the
+//! *whole* batch, so a concurrent reload can never split a batch across
 //! generations.
 
 use crate::engine;
 use crate::set::SnapshotSet;
 use crate::store::SnapshotStore;
 use breval_core::pipeline::ScenarioConfig;
-use std::io::{BufRead, Write};
+use std::io::{self, BufRead, Write};
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -38,13 +39,14 @@ use std::thread::JoinHandle;
 /// buffer unbounded input.
 pub const MAX_BATCH: usize = 65_536;
 
-/// The serve loop state: the lock-free store plus what a reload needs to
+/// The serve loop state: the generation store plus what a reload needs to
 /// rebuild a generation (the snapshot directory and the scenario config).
 pub struct Server {
     store: Arc<SnapshotStore>,
     dir: PathBuf,
     config: ScenarioConfig,
-    pending_reload: Option<JoinHandle<()>>,
+    /// The last reload thread, with the generation active when it started.
+    pending_reload: Option<(JoinHandle<()>, u64)>,
 }
 
 impl Server {
@@ -66,13 +68,18 @@ impl Server {
     }
 
     /// Kicks off an off-thread warm reload: load every snapshot part plus
-    /// the slice table from disk, then atomically publish the new
-    /// generation. The serve loop (and every in-flight reader) keeps
-    /// answering from the old generation until the swap lands. Errors bump
-    /// `brevald_reload_errors` and leave the old generation active.
+    /// the slice table from disk, then publish the new generation. The
+    /// serve loop (and every in-flight reader) keeps answering from the old
+    /// generation until the swap lands. A failed load bumps
+    /// `brevald_reload_errors` and leaves the old generation active.
+    ///
+    /// A reload is in progress until its generation is visible. After the
+    /// swap its thread only frees the generation it replaced, so a new
+    /// reload waits for that instead of being refused.
     fn start_reload(&mut self) -> Result<(), &'static str> {
-        if let Some(handle) = &self.pending_reload {
-            if !handle.is_finished() {
+        let active = self.store.current().generation();
+        if let Some((handle, from)) = &self.pending_reload {
+            if !handle.is_finished() && *from == active {
                 return Err("reload already in progress");
             }
             self.join_reload();
@@ -86,16 +93,14 @@ impl Server {
                 let _span = breval_obs::span!("brevald_reload");
                 match SnapshotSet::load(&dir, &config) {
                     Ok(set) => {
-                        if store.publish(set).is_err() {
-                            breval_obs::counter("brevald_reload_errors", 1);
-                        }
+                        let _ = store.publish(set);
                     }
                     Err(_) => breval_obs::counter("brevald_reload_errors", 1),
                 }
             });
         match handle {
             Ok(handle) => {
-                self.pending_reload = Some(handle);
+                self.pending_reload = Some((handle, active));
                 Ok(())
             }
             Err(_) => Err("spawning the reload thread failed"),
@@ -104,7 +109,7 @@ impl Server {
 
     /// Joins any pending reload thread (completed or not).
     fn join_reload(&mut self) {
-        if let Some(handle) = self.pending_reload.take() {
+        if let Some((handle, _)) = self.pending_reload.take() {
             if handle.join().is_err() {
                 breval_obs::counter("brevald_reload_errors", 1);
             }
@@ -112,13 +117,18 @@ impl Server {
     }
 
     /// Runs the line protocol until EOF or `quit`. Responses go to `out`
-    /// in request order; protocol errors are `err` lines, I/O errors on
-    /// the transport itself end the loop.
-    pub fn serve<R: BufRead, W: Write>(&mut self, input: R, mut out: W) -> std::io::Result<()> {
+    /// in request order; protocol errors (a non-UTF-8 line among them) are
+    /// `err` lines, I/O errors on the transport itself end the loop.
+    pub fn serve<R: BufRead, W: Write>(&mut self, mut input: R, mut out: W) -> io::Result<()> {
         let _span = breval_obs::span!("brevald_serve");
-        let mut lines = input.lines();
-        while let Some(line) = lines.next() {
-            let line = line?;
+        let (mut request, mut query) = (Vec::new(), Vec::new());
+        while read_line(&mut input, &mut request)? {
+            let Ok(line) = std::str::from_utf8(&request) else {
+                breval_obs::counter("brevald_queries_malformed", 1);
+                writeln!(out, "err request is not UTF-8")?;
+                out.flush()?;
+                continue;
+            };
             let trimmed = line.trim();
             if trimmed.is_empty() {
                 continue;
@@ -142,11 +152,11 @@ impl Server {
                     match count {
                         Some(n) if n <= MAX_BATCH => {
                             let mut queries = Vec::with_capacity(n);
-                            for _ in 0..n {
-                                match lines.next() {
-                                    Some(q) => queries.push(q?),
-                                    None => break, // EOF mid-batch: answer what arrived
-                                }
+                            // EOF mid-batch: answer what arrived. A query
+                            // that is not UTF-8 decodes with U+FFFD, which
+                            // no token accepts, so it answers one `err`.
+                            while queries.len() < n && read_line(&mut input, &mut query)? {
+                                queries.push(String::from_utf8_lossy(&query).into_owned());
                             }
                             // One generation for the whole batch.
                             let set = self.store.current();
@@ -168,6 +178,23 @@ impl Server {
         self.join_reload();
         out.flush()
     }
+}
+
+/// Reads the next line into `buf` without its `\n` or `\r\n` ending, as
+/// `BufRead::lines` would, but as bytes, so a line that is not UTF-8 is an
+/// answerable request rather than a transport error. `false` at EOF.
+fn read_line<R: BufRead>(input: &mut R, buf: &mut Vec<u8>) -> io::Result<bool> {
+    buf.clear();
+    if input.read_until(b'\n', buf)? == 0 {
+        return Ok(false);
+    }
+    if buf.last() == Some(&b'\n') {
+        buf.pop();
+        if buf.last() == Some(&b'\r') {
+            buf.pop();
+        }
+    }
+    Ok(true)
 }
 
 impl Drop for Server {

@@ -81,8 +81,8 @@ pub struct SnapshotSet {
 }
 
 impl SnapshotSet {
-    /// A set with no classifiers and an empty slice table — the stand-in
-    /// the store degrades to if its invariants are ever violated.
+    /// A set with no classifiers and an empty slice table: every query
+    /// answers `ok` with no data.
     #[must_use]
     pub fn empty() -> Self {
         SnapshotSet {
@@ -105,7 +105,7 @@ impl SnapshotSet {
     }
 
     /// The same set renumbered to `generation` (used by the store on
-    /// publish; generations are assigned by slot, not by builder).
+    /// publish; generations are assigned by the store, not by builder).
     #[must_use]
     pub fn with_generation(mut self, generation: u64) -> Self {
         self.generation = generation;

@@ -417,6 +417,24 @@ mod tests {
         }
     }
 
+    /// A few hundred rows cycling every valid region and topo code, so
+    /// byte flips land in every field of many rows.
+    fn wide() -> SliceTable {
+        let regions: Vec<u8> = (0..=REGION_NONE)
+            .filter(|c| *c == REGION_NONE || c / 5 <= c % 5)
+            .collect();
+        let rows = (0..300u32)
+            .zip(regions.iter().cycle().zip(VALID_TOPO.iter().cycle()))
+            .map(|(i, (&region, &topo))| SliceRow {
+                link: l(1 + i / 4, 70_000 + i),
+                region,
+                topo,
+                validated: i % 3 == 0,
+            })
+            .collect();
+        SliceTable { rows }
+    }
+
     fn key() -> SnapshotKey {
         SnapshotKey {
             config_hash: 0x1234,
@@ -472,6 +490,33 @@ mod tests {
         let meta_at = bytes.len() - 4; // last row's meta word
         bad[meta_at + 1] = 4; // topo = 4: not a valid pair code
         assert!(SliceTable::from_bytes(&bad).is_err());
+        // Every single-byte flip is rejected, or decodes to a table that
+        // re-encodes to exactly the flipped bytes.
+        for table in [sample(), wide()] {
+            let bytes = table.to_bytes(&key());
+            let (mut rejected, mut decoded) = (0usize, 0usize);
+            for at in 0..bytes.len() {
+                for mask in [0x01u8, 0x80, 0xff] {
+                    let mut flipped = bytes.clone();
+                    flipped[at] ^= mask;
+                    match SliceTable::from_bytes(&flipped) {
+                        Err(_) => rejected += 1,
+                        Ok((found, decoded_table)) => {
+                            assert_eq!(
+                                decoded_table.to_bytes(&found),
+                                flipped,
+                                "flip {mask:#04x} at byte {at} does not re-encode"
+                            );
+                            decoded += 1;
+                        }
+                    }
+                }
+            }
+            assert!(
+                rejected > 0 && decoded > 0,
+                "{rejected} rejected, {decoded} decoded"
+            );
+        }
     }
 
     #[test]

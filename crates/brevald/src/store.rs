@@ -1,119 +1,67 @@
-//! The atomically-swapped snapshot store: lock-free readers, off-thread
-//! publishers.
+//! The snapshot store: one cell holding the active generation, read by
+//! the query path and swapped by off-thread publishers.
 //!
-//! # Why a slab and not a lock
+//! The cell is a `Mutex<Arc<SnapshotSet>>`, and the lock covers exactly
+//! one `Arc` clone (a read) or one swap (a publish):
 //!
-//! Readers on the query path must never block — not on a reloading writer,
-//! not on each other. The safe-Rust way to get an atomically swappable
-//! `Arc<T>` without reader locks is a **generation slab**: a fixed array of
-//! [`OnceLock`] slots plus an [`AtomicUsize`] index naming the active slot.
+//! - A **read** ([`SnapshotStore::current`]) clones the active `Arc` and
+//!   lets go of the lock. The caller then answers from an immutable set
+//!   that no publish can change under it.
+//! - A **publish** numbers the new set one past the active generation,
+//!   swaps it in, releases the lock, and only then drops the `Arc` it
+//!   replaced. So a generation is freed when its last reader lets go, and
+//!   never while the lock is held.
 //!
-//! - A **read** is `active.load(Acquire)` followed by `OnceLock::get` on
-//!   that slot — two atomic loads, no mutex, no CAS loop. `OnceLock::get`
-//!   on an initialised slot is a plain acquire load; it can only block
-//!   *during* initialisation, and a slot is always fully initialised
-//!   *before* `active` is pointed at it.
-//! - A **publish** fills the next free slot (`OnceLock::set`) and then
-//!   stores its index into `active` with release ordering. In-flight
-//!   readers keep the `Arc` they already cloned; new readers see the new
-//!   generation. Nothing is ever mutated in place, so there are no torn
-//!   reads by construction.
-//!
-//! Old generations stay pinned in their slots (their `Arc`s drop only when
-//! the store does), which bounds the design: the slab holds
-//! [`GENERATION_CAPACITY`] generations and [`SnapshotStore::publish`]
-//! reports exhaustion as an error instead of wrapping. At one reload per
-//! minute that is over four hours of continuous swapping — and a restart,
-//! not silent reuse of live slots, is the correct response to running out.
+//! Nothing else is shared, so the store has no capacity: a server can
+//! reload for as long as it runs.
 
 use crate::set::SnapshotSet;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::convert::Infallible;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
-/// Maximum number of generations a store can hold over its lifetime.
-pub const GENERATION_CAPACITY: usize = 256;
-
-/// Why a new generation could not be published.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum PublishError {
-    /// All [`GENERATION_CAPACITY`] slots are used; restart the server.
-    CapacityExhausted,
-}
-
-impl std::fmt::Display for PublishError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            PublishError::CapacityExhausted => write!(
-                f,
-                "snapshot store generation capacity ({GENERATION_CAPACITY}) exhausted"
-            ),
-        }
-    }
-}
-
-impl std::error::Error for PublishError {}
-
-/// The lock-free snapshot store (see the module docs for the protocol).
+/// The generation cell (see the module docs for the protocol).
 pub struct SnapshotStore {
-    slots: Box<[OnceLock<Arc<SnapshotSet>>]>,
-    /// Index of the active slot; always initialised before being named.
-    active: AtomicUsize,
-    /// Number of slots claimed so far (slot 0 is the initial set).
-    published: AtomicUsize,
+    active: Mutex<Arc<SnapshotSet>>,
 }
 
 impl SnapshotStore {
     /// A store whose generation 0 is `initial`.
     #[must_use]
     pub fn new(initial: SnapshotSet) -> Self {
-        let slots: Box<[OnceLock<Arc<SnapshotSet>>]> =
-            (0..GENERATION_CAPACITY).map(|_| OnceLock::new()).collect();
-        let store = SnapshotStore {
-            slots,
-            active: AtomicUsize::new(0),
-            published: AtomicUsize::new(1),
-        };
-        if let Some(slot) = store.slots.first() {
-            let _ = slot.set(Arc::new(initial.with_generation(0)));
+        SnapshotStore {
+            active: Mutex::new(Arc::new(initial.with_generation(0))),
         }
-        store
     }
 
-    /// The active snapshot set. Lock-free: two atomic loads and an `Arc`
-    /// bump; never blocks on a concurrent [`SnapshotStore::publish`].
+    /// The cell, locked. Every update is one `mem::replace` of a whole
+    /// `Arc`, so even a poisoned lock guards a valid set: poisoning is
+    /// ignored rather than turned into a panic on the query path.
+    fn cell(&self) -> MutexGuard<'_, Arc<SnapshotSet>> {
+        self.active.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The active snapshot set: one `Arc` clone under the lock.
     #[must_use]
     pub fn current(&self) -> Arc<SnapshotSet> {
-        let idx = self.active.load(Ordering::Acquire);
-        // Both lookups are infallible by protocol (`active` only ever names
-        // an initialised slot); degrade to generation 0 rather than panic.
-        self.slots
-            .get(idx)
-            .and_then(OnceLock::get)
-            .or_else(|| self.slots.first().and_then(OnceLock::get))
-            .map(Arc::clone)
-            .unwrap_or_else(|| Arc::new(SnapshotSet::empty()))
+        Arc::clone(&self.cell())
     }
 
-    /// Number of generations published so far (≥ 1).
+    /// Number of generations published so far (≥ 1); they are numbered
+    /// 0, 1, 2, … in publish order.
     #[must_use]
     pub fn generations(&self) -> usize {
-        self.published.load(Ordering::Acquire).min(self.slots.len())
+        self.current().generation() as usize + 1
     }
 
-    /// Publishes `set` as the next generation and atomically makes it the
-    /// active one. Returns the generation number assigned. In-flight
-    /// readers are never blocked: they keep the `Arc` they hold, and the
-    /// swap is a single release store.
-    pub fn publish(&self, set: SnapshotSet) -> Result<u64, PublishError> {
-        let idx = self.published.fetch_add(1, Ordering::AcqRel);
-        let Some(slot) = self.slots.get(idx) else {
-            // Undo nothing: `published` saturates against the slab length
-            // in `generations()`, and every later publish also fails.
-            return Err(PublishError::CapacityExhausted);
-        };
-        let generation = idx as u64;
-        let _ = slot.set(Arc::new(set.with_generation(generation)));
-        self.active.store(idx, Ordering::Release);
+    /// Publishes `set` as the next generation and makes it the active one.
+    /// Returns the generation number assigned. Readers holding the old
+    /// generation keep it; the old set drops when the last of them does.
+    pub fn publish(&self, set: SnapshotSet) -> Result<u64, Infallible> {
+        let mut active = self.cell();
+        let generation = active.generation() + 1;
+        let replaced = std::mem::replace(&mut *active, Arc::new(set.with_generation(generation)));
+        drop(active);
+        drop(replaced);
         breval_obs::counter("brevald_reloads", 1);
         Ok(generation)
     }
@@ -123,7 +71,6 @@ impl std::fmt::Debug for SnapshotStore {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SnapshotStore")
             .field("generations", &self.generations())
-            .field("capacity", &self.slots.len())
             .finish()
     }
 }
@@ -136,7 +83,7 @@ mod tests {
     fn publish_advances_the_active_generation() {
         let store = SnapshotStore::new(SnapshotSet::empty());
         assert_eq!(store.current().generation(), 0);
-        let g = store.publish(SnapshotSet::empty()).expect("capacity left");
+        let g = store.publish(SnapshotSet::empty()).expect("infallible");
         assert_eq!(g, 1);
         assert_eq!(store.current().generation(), 1);
         assert_eq!(store.generations(), 2);
@@ -146,27 +93,26 @@ mod tests {
     fn readers_keep_their_generation_across_a_publish() {
         let store = SnapshotStore::new(SnapshotSet::empty());
         let before = store.current();
-        store.publish(SnapshotSet::empty()).expect("capacity left");
+        store.publish(SnapshotSet::empty()).expect("infallible");
         // The old Arc is still alive and unchanged.
         assert_eq!(before.generation(), 0);
         assert_eq!(store.current().generation(), 1);
     }
 
     #[test]
-    fn capacity_exhaustion_is_an_error_not_a_wrap() {
+    fn replaced_generations_drop_and_publishing_never_runs_out() {
         let store = SnapshotStore::new(SnapshotSet::empty());
-        for _ in 1..GENERATION_CAPACITY {
-            store.publish(SnapshotSet::empty()).expect("capacity left");
+        let mut published = vec![Arc::downgrade(&store.current())];
+        for _ in 1..300 {
+            store.publish(SnapshotSet::empty()).expect("infallible");
+            published.push(Arc::downgrade(&store.current()));
         }
-        assert!(matches!(
-            store.publish(SnapshotSet::empty()),
-            Err(PublishError::CapacityExhausted)
-        ));
-        // The store still serves the last good generation.
-        assert_eq!(
-            store.current().generation(),
-            (GENERATION_CAPACITY - 1) as u64
+        let (active, replaced) = published.split_last().expect("300 generations");
+        assert!(
+            replaced.iter().all(|g| g.upgrade().is_none()),
+            "a replaced generation with no reader is still alive"
         );
-        assert_eq!(store.generations(), GENERATION_CAPACITY);
+        assert_eq!(active.upgrade().map(|s| s.generation()), Some(299));
+        assert_eq!(store.generations(), 300);
     }
 }

@@ -7,8 +7,8 @@
 use breval_core::pipeline::{Scenario, ScenarioConfig};
 use brevald::server::Server;
 use brevald::set::SnapshotSet;
-use brevald::slices;
 use brevald::store::SnapshotStore;
+use brevald::{engine, slices};
 use std::io::Cursor;
 use std::path::PathBuf;
 use std::sync::{Arc, OnceLock};
@@ -68,12 +68,12 @@ fn query_corpus(scenario: &Scenario) -> Vec<String> {
 
 /// Runs the serve loop over an in-memory transport and returns its full
 /// output.
-fn serve_transcript(initial: SnapshotSet, dir: &std::path::Path, input: &str) -> String {
+fn serve_transcript(initial: SnapshotSet, dir: &std::path::Path, input: &[u8]) -> String {
     let store = Arc::new(SnapshotStore::new(initial));
     let mut server = Server::new(store, dir.to_path_buf(), config());
     let mut out = Vec::new();
     server
-        .serve(Cursor::new(input.as_bytes().to_vec()), &mut out)
+        .serve(Cursor::new(input.to_vec()), &mut out)
         .expect("in-memory transport never fails");
     String::from_utf8(out).expect("responses are UTF-8")
 }
@@ -107,8 +107,8 @@ fn warm_load_answers_every_query_kind_identically_to_cold_build() {
     let cold = SnapshotSet::from_scenario(scenario).expect("cold set");
     let warm = SnapshotSet::load(dir, &config()).expect("warm set");
     assert_eq!(
-        serve_transcript(cold, dir, &input),
-        serve_transcript(warm, dir, &input),
+        serve_transcript(cold, dir, input.as_bytes()),
+        serve_transcript(warm, dir, input.as_bytes()),
         "serve transcripts differ between warm and cold"
     );
 }
@@ -117,7 +117,7 @@ fn warm_load_answers_every_query_kind_identically_to_cold_build() {
 fn malformed_input_gets_err_lines_and_never_kills_the_loop() {
     let (_, dir) = fixture();
     let input = "bogus\ncone\ncone nope\nclass 5\nclass 5 5\nslice X *\n\n   \nstats\nquit\n";
-    let out = serve_transcript(SnapshotSet::empty(), dir, input);
+    let out = serve_transcript(SnapshotSet::empty(), dir, input.as_bytes());
     let lines: Vec<&str> = out.lines().collect();
     assert_eq!(lines.len(), 8, "6 errors + stats + bye: {out}");
     for err in &lines[..6] {
@@ -131,6 +131,91 @@ fn malformed_input_gets_err_lines_and_never_kills_the_loop() {
 }
 
 #[test]
+fn non_utf8_lines_get_one_err_line_each_and_never_kill_the_loop() {
+    let (_, dir) = fixture();
+    // A non-UTF-8 line at the top level (alone and after a control word)
+    // and inside a batch; `\r\n` endings are stripped like `\n`.
+    let input = b"stats\n\xffcone 1\nstats\nreload \xff\nbatch 3\ncone 1\n\xfe\xff\r\nstats\r\ncone 1\r\ndrain\nquit\n";
+    let out = serve_transcript(SnapshotSet::empty(), dir, input);
+    let lines: Vec<&str> = out.lines().collect();
+    let expected = [
+        "ok stats ",
+        "err ",
+        "ok stats ",
+        "err ",
+        "ok cone 1",
+        "err ",
+        "ok stats ",
+        "ok cone 1",
+        "ok drain gen=0", // the non-UTF-8 `reload` did not reload
+        "ok bye",
+    ];
+    assert_eq!(lines.len(), expected.len(), "one reply per request: {out}");
+    for (line, want) in lines.iter().zip(expected) {
+        assert!(
+            line.starts_with(want),
+            "expected {want:?}…, got {line:?}: {out}"
+        );
+    }
+}
+
+/// Every single-token substitution and insertion into a real query of
+/// each kind still answers exactly one line, `ok …` or `err …`.
+#[test]
+fn mutated_query_lines_answer_one_ok_or_err_line() {
+    let (scenario, dir) = fixture();
+    let warm = SnapshotSet::load(dir, &config()).expect("warm set");
+    let corpus = query_corpus(scenario);
+    let seeds: Vec<&String> = engine::QUERY_KINDS
+        .iter()
+        .filter_map(|kind| corpus.iter().find(|q| q.split(' ').next() == Some(kind)))
+        .collect();
+    assert_eq!(seeds.len(), engine::QUERY_KINDS.len(), "one seed per kind");
+    let tokens = [
+        " ",
+        "*",
+        "-1",
+        "+5",
+        "0",
+        "4294967296",
+        "é",
+        "°",
+        "\t",
+        "\n",
+        "\u{fffd}",
+        "|",
+    ];
+    let mut mutants = Vec::new();
+    for seed in seeds {
+        let cuts: Vec<usize> = seed
+            .char_indices()
+            .map(|(i, _)| i)
+            .chain([seed.len()])
+            .collect();
+        for tok in tokens {
+            for &at in &cuts {
+                mutants.push(format!("{}{tok}{}", &seed[..at], &seed[at..]));
+            }
+            for w in cuts.windows(2) {
+                mutants.push(format!("{}{tok}{}", &seed[..w[0]], &seed[w[1]..]));
+            }
+        }
+    }
+    assert!(
+        mutants.len() > 1_000,
+        "only {} mutated lines",
+        mutants.len()
+    );
+    for line in &mutants {
+        let reply = brevald::answer_line(&warm, line);
+        assert!(
+            (reply.starts_with("ok ") || reply.starts_with("err ")) && !reply.contains('\n'),
+            "{line:?} -> {reply:?}"
+        );
+    }
+}
+
+#[test]
 fn batch_answers_match_single_query_answers() {
     let (scenario, dir) = fixture();
     let warm = SnapshotSet::load(dir, &config()).expect("warm set");
@@ -141,7 +226,7 @@ fn batch_answers_match_single_query_answers() {
         .map(|q| brevald::answer_line(&warm, q))
         .collect();
     let batch_input = format!("batch {}\n{}\nquit\n", queries.len(), queries.join("\n"));
-    let out = serve_transcript(warm, dir, &batch_input);
+    let out = serve_transcript(warm, dir, batch_input.as_bytes());
     let mut lines = out.lines();
     for (i, expected) in singles.iter().enumerate() {
         assert_eq!(lines.next(), Some(expected.as_str()), "batch line {i}");
@@ -153,7 +238,7 @@ fn batch_answers_match_single_query_answers() {
     let out = serve_transcript(
         SnapshotSet::empty(),
         dir,
-        "batch 999999999\nbatch x\nquit\n",
+        b"batch 999999999\nbatch x\nquit\n",
     );
     let lines: Vec<&str> = out.lines().collect();
     assert!(lines[0].starts_with("err batch larger"), "{out}");
@@ -168,7 +253,7 @@ fn reload_swaps_in_a_new_generation_over_the_wire() {
     let out = serve_transcript(
         SnapshotSet::empty(),
         dir,
-        "stats\nreload\ndrain\nstats\nquit\n",
+        b"stats\nreload\ndrain\nstats\nquit\n",
     );
     let lines: Vec<&str> = out.lines().collect();
     assert_eq!(

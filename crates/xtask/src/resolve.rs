@@ -10,9 +10,11 @@
 //! bodies back onto that table. It is a deliberate *over-approximation*:
 //! where the name is ambiguous (plain method calls, re-exported paths) it
 //! returns every plausible target, so reachability-based rules may flag too
-//! much but never silently miss an edge. The one precision guard: a
+//! much but never silently miss an edge. Two precision guards: a
 //! `Type::assoc(..)` call only resolves when `Type` is a workspace type —
-//! `Vec::new` or `HashMap::from` never aliases onto workspace functions.
+//! `Vec::new` or `HashMap::from` never aliases onto workspace functions —
+//! and a path rooted at `std`, `core` or `alloc` never resolves into the
+//! workspace, so `std::thread::current()` is not every workspace `current`.
 
 use crate::ast::{self, FnDecl, Item, ItemKind, UseLeaf};
 use crate::tokens::Tok;
@@ -484,7 +486,32 @@ impl Workspace {
         self.resolve(f.file_idx, call)
     }
 
+    /// `true` if the path `segs`, as written in `file_idx`, starts at the
+    /// standard library: at `std`, `core` or `alloc`, directly or through a
+    /// `use` of one of them (`use std::thread; thread::current()`). A crate
+    /// with its own module of that name (topogen's `alloc`) keeps it.
+    fn rooted_in_std(&self, file_idx: usize, segs: &[String]) -> bool {
+        let file = &self.files[file_idx];
+        let Some(first) = segs.first() else {
+            return false;
+        };
+        let root = file
+            .imports
+            .iter()
+            .find(|l| &l.alias == first)
+            .and_then(|l| l.segments.first())
+            .unwrap_or(first);
+        matches!(root.as_str(), "std" | "core" | "alloc")
+            && !self
+                .fns
+                .iter()
+                .any(|f| f.krate == file.krate && f.module.first() == Some(root))
+    }
+
     fn resolve_path(&self, file_idx: usize, segs: &[String], follow_imports: bool) -> Vec<usize> {
+        if self.rooted_in_std(file_idx, segs) {
+            return Vec::new();
+        }
         // Normalise away leading `crate` / `self` / `super` qualifiers.
         let segs: Vec<&String> = segs
             .iter()
@@ -642,6 +669,37 @@ mod tests {
         assert!(ws
             .resolve(0, &CallRef::Path(vec!["Vec".into(), "new".into()]))
             .is_empty());
+    }
+
+    #[test]
+    fn std_rooted_paths_never_resolve_into_the_workspace() {
+        let ws = Workspace::from_sources(
+            "testcrate",
+            &[(
+                "src/lib.rs",
+                "use std::thread;\n\
+                 use std::thread::current as this_thread;\n\
+                 pub struct Store;\n\
+                 impl Store { pub fn current(&self) {} }\n\
+                 pub fn current() {}\n\
+                 pub mod alloc { pub fn fill() {} }\n",
+            )],
+        );
+        let resolve = |path: &[&str]| {
+            let segs = path.iter().map(|s| (*s).to_owned()).collect();
+            ws.resolve(0, &CallRef::Path(segs))
+        };
+        for std_path in [
+            &["std", "thread", "current"][..],
+            &["core", "mem", "drop"],
+            &["thread", "current"],
+            &["this_thread"],
+        ] {
+            assert!(resolve(std_path).is_empty(), "{std_path:?} resolved");
+        }
+        // Workspace paths still resolve, including a crate's own `alloc`.
+        assert_eq!(resolve(&["current"]).len(), 1);
+        assert_eq!(resolve(&["alloc", "fill"]).len(), 1);
     }
 
     #[test]
