@@ -47,6 +47,17 @@ impl Asn {
         self == AS_TRANS
     }
 
+    /// The ASN as a 16-bit-only speaker sees it: `AS_TRANS` in place of a
+    /// 4-byte ASN (RFC 6793), the ASN itself otherwise.
+    #[must_use]
+    pub fn to_two_byte(self) -> Asn {
+        if self.is_four_byte() {
+            AS_TRANS
+        } else {
+            self
+        }
+    }
+
     /// Classifies the ASN against the IANA special-purpose registry.
     ///
     /// Returns `None` for globally-assignable ASNs, `Some(reason)` otherwise.

@@ -44,6 +44,6 @@ pub use error::GraphError;
 pub use graph::{AsGraph, NeighborRole};
 pub use index::AsIndexer;
 pub use link::Link;
-pub use paths::{has_loop, AsPath, PathSet, PathStats};
+pub use paths::{has_loop, AsPath, PathSet, PathStats, RawHops};
 pub use rel::{GtRel, Rel, RelClass};
 pub use valley::{check_valley_free, ValleyViolation};

@@ -46,8 +46,8 @@ pub fn has_loop(hops: &[Asn]) -> bool {
 ///
 /// Every path is kept once, prepend-compressed, as a slice of one shared hop
 /// array; [`PathSet::iter`] walks them as `(vantage point, &[Asn])` pairs.
-/// Prepending survives only as a sparse side list, which `Debug` reads to
-/// print each path as it was pushed.
+/// Prepending survives only as a sparse side list, which
+/// [`PathSet::iter_raw`] reads to restore each path as it was pushed.
 #[derive(Clone, Default)]
 pub struct PathSet {
     /// The compressed hops of every path, concatenated in push order.
@@ -92,9 +92,42 @@ impl PathSet {
         self.vps.push(vp);
     }
 
+    /// Appends every path of `other`, in its order.
+    pub fn append(&mut self, other: &PathSet) {
+        for (vp, span) in other.spans() {
+            self.push_span(other, vp, span);
+        }
+    }
+
+    /// Copies the path of `src` at `span`, prepending included.
+    fn push_span(&mut self, src: &PathSet, vp: Asn, span: Range<usize>) {
+        let (from, to) = (store_index(span.start), store_index(self.hops.len()));
+        let moved = src.prepends_in(&span).iter();
+        self.prepends
+            .extend(moved.map(|&(at, extra)| (at - from + to, extra)));
+        self.hops.extend_from_slice(&src.hops[span]);
+        self.ends.push(store_index(self.hops.len()));
+        self.vps.push(vp);
+    }
+
     /// Every path as `(vantage point, compressed hops)`, in push order.
     pub fn iter(&self) -> impl Iterator<Item = (Asn, &[Asn])> + '_ {
         self.spans().map(|(vp, span)| (vp, &self.hops[span]))
+    }
+
+    /// Path `i` as `(vantage point, compressed hops)`.
+    #[must_use]
+    pub fn get(&self, i: usize) -> Option<(Asn, &[Asn])> {
+        let start = if i == 0 { 0 } else { *self.ends.get(i - 1)? };
+        let hops = self.hops.get(start as usize..*self.ends.get(i)? as usize)?;
+        Some((*self.vps.get(i)?, hops))
+    }
+
+    /// Every path as `(vantage point, hops as pushed)`, prepending
+    /// restored, in push order.
+    pub fn iter_raw(&self) -> impl Iterator<Item = (Asn, RawHops<'_>)> + '_ {
+        self.spans()
+            .map(|(vp, span)| (vp, RawHops { set: self, span }))
     }
 
     /// Every path as `(vantage point, range in hops)`, in push order.
@@ -148,16 +181,9 @@ impl PathSet {
         };
         for (vp, span) in self.spans() {
             let hops = &self.hops[span.clone()];
-            if has_loop(hops) || hops.iter().any(|a| a.is_reserved()) {
-                continue;
+            if !has_loop(hops) && !hops.iter().any(|a| a.is_reserved()) {
+                out.push_span(self, vp, span);
             }
-            let (from, to) = (store_index(span.start), store_index(out.hops.len()));
-            let moved = self.prepends_in(&span).iter();
-            out.prepends
-                .extend(moved.map(|&(at, extra)| (at - from + to, extra)));
-            out.hops.extend_from_slice(hops);
-            out.ends.push(store_index(out.hops.len()));
-            out.vps.push(vp);
         }
         breval_obs::counter("paths_sanitized_dropped", (self.len() - out.len()) as u64);
         breval_obs::counter("paths_sanitized_kept", out.len() as u64);
@@ -198,35 +224,52 @@ fn store_index(n: usize) -> u32 {
     u32::try_from(n).expect("a path set holds at most u32::MAX hops")
 }
 
+/// One path's hops as pushed, prepending restored, read straight from the
+/// store; `Debug` prints them as a list.
+#[derive(Clone)]
+pub struct RawHops<'a> {
+    set: &'a PathSet,
+    /// The path's range in the store's hops.
+    span: Range<usize>,
+}
+
+impl<'a> RawHops<'a> {
+    /// The hops, each as many times as it was pushed; allocation-free.
+    pub fn iter(&self) -> impl Iterator<Item = Asn> + 'a {
+        let set = self.set;
+        let mut prepends = set.prepends_in(&self.span).iter().peekable();
+        self.span.clone().flat_map(move |at| {
+            let extra = prepends.next_if(|p| p.0 as usize == at).map_or(0, |p| p.1);
+            std::iter::repeat_n(set.hops[at], 1 + extra as usize)
+        })
+    }
+}
+
+impl fmt::Debug for RawHops<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
 /// Prints what the derived `Debug` of the former
 /// `PathSet { paths: Vec<ObservedPath { vp, path: AsPath }> }` printed,
 /// prepending included, so digests of a path set's `Debug` stay put. Each
 /// path renders straight from the store, one at a time.
 impl fmt::Debug for PathSet {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let path = |vp: Asn, span: Range<usize>| {
-            DebugFn(move |f: &mut fmt::Formatter<'_>| {
-                let raw = DebugFn(|f: &mut fmt::Formatter<'_>| {
-                    let mut prepends = self.prepends_in(&span).iter().peekable();
-                    let hops = span.clone().flat_map(|at| {
-                        let extra = prepends.next_if(|p| p.0 as usize == at).map_or(0, |p| p.1);
-                        std::iter::repeat_n(self.hops[at], 1 + extra as usize)
-                    });
-                    f.debug_list().entries(hops).finish()
-                });
-                let path = DebugFn(|f: &mut fmt::Formatter<'_>| {
-                    f.debug_tuple("AsPath").field(&raw).finish()
-                });
-                f.debug_struct("ObservedPath")
-                    .field("vp", &vp)
-                    .field("path", &path)
-                    .finish()
-            })
-        };
         let paths = DebugFn(|f: &mut fmt::Formatter<'_>| {
-            f.debug_list()
-                .entries(self.spans().map(|(vp, span)| path(vp, span)))
-                .finish()
+            let path = self.iter_raw().map(|(vp, raw)| {
+                DebugFn(move |f: &mut fmt::Formatter<'_>| {
+                    let path = DebugFn(|f: &mut fmt::Formatter<'_>| {
+                        f.debug_tuple("AsPath").field(&raw).finish()
+                    });
+                    f.debug_struct("ObservedPath")
+                        .field("vp", &vp)
+                        .field("path", &path)
+                        .finish()
+                })
+            });
+            f.debug_list().entries(path).finish()
         });
         f.debug_struct("PathSet").field("paths", &paths).finish()
     }
@@ -330,6 +373,32 @@ mod tests {
             "PathSet { paths: [ObservedPath { vp: Asn(1), \
              path: AsPath([Asn(1), Asn(2), Asn(2)]) }] }"
         );
+    }
+
+    #[test]
+    fn append_get_and_iter_raw_read_what_was_pushed() {
+        let raw_paths = [(1, &[1, 2, 2, 3][..]), (4, &[4, 4, 5]), (6, &[6, 7, 7, 7])];
+        let mut expected = PathSet::new();
+        for (vp, hops) in raw_paths {
+            expected.push(Asn(vp), path(hops));
+        }
+        let mut ps = PathSet::new();
+        ps.push(Asn(1), path(raw_paths[0].1));
+        let mut tail = PathSet::new();
+        for (vp, hops) in &raw_paths[1..] {
+            tail.push(Asn(*vp), path(hops));
+        }
+        ps.append(&tail);
+        assert_eq!(format!("{ps:?}"), format!("{expected:?}"));
+        assert_eq!(ps.get(1), Some((Asn(4), &asns(&[4, 5])[..])));
+        assert_eq!(ps.get(3), None);
+        let raw: Vec<(Asn, Vec<Asn>)> = ps
+            .iter_raw()
+            .map(|(vp, hops)| (vp, hops.iter().collect()))
+            .collect();
+        for ((vp, hops), (want_vp, want)) in raw.iter().zip(raw_paths) {
+            assert_eq!((*vp, hops.clone()), (Asn(want_vp), asns(want)));
+        }
     }
 
     #[test]

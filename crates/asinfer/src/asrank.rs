@@ -21,7 +21,7 @@
 
 use crate::common::{break_provider_cycles, Classifier, Inference, PreparedPaths};
 use asgraph::clique::{infer_clique, CliqueParams};
-use asgraph::{Asn, Link, PathSet, PathStats, Rel};
+use asgraph::{Asn, Link, Rel};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 /// Transit-degree boost applied to clique members during cycle repair, so
@@ -70,20 +70,9 @@ impl Classifier for AsRank {
         "asrank"
     }
 
-    fn infer(&self, paths: &PathSet) -> Inference {
-        let clean = paths.sanitized();
-        let stats = clean.stats();
-        self.infer_clean(&clean, &stats)
-    }
-
-    fn infer_prepared(&self, prep: PreparedPaths<'_>) -> Inference {
-        self.infer_clean(prep.paths, prep.stats)
-    }
-}
-
-impl AsRank {
     /// The pipeline over already-sanitized paths with precomputed stats.
-    fn infer_clean(&self, clean: &PathSet, stats: &PathStats) -> Inference {
+    fn infer_prepared(&self, prep: PreparedPaths<'_>) -> Inference {
+        let (clean, stats) = (prep.paths, prep.stats);
         let clique = infer_clique(stats, self.params.clique);
 
         // ---- Stage 3: triplet cascade votes ---------------------------------
@@ -258,7 +247,7 @@ fn resolve_votes(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use asgraph::AsPath;
+    use asgraph::{AsPath, PathSet};
 
     fn path(hops: &[u32]) -> AsPath {
         AsPath::new(hops.iter().map(|&h| Asn(h)).collect())

@@ -1,8 +1,10 @@
 //! Shared classifier interface, output type, prepared-input plumbing, and
 //! the provider-cycle repair pass every P2C-producing classifier runs.
 
+use crate::asrank::AsRank;
 use asgraph::{Asn, Link, PathSet, PathStats, Rel, RelClass};
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 /// The output of a relationship-inference run.
@@ -63,12 +65,11 @@ impl Inference {
 
 /// Pre-digested classifier input: sanitized paths with their one-pass
 /// statistics, plus (optionally) a full-view ASRank inference that
-/// bootstrap classifiers (ProbLink, TopoScope) reuse instead of each
+/// bootstrap classifiers (ProbLink, TopoScope, UNARI) reuse instead of each
 /// recomputing it. Sharing one preparation across the classifier ensemble
 /// removes the pipeline's dominant redundant work without changing any
-/// classifier's output: `infer_prepared` over a prepared input equals
-/// `infer` over the raw paths whenever `paths`/`stats`/`asrank` match what
-/// the classifier would derive itself.
+/// classifier's output, as long as `asrank` is ASRank's inference over
+/// `paths`.
 #[derive(Clone, Copy)]
 pub struct PreparedPaths<'a> {
     /// Sanitized observed paths (no loops, no reserved ASNs).
@@ -98,6 +99,16 @@ impl<'a> PreparedPaths<'a> {
             ..self
         }
     }
+
+    /// The shared ASRank inference, or a fresh one over these paths when
+    /// none is attached.
+    #[must_use]
+    pub fn asrank_seed(self) -> Cow<'a, Inference> {
+        match self.asrank {
+            Some(seed) => Cow::Borrowed(seed),
+            None => Cow::Owned(AsRank::new().infer_prepared(self)),
+        }
+    }
 }
 
 /// A relationship classifier: observed paths in, labelled links out.
@@ -105,60 +116,40 @@ pub trait Classifier {
     /// Human-readable name (used in report tables).
     fn name(&self) -> &'static str;
 
-    /// Runs the inference.
-    fn infer(&self, paths: &PathSet) -> Inference;
+    /// Runs the inference over sanitized paths with their statistics (and
+    /// possibly a shared ASRank seed).
+    fn infer_prepared(&self, prep: PreparedPaths<'_>) -> Inference;
 
-    /// Runs the inference over pre-sanitized paths with precomputed stats
-    /// (and possibly a shared ASRank seed). The default ignores the
-    /// preparation and re-derives everything from `prep.paths`; classifiers
-    /// override this to skip redundant sanitisation / statistics / seed
-    /// recomputation. Must produce exactly the same result as
-    /// [`Classifier::infer`] on the same underlying paths.
-    fn infer_prepared(&self, prep: PreparedPaths<'_>) -> Inference {
-        self.infer(prep.paths)
+    /// Runs the inference over raw paths: sanitizes them, derives their
+    /// statistics and calls [`Classifier::infer_prepared`], so the two entry
+    /// points agree by construction.
+    fn infer(&self, paths: &PathSet) -> Inference {
+        let clean = paths.sanitized();
+        let stats = clean.stats();
+        self.infer_prepared(PreparedPaths::new(&clean, &stats))
     }
 
-    /// Runs the inference inside an observability span `infer_<name>`,
-    /// recording the number of relationship labels assigned. Classifiers
-    /// that bootstrap from another classifier call [`Classifier::infer`]
-    /// directly, so only the outermost run is timed and counted.
-    fn infer_observed(&self, paths: &PathSet) -> Inference {
-        if !breval_obs::enabled() {
-            return self.infer(paths);
-        }
-        let _guard = observe_enter(self.name());
-        let inference = self.infer(paths);
-        observe_exit(self.name(), &inference);
-        inference
-    }
-
-    /// [`Classifier::infer_prepared`] under the same `infer_<name>` span
-    /// and counters as [`Classifier::infer_observed`].
+    /// [`Classifier::infer_prepared`] inside an observability span
+    /// `infer_<name>`, recording the number of relationship labels assigned
+    /// (globally and per name). Classifiers that bootstrap from another
+    /// classifier call it unobserved, so only the outermost run is timed
+    /// and counted.
     fn infer_prepared_observed(&self, prep: PreparedPaths<'_>) -> Inference {
         if !breval_obs::enabled() {
             return self.infer_prepared(prep);
         }
-        let _guard = observe_enter(self.name());
+        let name = self.name();
+        // breval-lint: allow(L003) -- per-classifier span name; each infer_<name> is enumerated in the obs label registry
+        let _guard = breval_obs::span(&format!("infer_{name}"));
         let inference = self.infer_prepared(prep);
-        observe_exit(self.name(), &inference);
+        breval_obs::counter("rels_assigned", inference.rels.len() as u64);
+        // breval-lint: allow(L003) -- per-classifier counter; covered by the rels_assigned.* registry wildcard
+        breval_obs::counter(
+            &format!("rels_assigned.{name}"),
+            inference.rels.len() as u64,
+        );
         inference
     }
-}
-
-/// Opens the per-classifier observability span.
-fn observe_enter(name: &str) -> breval_obs::SpanGuard {
-    // breval-lint: allow(L003) -- per-classifier span name; each infer_<name> is enumerated in the obs label registry
-    breval_obs::span(&format!("infer_{name}"))
-}
-
-/// Records the per-classifier label counters (global + per-name).
-fn observe_exit(name: &str, inference: &Inference) {
-    breval_obs::counter("rels_assigned", inference.rels.len() as u64);
-    // breval-lint: allow(L003) -- per-classifier counter; covered by the rels_assigned.* registry wildcard
-    breval_obs::counter(
-        &format!("rels_assigned.{name}"),
-        inference.rels.len() as u64,
-    );
 }
 
 /// Outcome of one [`break_provider_cycles`] run.
@@ -471,18 +462,18 @@ mod tests {
     }
 
     #[test]
-    fn prepared_paths_default_matches_infer() {
+    fn infer_sanitizes_then_runs_infer_prepared() {
         struct Echo;
         impl Classifier for Echo {
             fn name(&self) -> &'static str {
                 "echo"
             }
-            fn infer(&self, paths: &PathSet) -> Inference {
+            fn infer_prepared(&self, prep: PreparedPaths<'_>) -> Inference {
                 let mut inf = Inference {
                     classifier: "echo".into(),
                     ..Default::default()
                 };
-                for link in paths.stats().links() {
+                for link in prep.stats.links() {
                     inf.rels.insert(*link, Rel::P2p);
                 }
                 inf
@@ -490,10 +481,15 @@ mod tests {
         }
         let mut paths = PathSet::new();
         paths.push_hops(Asn(1), [Asn(1), Asn(2), Asn(3)]);
+        // A private-use hop: sanitizing drops this path and its links.
+        paths.push_hops(Asn(1), [Asn(1), Asn(64_512), Asn(4)]);
         let clean = paths.sanitized();
         let stats = clean.stats();
         let via_prep = Echo.infer_prepared(PreparedPaths::new(&clean, &stats));
-        assert_eq!(via_prep.rels, Echo.infer(&clean).rels);
+        let via_infer = Echo.infer(&paths);
+        assert_eq!(via_infer, via_prep);
+        assert_eq!(via_infer.rels.len(), 2);
+        assert!(via_infer.rels.keys().all(|l| !l.involves_reserved()));
     }
 
     #[test]

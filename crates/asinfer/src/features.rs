@@ -1,8 +1,8 @@
 //! Link features shared by the probabilistic classifiers (ProbLink's feature
 //! set, bucketised).
 
-use asgraph::{Asn, Link, PathSet, PathStats};
-use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
+use asgraph::{Asn, Link, PathSet, PathStats, Rel, RelClass};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
 
 /// Bucketised per-link features.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -128,6 +128,64 @@ impl LinkFeatures {
             self.triplet_support,
             self.common_neighbors,
         ]
+    }
+}
+
+/// The naive-Bayes class index of P2C links.
+pub(crate) const CLASS_P2C: usize = 0;
+/// The naive-Bayes class index of P2P links.
+pub(crate) const CLASS_P2P: usize = 1;
+
+/// Per-class feature histograms (Laplace-smoothed), fitted on a labelling:
+/// the model ProbLink iterates with and UNARI evaluates once.
+pub(crate) struct NaiveBayes {
+    /// counts[class][dim][bucket]
+    counts: [[[f64; N_BUCKETS]; 5]; 2],
+    totals: [f64; 2],
+}
+
+impl NaiveBayes {
+    /// Fits the histograms on the P2C and P2P links of `labels` that have
+    /// features; sibling labels are skipped.
+    pub(crate) fn fit(
+        labels: &BTreeMap<Link, Rel>,
+        features: &HashMap<Link, LinkFeatures>,
+    ) -> Self {
+        let mut nb = NaiveBayes {
+            counts: [[[1.0; N_BUCKETS]; 5]; 2], // Laplace smoothing
+            totals: [N_BUCKETS as f64; 2],
+        };
+        for (link, rel) in labels {
+            let Some(f) = features.get(link) else {
+                continue;
+            };
+            let class = match rel.class() {
+                RelClass::P2c => CLASS_P2C,
+                RelClass::P2p => CLASS_P2P,
+                RelClass::S2s => continue,
+            };
+            for (dim, bucket) in f.dims().into_iter().enumerate() {
+                nb.counts[class][dim][usize::from(bucket)] += 1.0;
+            }
+            nb.totals[class] += 1.0;
+        }
+        nb
+    }
+
+    /// Log-posterior of each class for a feature vector, indexed by
+    /// [`CLASS_P2C`] and [`CLASS_P2P`].
+    pub(crate) fn log_posteriors(&self, f: &LinkFeatures) -> [f64; 2] {
+        let [p2c, p2p] = self.totals;
+        let grand_total = p2c + p2p;
+        let mut out = [0.0; 2];
+        for class in [CLASS_P2C, CLASS_P2P] {
+            let mut lp = (self.totals[class] / grand_total).ln();
+            for (dim, bucket) in f.dims().into_iter().enumerate() {
+                lp += (self.counts[class][dim][usize::from(bucket)] / self.totals[class]).ln();
+            }
+            out[class] = lp;
+        }
+        out
     }
 }
 

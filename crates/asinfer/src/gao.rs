@@ -8,7 +8,7 @@
 //! become peers.
 
 use crate::common::{break_provider_cycles_in_rels, Classifier, Inference, PreparedPaths};
-use asgraph::{Asn, Link, PathSet, PathStats, Rel};
+use asgraph::{Asn, Link, Rel};
 use std::collections::{BTreeMap, HashMap};
 
 /// Tunables for Gao's algorithm.
@@ -49,20 +49,9 @@ impl Classifier for GaoClassifier {
         "gao"
     }
 
-    fn infer(&self, paths: &PathSet) -> Inference {
-        let clean = paths.sanitized();
-        let stats = clean.stats();
-        self.infer_clean(&clean, &stats)
-    }
-
-    fn infer_prepared(&self, prep: PreparedPaths<'_>) -> Inference {
-        self.infer_clean(prep.paths, prep.stats)
-    }
-}
-
-impl GaoClassifier {
     /// The heuristic over already-sanitized paths with precomputed stats.
-    fn infer_clean(&self, clean: &PathSet, stats: &PathStats) -> Inference {
+    fn infer_prepared(&self, prep: PreparedPaths<'_>) -> Inference {
+        let (clean, stats) = (prep.paths, prep.stats);
         // transit[(provider, customer)] vote counts.
         let mut votes: HashMap<(Asn, Asn), usize> = HashMap::new();
         for (_, hops) in clean.iter() {
@@ -153,7 +142,7 @@ impl GaoClassifier {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use asgraph::AsPath;
+    use asgraph::{AsPath, PathSet};
 
     fn path(hops: &[u32]) -> AsPath {
         AsPath::new(hops.iter().map(|&h| Asn(h)).collect())

@@ -13,11 +13,9 @@
 //! error can lead to substantial correctness degradation for classes that
 //! contain fewer links").
 
-use crate::asrank::AsRank;
 use crate::common::{Classifier, Inference, PreparedPaths};
-use crate::features::{compute_features, LinkFeatures, N_BUCKETS};
-use asgraph::{Link, PathSet, PathStats, Rel, RelClass};
-use std::collections::{BTreeMap, HashMap};
+use crate::features::{compute_features, NaiveBayes, CLASS_P2C, CLASS_P2P};
+use asgraph::{Rel, RelClass};
 
 /// Tunables for ProbLink.
 #[derive(Debug, Clone, Copy)]
@@ -53,81 +51,14 @@ impl ProbLink {
     }
 }
 
-/// Per-class feature histograms (Laplace-smoothed).
-struct NaiveBayes {
-    /// counts[class][dim][bucket]
-    counts: [[[f64; N_BUCKETS]; 5]; 2],
-    totals: [f64; 2],
-}
-
-const CLASS_P2C: usize = 0;
-const CLASS_P2P: usize = 1;
-
-impl NaiveBayes {
-    fn fit(labels: &BTreeMap<Link, Rel>, features: &HashMap<Link, LinkFeatures>) -> Self {
-        let mut nb = NaiveBayes {
-            counts: [[[1.0; N_BUCKETS]; 5]; 2], // Laplace smoothing
-            totals: [N_BUCKETS as f64; 2],
-        };
-        for (link, rel) in labels {
-            let Some(f) = features.get(link) else {
-                continue;
-            };
-            let class = match rel.class() {
-                RelClass::P2c => CLASS_P2C,
-                RelClass::P2p => CLASS_P2P,
-                RelClass::S2s => continue,
-            };
-            for (dim, bucket) in f.dims().into_iter().enumerate() {
-                nb.counts[class][dim][usize::from(bucket)] += 1.0;
-            }
-            nb.totals[class] += 1.0;
-        }
-        nb
-    }
-
-    /// Log-posterior of each class for a feature vector.
-    fn log_posteriors(&self, f: &LinkFeatures) -> [f64; 2] {
-        // breval-lint: allow(L009) -- totals is a fixed-size [f64; 2]; indices 0 and 1 are in bounds by type
-        let grand_total = self.totals[0] + self.totals[1];
-        let mut out = [0.0; 2];
-        for class in [CLASS_P2C, CLASS_P2P] {
-            let mut lp = (self.totals[class] / grand_total).ln();
-            for (dim, bucket) in f.dims().into_iter().enumerate() {
-                lp += (self.counts[class][dim][usize::from(bucket)] / self.totals[class]).ln();
-            }
-            out[class] = lp;
-        }
-        out
-    }
-}
-
 impl Classifier for ProbLink {
     fn name(&self) -> &'static str {
         "problink"
     }
 
-    fn infer(&self, paths: &PathSet) -> Inference {
-        let clean = paths.sanitized();
-        let stats = clean.stats();
-        let initial = AsRank::new().infer_prepared(PreparedPaths::new(&clean, &stats));
-        self.refine(&clean, &stats, &initial)
-    }
-
-    fn infer_prepared(&self, prep: PreparedPaths<'_>) -> Inference {
-        match prep.asrank {
-            Some(initial) => self.refine(prep.paths, prep.stats, initial),
-            None => {
-                let initial = AsRank::new().infer_prepared(prep);
-                self.refine(prep.paths, prep.stats, &initial)
-            }
-        }
-    }
-}
-
-impl ProbLink {
     /// Naive-Bayes refinement of the initial (ASRank) labelling.
-    fn refine(&self, clean: &PathSet, stats: &PathStats, initial: &Inference) -> Inference {
+    fn infer_prepared(&self, prep: PreparedPaths<'_>) -> Inference {
+        let (clean, stats, initial) = (prep.paths, prep.stats, prep.asrank_seed());
         let features = compute_features(clean, stats, &initial.clique);
 
         let mut labels = initial.rels.clone();
@@ -190,7 +121,8 @@ impl ProbLink {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use asgraph::{AsPath, Asn, PathSet};
+    use crate::asrank::AsRank;
+    use asgraph::{AsPath, Asn, Link, PathSet};
 
     fn path(hops: &[u32]) -> AsPath {
         AsPath::new(hops.iter().map(|&h| Asn(h)).collect())

@@ -10,7 +10,7 @@
 
 use crate::asrank::AsRank;
 use crate::common::{break_provider_cycles_in_rels, Classifier, Inference, PreparedPaths};
-use asgraph::{Asn, Link, PathSet, PathStats, Rel};
+use asgraph::{Asn, Link, PathSet, Rel};
 use std::collections::BTreeMap;
 
 /// Transit-degree boost applied to clique members during cycle repair, so
@@ -56,30 +56,12 @@ impl Classifier for TopoScope {
         "toposcope"
     }
 
-    fn infer(&self, paths: &PathSet) -> Inference {
-        let clean = paths.sanitized();
-        let stats = clean.stats();
-        let full = AsRank::new().infer_prepared(PreparedPaths::new(&clean, &stats));
-        self.reconcile(&clean, &stats, &full)
-    }
-
-    fn infer_prepared(&self, prep: PreparedPaths<'_>) -> Inference {
-        match prep.asrank {
-            Some(full) => self.reconcile(prep.paths, prep.stats, full),
-            None => {
-                let full = AsRank::new().infer_prepared(prep);
-                self.reconcile(prep.paths, prep.stats, &full)
-            }
-        }
-    }
-}
-
-impl TopoScope {
     /// Ensemble inference over already-sanitized paths: VP grouping,
     /// per-group base inference (work-stealing parallel — group path sets
     /// are independent), majority-vote reconciliation against the shared
     /// full-view inference, and provider-cycle repair.
-    fn reconcile(&self, clean: &PathSet, stats: &PathStats, full: &Inference) -> Inference {
+    fn infer_prepared(&self, prep: PreparedPaths<'_>) -> Inference {
+        let (clean, stats, full) = (prep.paths, prep.stats, prep.asrank_seed());
         let base = AsRank::new();
         let vps = clean.vantage_points();
         let n_groups = self.params.n_groups.clamp(1, vps.len().max(1));

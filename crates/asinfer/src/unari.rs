@@ -10,9 +10,8 @@
 //! and the belief surface enables calibration analysis (does 90 % certainty
 //! mean 90 % accuracy?).
 
-use crate::asrank::AsRank;
-use crate::common::{Classifier, Inference};
-use crate::features::{compute_features, LinkFeatures, N_BUCKETS};
+use crate::common::{Classifier, Inference, PreparedPaths};
+use crate::features::{compute_features, NaiveBayes, CLASS_P2C, CLASS_P2P};
 use asgraph::{Link, PathSet, Rel, RelClass};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashMap};
@@ -62,39 +61,20 @@ impl Unari {
     /// Computes per-link beliefs.
     #[must_use]
     pub fn beliefs(&self, paths: &PathSet) -> BTreeMap<Link, LinkBelief> {
-        let initial = AsRank::new().infer(paths);
         let clean = paths.sanitized();
         let stats = clean.stats();
-        let features = compute_features(&clean, &stats, &initial.clique);
+        let prep = PreparedPaths::new(&clean, &stats);
+        Self::beliefs_prepared(prep, &prep.asrank_seed())
+    }
 
-        // Fit class-conditional histograms on the ASRank labelling.
-        let mut counts = [[[1.0f64; N_BUCKETS]; 5]; 2]; // Laplace smoothing
-        let mut totals = [N_BUCKETS as f64; 2];
-        for (link, rel) in &initial.rels {
-            let Some(f) = features.get(link) else {
-                continue;
-            };
-            let class = match rel.class() {
-                RelClass::P2c => 0,
-                RelClass::P2p => 1,
-                RelClass::S2s => continue,
-            };
-            for (dim, bucket) in f.dims().into_iter().enumerate() {
-                counts[class][dim][usize::from(bucket)] += 1.0;
-            }
-            totals[class] += 1.0;
-        }
-        // breval-lint: allow(L009) -- totals is a fixed-size [f64; 2]; indices 0 and 1 are in bounds by type
-        let grand = totals[0] + totals[1];
-
-        let log_posterior = |f: &LinkFeatures, class: usize| -> f64 {
-            let mut lp = (totals[class] / grand).ln();
-            for (dim, bucket) in f.dims().into_iter().enumerate() {
-                lp += (counts[class][dim][usize::from(bucket)] / totals[class]).ln();
-            }
-            lp
-        };
-
+    /// Beliefs over a preparation: the naive-Bayes model fitted on the
+    /// ASRank labelling `initial`, evaluated once per labelled link.
+    fn beliefs_prepared(
+        prep: PreparedPaths<'_>,
+        initial: &Inference,
+    ) -> BTreeMap<Link, LinkBelief> {
+        let features = compute_features(prep.paths, prep.stats, &initial.clique);
+        let nb = NaiveBayes::fit(&initial.rels, &features);
         initial
             .rels
             .iter()
@@ -104,7 +84,7 @@ impl Unari {
                     _ => {
                         // Orientation prior: higher transit degree provides.
                         let (a, b) = link.endpoints();
-                        if stats.transit_degree(a) >= stats.transit_degree(b) {
+                        if prep.stats.transit_degree(a) >= prep.stats.transit_degree(b) {
                             a
                         } else {
                             b
@@ -113,7 +93,8 @@ impl Unari {
                 };
                 let belief = match features.get(link) {
                     Some(f) => {
-                        let (lc, lp) = (log_posterior(f, 0), log_posterior(f, 1));
+                        let lp = nb.log_posteriors(f);
+                        let (lc, lp) = (lp[CLASS_P2C], lp[CLASS_P2P]);
                         // Softmax over the two log-posteriors.
                         let m = lc.max(lp);
                         let (ec, ep) = ((lc - m).exp(), (lp - m).exp());
@@ -140,14 +121,14 @@ impl Classifier for Unari {
         "unari"
     }
 
-    fn infer(&self, paths: &PathSet) -> Inference {
-        let initial = AsRank::new().infer(paths);
-        let beliefs = self.beliefs(paths);
+    fn infer_prepared(&self, prep: PreparedPaths<'_>) -> Inference {
+        let initial = prep.asrank_seed();
+        let beliefs = Self::beliefs_prepared(prep, &initial);
         let rels: BTreeMap<Link, Rel> = beliefs.iter().map(|(l, b)| (*l, b.hard_label())).collect();
         Inference {
             classifier: self.name().to_owned(),
             rels,
-            clique: initial.clique,
+            clique: initial.clique.clone(),
         }
     }
 }

@@ -2,7 +2,8 @@
 //! built in a constant number of allocations, propagation reuses its buffers
 //! across origins, and hybrid PPDC rows never cost more than the flat
 //! all-bitset layout. The path store imports and sanitises paths in a
-//! constant number of allocations too.
+//! constant number of allocations too, and neither the simulation nor the
+//! community-label compiler allocates per route observation.
 
 use asgraph::{cone, AsPath, Link, PathSet, Rel};
 use bgpsim::{OriginRoutes, PropScratch, Propagator, SimGraph};
@@ -23,6 +24,14 @@ const MAX_SIMGRAPH_ALLOCS: u64 = 64;
 /// (`sanitized`): the store grows a few flat arrays, never one allocation
 /// per path.
 const MAX_PATH_STORE_ALLOCS: u64 = 128;
+/// Allocation ceiling of a whole simulation, per origin: each worker reuses
+/// its propagation and hop buffers, so an origin costs its observation list
+/// and its path store, never one allocation per observation.
+const MAX_SIMULATE_ALLOCS_PER_ORIGIN: u64 = 64;
+/// Route observations per allocation that compiling the community labels
+/// must at least reach: the decoder reads each path as a slice of the RIB's
+/// path store and each route's communities from an iterator.
+const MIN_OBSERVATIONS_PER_COMPILE_ALLOC: u64 = 16;
 
 #[test]
 fn propagation_and_ppdc_stay_bounded_at_10k() {
@@ -106,6 +115,46 @@ fn path_import_allocates_o1_times() {
         allocs <= MAX_PATH_STORE_ALLOCS,
         "to_pathset allocates {allocs} times for {} observations \
          (ceiling {MAX_PATH_STORE_ALLOCS}): it builds a Vec per path",
+        rib.observations.len()
+    );
+}
+
+/// Runs `f` at a thread cap of 1, so every allocation it makes lands on
+/// this thread's counter; returns its result and that count.
+fn allocations_of<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    breval_par::with_thread_cap(Some(1), || {
+        let before = counting_alloc::thread_allocation_count();
+        let out = f();
+        (out, counting_alloc::thread_allocation_count() - before)
+    })
+}
+
+#[test]
+fn simulation_allocates_per_origin_not_per_observation() {
+    let topology = topogen::generate(&topogen::TopologyConfig::small(7));
+    let (rib, allocs) = allocations_of(|| bgpsim::simulate(&topology));
+    let ceiling = MAX_SIMULATE_ALLOCS_PER_ORIGIN * topology.as_count() as u64;
+    assert!(
+        allocs <= ceiling,
+        "simulate allocates {allocs} times for {} origins and {} observations \
+         (ceiling {ceiling}): it allocates per observation",
+        topology.as_count(),
+        rib.observations.len()
+    );
+}
+
+#[test]
+fn label_compile_allocates_less_than_once_per_observation() {
+    let topology = topogen::generate(&topogen::TopologyConfig::small(7));
+    let rib = bgpsim::simulate(&topology);
+    let cfg = valdata::ValDataConfig::default();
+    let (labels, allocs) = allocations_of(|| valdata::compile_communities(&topology, &rib, &cfg));
+    assert!(!labels.is_empty());
+    let ceiling = rib.observations.len() as u64 / MIN_OBSERVATIONS_PER_COMPILE_ALLOC;
+    assert!(
+        allocs <= ceiling,
+        "compile_communities allocates {allocs} times for {} observations \
+         (ceiling {ceiling}): it allocates per observation",
         rib.observations.len()
     );
 }

@@ -1,10 +1,13 @@
-//! Collector session establishment: the OPEN handshake that *produces* each
+//! Collector session establishment: the OPEN handshake that negotiates each
 //! vantage point's ASN encoding.
 //!
-//! The topology's `two_byte_only` flag models a VP running legacy software;
-//! here the flag is realised as an actual RFC 4271/5492 OPEN exchange (real
-//! bytes, real capability negotiation), so the `AS_TRANS` pipeline downstream
-//! rests on the same mechanism as in production collectors.
+//! The topology's `two_byte_only` flag models a VP running legacy software.
+//! The `AS_TRANS` pipeline downstream (the MRT export, the legacy path view,
+//! the legacy validation decoder) reads that flag directly from
+//! [`CollectorPeer::two_byte_only`]. This module realises the same flag as
+//! an actual RFC 4271/5492 OPEN exchange (real bytes, real capability
+//! negotiation), and its tests check that the negotiated encoding agrees
+//! with the flag for every peer, as it would at a production collector.
 
 use bgpwire::{negotiate, AsnEncoding, OpenMessage, SessionParams, WireError};
 use serde::{Deserialize, Serialize};

@@ -185,22 +185,23 @@ pub fn ingress_rel(topology: &Topology, x: Asn, neighbor: Asn) -> Option<Ingress
 
 /// Computes the communities visible on `path` (receiver-first, origin-last)
 /// **at a route collector**: every tagging hop's informational ingress tag,
-/// action communities stripped.
-#[must_use]
-pub fn collector_communities(topology: &Topology, path: &[Asn]) -> Vec<AnyCommunity> {
-    let mut compressed: Vec<Asn> = path.to_vec();
-    compressed.dedup();
-    let mut out = Vec::new();
-    for w in compressed.windows(2) {
-        let (x, neighbor) = (w[0], w[1]); // x learned from neighbor
+/// action communities stripped. Prepending needs no compression first: a
+/// repeated hop pairs only with itself, and that is no link.
+pub fn collector_communities<'a>(
+    topology: &'a Topology,
+    path: &'a [Asn],
+) -> impl Iterator<Item = AnyCommunity> + 'a {
+    path.windows(2).filter_map(move |w| {
+        let &[x, neighbor] = w else {
+            return None;
+        };
+        // x learned the route from neighbor.
         if !tags_communities(topology, x) {
-            continue;
+            return None;
         }
-        if let Some(rel) = ingress_rel(topology, x, neighbor) {
-            out.push(AnyCommunity::informational(x, rel));
-        }
-    }
-    out
+        let rel = ingress_rel(topology, x, neighbor)?;
+        Some(AnyCommunity::informational(x, rel))
+    })
 }
 
 /// Computes the communities visible on `path` **in the RIB of the receiving
@@ -209,17 +210,14 @@ pub fn collector_communities(topology: &Topology, path: &[Asn]) -> Vec<AnyCommun
 /// yet stripped).
 #[must_use]
 pub fn rib_communities(topology: &Topology, path: &[Asn]) -> Vec<AnyCommunity> {
-    let mut out = collector_communities(topology, path);
-    let mut compressed: Vec<Asn> = path.to_vec();
-    compressed.dedup();
-    if compressed.len() >= 2 {
-        // breval-lint: allow(L009) -- guarded by the len() >= 2 check on the line above
-        let (receiver, sender) = (compressed[0], compressed[1]);
-        if let Some(link) = asgraph::Link::new(receiver, sender) {
-            if let Some(gt) = topology.gt_rel(link) {
-                if gt.partial_transit && gt.base.provider() == Some(receiver) {
-                    out.push(AnyCommunity::action_no_export_to_peers(receiver));
-                }
+    let mut out: Vec<AnyCommunity> = collector_communities(topology, path).collect();
+    if let Some((&receiver, rest)) = path.split_first() {
+        // The sender is the first hop past the receiver's own prepending.
+        let sender = rest.iter().find(|&&hop| hop != receiver);
+        let link = sender.and_then(|&sender| asgraph::Link::new(receiver, sender));
+        if let Some(gt) = link.and_then(|link| topology.gt_rel(link)) {
+            if gt.partial_transit && gt.base.provider() == Some(receiver) {
+                out.push(AnyCommunity::action_no_export_to_peers(receiver));
             }
         }
     }
@@ -265,7 +263,7 @@ mod tests {
             .expect("t1 has transit customer");
         let stub = g.customers(transit)[0];
         let path = vec![t1, transit, stub];
-        let comms = collector_communities(&topo, &path);
+        let comms: Vec<AnyCommunity> = collector_communities(&topo, &path).collect();
         // Both t1 and transit tag "learned from customer".
         assert_eq!(comms.len(), 2);
         assert_eq!(comms[0].asn_part(), t1.0);
@@ -287,7 +285,7 @@ mod tests {
             .expect("cogent partial customer exists");
         let customer = link.other(cogent).unwrap();
         let path = vec![cogent, customer];
-        let collector = collector_communities(&topo, &path);
+        let collector: Vec<AnyCommunity> = collector_communities(&topo, &path).collect();
         let rib = rib_communities(&topo, &path);
         let action = AnyCommunity::action_no_export_to_peers(cogent);
         assert!(!collector.contains(&action), "action tag must be stripped");
@@ -301,7 +299,6 @@ mod tests {
         let t1 = *topo.tier1.iter().next().unwrap();
         let transit = g.customers(t1)[0];
         let path = vec![t1, transit, transit, transit];
-        let comms = collector_communities(&topo, &path);
-        assert_eq!(comms.len(), 1);
+        assert_eq!(collector_communities(&topo, &path).count(), 1);
     }
 }

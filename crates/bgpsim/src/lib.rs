@@ -19,8 +19,9 @@
 //!   (region-dependent, after Marcos et al. 2020).
 //!
 //! The output is a [`RibSnapshot`]: the routes observed at each collector-peer
-//! vantage point, exportable to real MRT `TABLE_DUMP_V2` bytes via `bgpwire`
-//! and to the [`asgraph::PathSet`] the inference algorithms consume. A
+//! vantage point, with their AS paths held in the same [`asgraph::PathSet`]
+//! store the inference algorithms consume (path *i* belongs to observation
+//! *i*). It exports to real MRT `TABLE_DUMP_V2` bytes via `bgpwire`. A
 //! [`LookingGlass`] answers per-AS RIB queries for the case study.
 
 #![forbid(unsafe_code)]
@@ -37,6 +38,4 @@ pub use collector::{establish_sessions, EstablishedSession};
 pub use lg::{LgRoute, LookingGlass};
 pub use propagate::{OriginRoutes, PropScratch, Propagator, RouteClass};
 pub use simgraph::SimGraph;
-pub use snapshot::{
-    simulate, simulate_streaming, simulate_with_graph, RibSnapshot, RouteObservation,
-};
+pub use snapshot::{simulate, simulate_with_graph, RibSnapshot, RouteObservation};

@@ -115,10 +115,17 @@ impl OriginRoutes {
     /// prepending expanded. Returns `None` if `node` has no route.
     #[must_use]
     pub fn path(&self, node: u32, g: &SimGraph) -> Option<Vec<Asn>> {
+        let mut hops = Vec::with_capacity(usize::from(self.path_len(node)?) + 1);
+        self.path_into(node, g, &mut hops).then_some(hops)
+    }
+
+    /// [`OriginRoutes::path`] into a reused buffer, which it clears first.
+    /// Returns `false`, leaving `hops` empty, if `node` has no route.
+    pub fn path_into(&self, node: u32, g: &SimGraph, hops: &mut Vec<Asn>) -> bool {
+        hops.clear();
         if !self.has_route(node) {
-            return None;
+            return false;
         }
-        let mut hops = Vec::with_capacity(usize::from(self.len[node as usize]) + 1);
         let mut cur = node;
         loop {
             hops.push(g.asn(cur));
@@ -133,7 +140,7 @@ impl OriginRoutes {
             }
             cur = parent;
         }
-        Some(hops)
+        true
     }
 
     /// Count of nodes holding a route.

@@ -4,19 +4,20 @@
 use crate::communities::{collector_communities, AnyCommunity};
 use crate::propagate::{OriginRoutes, PropScratch, Propagator, RouteClass};
 use crate::simgraph::SimGraph;
-use asgraph::{asn::AS_TRANS, Asn, PathSet};
+use asgraph::{Asn, PathSet, RawHops};
 use bgpwire::{
     attrs::{flatten_segments, AsPathSegment, PathAttribute},
     mrt, Community, LargeCommunity, WireError,
 };
-use serde::{Deserialize, Serialize};
+use std::fmt;
 use topogen::Topology;
 
 /// Snapshot timestamp: 2018-04-01 00:00:00 UTC (the paper's snapshot month).
 pub const SNAPSHOT_TIME: u32 = 1_522_540_800;
 
-/// One route exported by a vantage point to the collector.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+/// One route exported by a vantage point to the collector. Its AS path is
+/// the path with the same index in [`RibSnapshot::paths`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RouteObservation {
     /// The vantage-point AS.
     pub vp: Asn,
@@ -24,17 +25,18 @@ pub struct RouteObservation {
     pub origin: Asn,
     /// The announced prefix.
     pub prefix: bgpwire::Ipv4Prefix,
-    /// Best path at the VP: VP first, origin last, prepending included.
-    pub path: Vec<Asn>,
     /// How the VP learned the route.
     pub class: RouteClass,
 }
 
 /// The collector's view of the simulated Internet.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RibSnapshot {
     /// All observations, ordered by (origin, vp).
     pub observations: Vec<RouteObservation>,
+    /// Path `i` is observation `i`'s best path at its VP: VP first, origin
+    /// last, prepending kept in the store's side list.
+    pub paths: PathSet,
     /// The collector peer sessions (copied from the topology).
     pub collector_peers: Vec<topogen::CollectorPeer>,
 }
@@ -48,41 +50,23 @@ pub fn simulate(topology: &Topology) -> RibSnapshot {
     simulate_with_graph(topology, &graph)
 }
 
-/// Origins per streaming chunk: peak intermediate memory is one chunk's
-/// observation lists instead of the whole world's, while each dispatch still
-/// keeps the work-stealing pool saturated.
+/// Origins per parallel dispatch: peak intermediate memory is one chunk's
+/// per-origin results instead of the whole world's, while each dispatch
+/// still keeps the work-stealing pool saturated.
 const ORIGIN_CHUNK: usize = 2048;
 
 /// [`simulate`] reusing a pre-built graph.
 ///
-/// Collects the streamed chunks of [`simulate_streaming`] into one
-/// [`RibSnapshot`]; use the streaming form directly when the observation list
-/// need not be resident (per-chunk MRT writing, counting at scale).
+/// Per-origin propagation cost is wildly skewed (Tier-1s reach everywhere,
+/// stubs almost nowhere), so origins are distributed over a work-stealing
+/// queue (`breval-par`), `ORIGIN_CHUNK` at a time. Each worker
+/// reuses one [`Propagator`], a `(OriginRoutes, PropScratch)` buffer pair
+/// and one hop buffer, so steady-state propagation allocates only each
+/// origin's observation list and path store, which are appended to the
+/// RIB in origin order. The result is byte-identical at any thread count
+/// (`tests/byteident.rs` pins its digest).
 #[must_use]
 pub fn simulate_with_graph(topology: &Topology, graph: &SimGraph) -> RibSnapshot {
-    let mut observations: Vec<RouteObservation> = Vec::new();
-    simulate_streaming(topology, graph, |chunk| observations.extend(chunk));
-    RibSnapshot {
-        observations,
-        collector_peers: topology.collector_peers.clone(),
-    }
-}
-
-/// Runs the simulation and drains each origin's observations to `sink` in
-/// origin order, one chunk of [`ORIGIN_CHUNK`] origins at a time.
-///
-/// Per-origin propagation cost is wildly skewed (Tier-1s reach everywhere,
-/// stubs almost nowhere), so origins within a chunk are distributed over a
-/// work-stealing queue (`breval-par`); each worker reuses one
-/// [`Propagator`] plus a `(OriginRoutes, PropScratch)` buffer pair, so
-/// steady-state propagation allocates only the observations themselves.
-/// The concatenation of all sunk chunks is byte-identical to the batch
-/// result at any thread count (and to the pre-streaming simulator —
-/// `tests/byteident.rs` pins the digest).
-pub fn simulate_streaming<F>(topology: &Topology, graph: &SimGraph, mut sink: F)
-where
-    F: FnMut(Vec<RouteObservation>),
-{
     let _span = breval_obs::span!("simulate");
     let vps: Vec<(u32, topogen::CollectorPeer)> = topology
         .collector_peers
@@ -93,26 +77,31 @@ where
     // Sub-span around the parallel fan-out so the trace/manifest separate
     // the per-origin export from the sequential graph/VP setup above.
     let _export = breval_obs::span!("simulate_export");
-    let mut total: u64 = 0;
+    let mut rib = RibSnapshot {
+        observations: Vec::new(),
+        paths: PathSet::new(),
+        collector_peers: topology.collector_peers.clone(),
+    };
     let mut start = 0usize;
     while start < graph.len() {
         let end = (start + ORIGIN_CHUNK).min(graph.len());
-        let per_origin: Vec<Vec<RouteObservation>> = breval_par::parallel_map_init(
+        let per_origin: Vec<(Vec<RouteObservation>, PathSet)> = breval_par::parallel_map_init(
             end - start,
             || {
                 (
                     Propagator::new(graph),
                     OriginRoutes::reusable(),
                     PropScratch::new(),
+                    Vec::new(),
                 )
             },
-            |(engine, routes, scratch), chunk_idx| {
+            |(engine, routes, scratch, hops), chunk_idx| {
                 let origin = (start + chunk_idx) as u32;
                 let asn = graph.asn(origin);
+                let (mut observations, mut paths) = (Vec::new(), PathSet::new());
                 let Some(info) = topology.info(asn) else {
-                    return Vec::new();
+                    return (observations, paths);
                 };
-                let mut out = Vec::new();
                 // Group this origin's prefixes by their TE mask so each
                 // distinct announcement scope propagates once.
                 let providers = graph.csr().providers(origin);
@@ -143,67 +132,72 @@ where
                         if !cp.full_feed && class != RouteClass::Customer {
                             continue;
                         }
-                        if let Some(path) = routes.path(*vp_node, graph) {
-                            for prefix in &prefixes {
-                                out.push(RouteObservation {
-                                    vp: cp.asn,
-                                    origin: asn,
-                                    prefix: *prefix,
-                                    path: path.clone(),
-                                    class,
-                                });
-                            }
+                        if !routes.path_into(*vp_node, graph, hops) {
+                            continue;
+                        }
+                        for prefix in &prefixes {
+                            observations.push(RouteObservation {
+                                vp: cp.asn,
+                                origin: asn,
+                                prefix: *prefix,
+                                class,
+                            });
+                            paths.push_hops(cp.asn, hops.iter().copied());
                         }
                     }
                 }
-                out
+                (observations, paths)
             },
         );
-        for obs in per_origin {
-            total += obs.len() as u64;
-            sink(obs);
+        for (observations, paths) in per_origin {
+            rib.observations.extend(observations);
+            rib.paths.append(&paths);
         }
         start = end;
     }
-    breval_obs::counter("route_observations", total);
+    breval_obs::counter("route_observations", rib.observations.len() as u64);
+    rib
 }
 
 impl RibSnapshot {
-    /// FNV-1a 64 digest of every observation (order-sensitive) plus the
-    /// collector-peer list. Pins the streaming per-chunk export to the
-    /// historical batch output in regression tests.
+    /// FNV-1a 64 digest of every observation with its path (order-sensitive)
+    /// plus the collector-peer list. It hashes the `Debug` text the RIB
+    /// printed when each observation owned its path, streamed from the
+    /// store row by row, so the pinned digests stay put.
     #[must_use]
     pub fn digest(&self) -> u64 {
-        topogen::debug_digest(&(&self.observations, &self.collector_peers))
+        topogen::debug_digest(&(Rows(self), &self.collector_peers))
     }
 
     /// Converts to the [`PathSet`] consumed by inference algorithms.
     ///
-    /// With `legacy_as4: false` (the default pipeline), paths carry true
-    /// 4-byte ASNs. With `legacy_as4: true`, paths exported over 16-bit-only
-    /// collector sessions have their 4-byte hops replaced by `AS_TRANS` —
-    /// what a tool that ignores `AS4_PATH` would extract.
+    /// With `legacy_as4: false` (the default pipeline), this is a copy of
+    /// [`RibSnapshot::paths`], with true 4-byte ASNs. With
+    /// `legacy_as4: true`, paths exported over 16-bit-only collector
+    /// sessions have their 4-byte hops replaced by `AS_TRANS` — what a tool
+    /// that ignores `AS4_PATH` would extract.
     #[must_use]
     pub fn to_pathset(&self, legacy_as4: bool) -> PathSet {
         let _span = breval_obs::span!("to_pathset");
-        let two_byte: std::collections::BTreeSet<Asn> = self
-            .collector_peers
-            .iter()
-            .filter(|cp| cp.two_byte_only)
-            .map(|cp| cp.asn)
-            .collect();
-        let mut ps = PathSet::new();
-        for obs in &self.observations {
-            let mangle = legacy_as4 && two_byte.contains(&obs.vp);
-            let hop = |&a: &Asn| {
-                if mangle && a.is_four_byte() {
-                    AS_TRANS
-                } else {
-                    a
-                }
-            };
-            ps.push_hops(obs.vp, obs.path.iter().map(hop));
-        }
+        let ps = if legacy_as4 {
+            let two_byte: std::collections::BTreeSet<Asn> = self
+                .collector_peers
+                .iter()
+                .filter(|cp| cp.two_byte_only)
+                .map(|cp| cp.asn)
+                .collect();
+            let mut ps = PathSet::new();
+            for (vp, raw) in self.paths.iter_raw() {
+                let mangle = two_byte.contains(&vp);
+                ps.push_hops(
+                    vp,
+                    raw.iter().map(|a| if mangle { a.to_two_byte() } else { a }),
+                );
+            }
+            ps
+        } else {
+            self.paths.clone()
+        };
         breval_obs::counter("paths_exported", ps.len() as u64);
         ps
     }
@@ -236,74 +230,92 @@ impl RibSnapshot {
             .map(|(i, cp)| (cp.asn, i as u16))
             .collect();
 
-        // Group observations per announced prefix.
-        let mut by_prefix: std::collections::BTreeMap<bgpwire::Ipv4Prefix, Vec<&RouteObservation>> =
+        // One entry per observation from a known peer, grouped per
+        // announced prefix in observation order.
+        let mut by_prefix: std::collections::BTreeMap<bgpwire::Ipv4Prefix, Vec<mrt::RibEntry>> =
             std::collections::BTreeMap::new();
-        for obs in &self.observations {
-            by_prefix.entry(obs.prefix).or_default().push(obs);
+        for (obs, (_, raw)) in self.observations.iter().zip(self.paths.iter_raw()) {
+            let Some(&idx) = peer_index.get(&obs.vp) else {
+                continue;
+            };
+            let two_byte = self.collector_peers[usize::from(idx)].two_byte_only;
+            by_prefix
+                .entry(obs.prefix)
+                .or_default()
+                .push(mrt::RibEntry {
+                    peer_index: idx,
+                    originated: SNAPSHOT_TIME,
+                    attributes: path_attributes(topology, raw.iter().collect(), two_byte),
+                });
         }
 
-        let mut ribs = Vec::new();
-        let mut sequence = 0u32;
-        for (prefix, group) in &by_prefix {
-            let entries: Vec<mrt::RibEntry> = group
-                .iter()
-                .filter_map(|obs| {
-                    let idx = *peer_index.get(&obs.vp)?;
-                    let two_byte = self.collector_peers[usize::from(idx)].two_byte_only;
-                    Some(mrt::RibEntry {
-                        peer_index: idx,
-                        originated: SNAPSHOT_TIME,
-                        attributes: path_attributes(topology, &obs.path, two_byte),
-                    })
-                })
-                .collect();
-            if entries.is_empty() {
-                continue;
-            }
-            ribs.push(mrt::RibIpv4Unicast {
+        let ribs: Vec<mrt::RibIpv4Unicast> = by_prefix
+            .into_iter()
+            .zip(0u32..)
+            .map(|((prefix, entries), sequence)| mrt::RibIpv4Unicast {
                 sequence,
-                prefix: *prefix,
+                prefix,
                 entries,
-            });
-            sequence += 1;
-        }
+            })
+            .collect();
         mrt::write_dump(&table, &ribs, SNAPSHOT_TIME)
     }
 }
 
-/// Builds the path-attribute list for one RIB entry.
+/// The observations as the rows of the former `Vec<RouteObservation>`,
+/// each of which owned its path: `Debug` prints every row as
+/// `RouteObservation { vp, origin, prefix, path, class }`, reading the path
+/// from the store.
+struct Rows<'a>(&'a RibSnapshot);
+
+impl fmt::Debug for Rows<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let rows = self.0.observations.iter().zip(self.0.paths.iter_raw());
+        f.debug_list()
+            .entries(rows.map(|(obs, (_, path))| Row(obs, path)))
+            .finish()
+    }
+}
+
+/// One row of [`Rows`].
+struct Row<'a>(&'a RouteObservation, RawHops<'a>);
+
+impl fmt::Debug for Row<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let Row(obs, path) = self;
+        f.debug_struct("RouteObservation")
+            .field("vp", &obs.vp)
+            .field("origin", &obs.origin)
+            .field("prefix", &obs.prefix)
+            .field("path", path)
+            .field("class", &obs.class)
+            .finish()
+    }
+}
+
+/// Builds the path-attribute list for one RIB entry from its raw path.
 fn path_attributes(
     topology: &Topology,
-    path: &[Asn],
+    path: Vec<Asn>,
     two_byte_session: bool,
 ) -> Vec<PathAttribute> {
-    let mut attrs = vec![PathAttribute::Origin(0)];
-    let has_four_byte = path.iter().any(|a| a.is_four_byte());
-    if two_byte_session && has_four_byte {
-        let legacy: Vec<Asn> = path
-            .iter()
-            .map(|a| if a.is_four_byte() { AS_TRANS } else { *a })
-            .collect();
-        attrs.push(PathAttribute::AsPath(vec![AsPathSegment::sequence(legacy)]));
-        attrs.push(PathAttribute::As4Path(vec![AsPathSegment::sequence(
-            path.to_vec(),
-        )]));
-    } else {
-        attrs.push(PathAttribute::AsPath(vec![AsPathSegment::sequence(
-            path.to_vec(),
-        )]));
-    }
-    attrs.push(PathAttribute::NextHop(0x0A00_0001));
-
     let mut classic: Vec<Community> = Vec::new();
     let mut large: Vec<LargeCommunity> = Vec::new();
-    for c in collector_communities(topology, path) {
+    for c in collector_communities(topology, &path) {
         match c {
             AnyCommunity::Classic(c) => classic.push(c),
             AnyCommunity::Large(lc) => large.push(lc),
         }
     }
+    let mut attrs = vec![PathAttribute::Origin(0)];
+    if two_byte_session && path.iter().any(|a| a.is_four_byte()) {
+        let legacy: Vec<Asn> = path.iter().map(|a| a.to_two_byte()).collect();
+        attrs.push(PathAttribute::AsPath(vec![AsPathSegment::sequence(legacy)]));
+        attrs.push(PathAttribute::As4Path(vec![AsPathSegment::sequence(path)]));
+    } else {
+        attrs.push(PathAttribute::AsPath(vec![AsPathSegment::sequence(path)]));
+    }
+    attrs.push(PathAttribute::NextHop(0x0A00_0001));
     if !classic.is_empty() {
         attrs.push(PathAttribute::Communities(classic));
     }
@@ -348,6 +360,7 @@ pub fn pathset_from_mrt(bytes: &[u8], reconstruct_as4: bool) -> Result<PathSet, 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use asgraph::asn::AS_TRANS;
     use topogen::TopologyConfig;
 
     fn snapshot() -> (Topology, RibSnapshot) {
@@ -362,22 +375,7 @@ mod tests {
         let a = simulate(&topo);
         let b = simulate(&topo);
         assert_eq!(a.observations, b.observations);
-    }
-
-    #[test]
-    fn streaming_chunks_concatenate_to_batch_result() {
-        let topo = topogen::generate(&TopologyConfig::small(9));
-        let graph = SimGraph::build(&topo);
-        let batch = simulate_with_graph(&topo, &graph);
-        let mut streamed: Vec<RouteObservation> = Vec::new();
-        let mut chunks = 0usize;
-        simulate_streaming(&topo, &graph, |chunk| {
-            chunks += 1;
-            streamed.extend(chunk);
-        });
-        assert_eq!(streamed, batch.observations);
-        // One sink call per origin (chunks are drained origin-by-origin).
-        assert_eq!(chunks, graph.len());
+        assert_eq!(a.digest(), b.digest());
     }
 
     #[test]
@@ -464,9 +462,11 @@ mod tests {
     #[test]
     fn observations_start_at_vp_and_end_at_origin() {
         let (_, snap) = snapshot();
-        for obs in snap.observations.iter().take(500) {
-            assert_eq!(obs.path.first(), Some(&obs.vp));
-            assert_eq!(obs.path.last(), Some(&obs.origin));
+        assert_eq!(snap.paths.len(), snap.observations.len());
+        for (obs, (vp, path)) in snap.observations.iter().zip(snap.paths.iter()).take(500) {
+            assert_eq!(vp, obs.vp);
+            assert_eq!(path.first(), Some(&obs.vp));
+            assert_eq!(path.last(), Some(&obs.origin));
         }
     }
 }

@@ -82,9 +82,7 @@ pub fn compute_link_metrics(
     // rendered from it) iterates in deterministic Link order (L008).
     let mut acc: BTreeMap<Link, Acc> = BTreeMap::new();
 
-    for obs in &snapshot.observations {
-        let mut hops = obs.path.clone();
-        hops.dedup();
+    for (obs, (_, hops)) in snapshot.observations.iter().zip(snapshot.paths.iter()) {
         for (i, w) in hops.windows(2).enumerate() {
             let Some(link) = Link::new(w[0], w[1]) else {
                 continue;

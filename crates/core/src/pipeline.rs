@@ -117,7 +117,7 @@ impl Scenario {
             }
         }
         let snapshot = bgpsim::simulate(&topology);
-        let paths = snapshot.to_pathset(false).sanitized();
+        let paths = snapshot.paths.sanitized();
         if cfg!(debug_assertions) {
             sanitize::debug_assert_clean("sanitized_paths", &sanitize::check_pathset(&paths));
         }

@@ -8,8 +8,8 @@
 
 use crate::config::ValDataConfig;
 use crate::set::{LabelSource, ValidationSet};
-use asgraph::{asn::AS_TRANS, Asn, Link, Rel};
-use bgpsim::communities::{scheme_of, AnyCommunity, IngressRel};
+use asgraph::{Asn, Link, Rel};
+use bgpsim::communities::{collector_communities, scheme_of, AnyCommunity, IngressRel};
 use bgpsim::RibSnapshot;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -44,29 +44,25 @@ struct DecodeContext<'a> {
 }
 
 /// Decodes one observation's communities into `(link, rel)` labels, in the
-/// order the sequential loop would have produced them.
+/// order the sequential loop would have produced them. `hops` is the
+/// observation's prepend-compressed path.
 fn decode_observation(
     ctx: &DecodeContext<'_>,
     obs: &bgpsim::RouteObservation,
+    hops: &[Asn],
     out: &mut Vec<(Link, Rel)>,
 ) {
     // The decoding pipeline sees the path as extracted from MRT data:
     // modern view normally, legacy view (AS_TRANS substituted) for
-    // 16-bit collector sessions when the legacy pipeline is active.
+    // 16-bit collector sessions when the legacy pipeline is active. The
+    // legacy view maps each hop where it is read: a tagger is never
+    // AS_TRANS, so the hop after it in the mapped, re-compressed path is
+    // the mapped hop after it in `hops`.
     let legacy = ctx.cfg.legacy_pipeline && ctx.two_byte_vps.contains(&obs.vp);
-    let mut hops: Vec<Asn> = if legacy {
-        obs.path
-            .iter()
-            .map(|a| if a.is_four_byte() { AS_TRANS } else { *a })
-            .collect()
-    } else {
-        obs.path.clone()
-    };
-    hops.dedup();
+    let view = |a: Asn| if legacy { a.to_two_byte() } else { a };
 
     // Communities travel on the wire unaffected by the AS_PATH encoding.
-    let communities = bgpsim::communities::collector_communities(ctx.topology, &obs.path);
-    for community in communities {
+    for community in collector_communities(ctx.topology, hops) {
         let tagger = Asn(community.asn_part());
         if !ctx.publishers.contains(&tagger) {
             // 16-bit alias check: a classic community's AS part could
@@ -99,10 +95,10 @@ fn decode_observation(
         }
         // Locate the tagger on the (pipeline-visible) path and find the
         // neighbor it learned the route from.
-        let Some(pos) = hops.iter().position(|h| *h == tagger) else {
+        let Some(pos) = hops.iter().position(|&h| view(h) == tagger) else {
             continue; // tagger hidden behind AS_TRANS in the legacy view
         };
-        let Some(&neighbor) = hops.get(pos + 1) else {
+        let Some(neighbor) = hops.get(pos + 1).map(|&h| view(h)) else {
             continue;
         };
         let Some(link) = Link::new(tagger, neighbor) else {
@@ -181,7 +177,7 @@ pub fn compile_communities(
         stale_dicts,
         two_byte_vps,
     };
-    let observations = &snapshot.observations;
+    let (observations, paths) = (&snapshot.observations, &snapshot.paths);
     let obs_chunk = breval_par::input_scaled_chunk(observations.len(), OBS_CHUNK);
     let chunks = observations.len().div_ceil(obs_chunk);
     {
@@ -192,8 +188,10 @@ pub fn compile_communities(
             let lo = c * obs_chunk;
             let hi = (lo + obs_chunk).min(observations.len());
             let mut out = Vec::new();
-            for obs in &observations[lo..hi] {
-                decode_observation(&ctx, obs, &mut out);
+            for i in lo..hi {
+                if let (Some(obs), Some((_, hops))) = (observations.get(i), paths.get(i)) {
+                    decode_observation(&ctx, obs, hops, &mut out);
+                }
             }
             out
         });

@@ -81,14 +81,28 @@ proptest! {
         let cfg = ValDataConfig::default();
         let a = valdata::compile_communities(&topo, &snap, &cfg);
 
-        let mut shuffled = snap.clone();
+        // Each observation moves together with its path.
+        let mut rows: Vec<(bgpsim::RouteObservation, Vec<Asn>)> = snap
+            .observations
+            .iter()
+            .zip(snap.paths.iter_raw())
+            .map(|(obs, (_, path))| (*obs, path.iter().collect()))
+            .collect();
         // Deterministic Fisher–Yates with a splitmix-style stream.
         let mut s = swap_seed | 1;
-        let n = shuffled.observations.len();
-        for i in (1..n).rev() {
+        for i in (1..rows.len()).rev() {
             s ^= s << 13; s ^= s >> 7; s ^= s << 17;
             let j = (s as usize) % (i + 1);
-            shuffled.observations.swap(i, j);
+            rows.swap(i, j);
+        }
+        let mut shuffled = bgpsim::RibSnapshot {
+            observations: Vec::new(),
+            paths: asgraph::PathSet::new(),
+            collector_peers: snap.collector_peers.clone(),
+        };
+        for (obs, path) in rows {
+            shuffled.observations.push(obs);
+            shuffled.paths.push_hops(obs.vp, path);
         }
         let b = valdata::compile_communities(&topo, &shuffled, &cfg);
         // Record order *within* a link legitimately follows observation

@@ -72,8 +72,9 @@ fn parallel_run_matches_single_thread() {
         });
 
         assert_eq!(
-            single.snapshot.observations, multi.snapshot.observations,
-            "seed {seed}: RibSnapshot observations must be byte-identical"
+            single.snapshot.digest(),
+            multi.snapshot.digest(),
+            "seed {seed}: RibSnapshot observations and paths must be byte-identical"
         );
         for name in ["asrank", "problink", "toposcope", "gao"] {
             assert_eq!(
@@ -157,7 +158,7 @@ fn journal_does_not_change_outputs() {
         breval::obs::set_journal_enabled(false);
         breval::obs::set_enabled(false);
         (
-            s.snapshot.observations.clone(),
+            s.snapshot.digest(),
             serde_json::to_string(&s.fig1()).unwrap(),
             serde_json::to_string(&s.fig2()).unwrap(),
         )
@@ -167,7 +168,7 @@ fn journal_does_not_change_outputs() {
         let on = run(true, threads);
         assert_eq!(
             off.0, on.0,
-            "{threads} thread(s): observations must not depend on the journal"
+            "{threads} thread(s): observations and paths must not depend on the journal"
         );
         assert_eq!(
             off.1, on.1,

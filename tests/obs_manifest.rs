@@ -38,7 +38,6 @@ fn small_scenario_manifest_covers_all_stages() {
         "scenario_run",
         "scenario_run/generate",
         "scenario_run/simulate",
-        "scenario_run/to_pathset",
         "scenario_run/sanitize",
         "scenario_run/path_stats",
         "scenario_run/infer_all",
