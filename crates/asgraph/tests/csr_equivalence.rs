@@ -217,31 +217,44 @@ proptest! {
     /// Hybrid PPDC cones (sparse id lists below the density cutoff, bitset
     /// rows above it) equal the hash-based baseline: same key set, same
     /// members, same sizes, same membership answers, and ASN-ascending
-    /// iteration — whichever representation each row landed on.
+    /// iteration — whichever representation each row landed on. One walk
+    /// over three independent labellings gets every table right, and a walk
+    /// over none returns no tables.
     #[test]
-    fn ppdc_bitsets_match_baseline(ps in arb_pathset(), g in arb_graph()) {
-        let rels: BTreeMap<Link, Rel> = g.links().collect();
-        let dense = cone::ppdc_cones(&ps, &rels);
-        let reference = ppdc_cones_hash(&ps, &rels);
-        prop_assert_eq!(dense.indexer().len(), reference.len());
-        let sizes = dense.sizes();
-        let all: Vec<Asn> = dense.indexer().iter().collect();
-        for (asn, members) in &reference {
-            let expect: BTreeSet<Asn> = members.iter().copied().collect();
-            // `contains` agrees with the reference for every observed AS,
-            // member or not (binary search vs bit probe per row form).
-            for &candidate in &all {
-                prop_assert_eq!(
-                    dense.contains(*asn, candidate),
-                    Some(expect.contains(&candidate))
-                );
+    fn ppdc_bitsets_match_baseline(
+        ps in arb_pathset(),
+        graphs in (arb_graph(), arb_graph(), arb_graph()),
+    ) {
+        let labellings: Vec<BTreeMap<Link, Rel>> = [graphs.0, graphs.1, graphs.2]
+            .iter()
+            .map(|g| g.links().collect())
+            .collect();
+        let refs: Vec<&BTreeMap<Link, Rel>> = labellings.iter().collect();
+        let tables = cone::ppdc_cones_each(&ps, &refs);
+        prop_assert_eq!(tables.len(), labellings.len());
+        prop_assert!(cone::ppdc_cones_each(&ps, &[]).is_empty());
+        for (rels, dense) in labellings.iter().zip(&tables) {
+            let reference = ppdc_cones_hash(&ps, rels);
+            prop_assert_eq!(dense.indexer().len(), reference.len());
+            let sizes = dense.sizes();
+            let all: Vec<Asn> = dense.indexer().iter().collect();
+            for (asn, members) in &reference {
+                let expect: BTreeSet<Asn> = members.iter().copied().collect();
+                // `contains` agrees with the reference for every observed AS,
+                // member or not (binary search vs bit probe per row form).
+                for &candidate in &all {
+                    prop_assert_eq!(
+                        dense.contains(*asn, candidate),
+                        Some(expect.contains(&candidate))
+                    );
+                }
+                prop_assert_eq!(dense.contains(*asn, Asn(u32::MAX)), Some(false));
+                prop_assert_eq!(dense.members(*asn), Some(expect));
+                prop_assert_eq!(sizes.get(*asn), Some(members.len()));
             }
-            prop_assert_eq!(dense.contains(*asn, Asn(u32::MAX)), Some(false));
-            prop_assert_eq!(dense.members(*asn), Some(expect));
-            prop_assert_eq!(sizes.get(*asn), Some(members.len()));
+            // Size iteration stays in strictly ascending ASN order.
+            let order: Vec<Asn> = sizes.iter().map(|(a, _)| a).collect();
+            prop_assert!(order.windows(2).all(|w| w[0] < w[1]));
         }
-        // Size iteration stays in strictly ascending ASN order.
-        let order: Vec<Asn> = sizes.iter().map(|(a, _)| a).collect();
-        prop_assert!(order.windows(2).all(|w| w[0] < w[1]));
     }
 }

@@ -12,7 +12,7 @@
 
 use crate::common::{Classifier, Inference, PreparedPaths};
 use crate::features::{compute_features, NaiveBayes, CLASS_P2C, CLASS_P2P};
-use asgraph::{Link, PathSet, Rel, RelClass};
+use asgraph::{Link, Rel, RelClass};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashMap};
 
@@ -58,21 +58,12 @@ impl Unari {
         Unari
     }
 
-    /// Computes per-link beliefs.
+    /// Per-link beliefs over a preparation: the naive-Bayes model fitted on
+    /// its ASRank labelling (the attached seed, or a fresh run), evaluated
+    /// once per labelled link.
     #[must_use]
-    pub fn beliefs(&self, paths: &PathSet) -> BTreeMap<Link, LinkBelief> {
-        let clean = paths.sanitized();
-        let stats = clean.stats();
-        let prep = PreparedPaths::new(&clean, &stats);
-        Self::beliefs_prepared(prep, &prep.asrank_seed())
-    }
-
-    /// Beliefs over a preparation: the naive-Bayes model fitted on the
-    /// ASRank labelling `initial`, evaluated once per labelled link.
-    fn beliefs_prepared(
-        prep: PreparedPaths<'_>,
-        initial: &Inference,
-    ) -> BTreeMap<Link, LinkBelief> {
+    pub fn beliefs(&self, prep: PreparedPaths<'_>) -> BTreeMap<Link, LinkBelief> {
+        let initial = prep.asrank_seed();
         let features = compute_features(prep.paths, prep.stats, &initial.clique);
         let nb = NaiveBayes::fit(&initial.rels, &features);
         initial
@@ -123,7 +114,7 @@ impl Classifier for Unari {
 
     fn infer_prepared(&self, prep: PreparedPaths<'_>) -> Inference {
         let initial = prep.asrank_seed();
-        let beliefs = Self::beliefs_prepared(prep, &initial);
+        let beliefs = self.beliefs(prep.with_asrank(&initial));
         let rels: BTreeMap<Link, Rel> = beliefs.iter().map(|(l, b)| (*l, b.hard_label())).collect();
         Inference {
             classifier: self.name().to_owned(),
@@ -193,7 +184,7 @@ pub fn calibration_curve(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use asgraph::{AsPath, Asn};
+    use asgraph::{AsPath, Asn, PathSet};
 
     fn sample_paths() -> PathSet {
         let mut ps = PathSet::new();
@@ -210,7 +201,9 @@ mod tests {
 
     #[test]
     fn beliefs_are_probabilities() {
-        let beliefs = Unari::new().beliefs(&sample_paths());
+        let ps = sample_paths().sanitized();
+        let stats = ps.stats();
+        let beliefs = Unari::new().beliefs(PreparedPaths::new(&ps, &stats));
         assert!(!beliefs.is_empty());
         for (link, b) in &beliefs {
             assert!(
@@ -236,8 +229,9 @@ mod tests {
 
     #[test]
     fn calibration_bins_are_consistent() {
-        let ps = sample_paths();
-        let beliefs = Unari::new().beliefs(&ps);
+        let ps = sample_paths().sanitized();
+        let stats = ps.stats();
+        let beliefs = Unari::new().beliefs(PreparedPaths::new(&ps, &stats));
         // Use the hard labels themselves as reference: accuracy must be 1.0
         // in every populated bin.
         let reference: HashMap<Link, Rel> =

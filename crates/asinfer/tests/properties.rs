@@ -2,7 +2,7 @@
 //! arbitrary path sets, and stability invariants.
 
 use asgraph::{AsPath, Asn, Link, PathSet, Rel};
-use asinfer::{AsRank, Classifier, GaoClassifier, ProbLink, TopoScope, Unari};
+use asinfer::{AsRank, Classifier, GaoClassifier, PreparedPaths, ProbLink, TopoScope, Unari};
 use proptest::prelude::*;
 
 fn arb_pathset() -> impl Strategy<Value = PathSet> {
@@ -82,7 +82,9 @@ proptest! {
     fn unari_beliefs_consistent(ps in arb_pathset()) {
         let unari = Unari::new();
         let inf = unari.infer(&ps);
-        let beliefs = unari.beliefs(&ps);
+        let clean = ps.sanitized();
+        let stats = clean.stats();
+        let beliefs = unari.beliefs(PreparedPaths::new(&clean, &stats));
         prop_assert_eq!(inf.rels.len(), beliefs.len());
         for (link, belief) in &beliefs {
             prop_assert!((belief.p_p2c + belief.p_p2p - 1.0).abs() < 1e-9);

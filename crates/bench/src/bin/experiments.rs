@@ -519,7 +519,10 @@ overall: {}
             "calibration" => {
                 // UNARI-style belief calibration against the cleaned
                 // validation labels: does X% certainty mean X% accuracy?
-                let beliefs = asinfer::Unari::new().beliefs(&scenario.paths);
+                let asrank = scenario.inference("asrank").expect("asrank always runs");
+                let prep = asinfer::PreparedPaths::new(&scenario.paths, &scenario.stats)
+                    .with_asrank(asrank);
+                let beliefs = asinfer::Unari::new().beliefs(prep);
                 let reference: std::collections::HashMap<_, _> = scenario
                     .validation
                     .labels

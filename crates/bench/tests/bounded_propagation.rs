@@ -2,10 +2,12 @@
 //! built in a constant number of allocations, propagation reuses its buffers
 //! across origins, and hybrid PPDC rows never cost more than the flat
 //! all-bitset layout. The path store imports and sanitises paths in a
-//! constant number of allocations too, and neither the simulation nor the
-//! community-label compiler allocates per route observation.
+//! constant number of allocations too, neither the simulation nor the
+//! community-label compiler allocates per route observation, and the PPDC
+//! build allocates no bytes per hop.
 
-use asgraph::{cone, AsPath, Link, PathSet, Rel};
+use asgraph::{cone, io, AsPath, Link, PathSet, Rel};
+use asinfer::Classifier;
 use bgpsim::{OriginRoutes, PropScratch, Propagator, SimGraph};
 use std::collections::BTreeMap;
 
@@ -32,6 +34,10 @@ const MAX_SIMULATE_ALLOCS_PER_ORIGIN: u64 = 64;
 /// must at least reach: the decoder reads each path as a slice of the RIB's
 /// path store and each route's communities from an iterator.
 const MIN_OBSERVATIONS_PER_COMPILE_ALLOC: u64 = 16;
+/// How much more the PPDC build may allocate, in bytes, over a path store
+/// with every hop twice: its rows and graphs depend on the ASes, not on
+/// how often they were seen.
+const MAX_PPDC_BYTES_GROWTH_ON_DOUBLED_HOPS: f64 = 1.1;
 
 #[test]
 fn propagation_and_ppdc_stay_bounded_at_10k() {
@@ -156,5 +162,39 @@ fn label_compile_allocates_less_than_once_per_observation() {
         "compile_communities allocates {allocs} times for {} observations \
          (ceiling {ceiling}): it allocates per observation",
         rib.observations.len()
+    );
+}
+
+#[test]
+fn ppdc_allocation_does_not_grow_with_the_hop_count() {
+    let topology = topogen::generate(&topogen::TopologyConfig::small(7));
+    let clean = bgpsim::simulate(&topology).paths.sanitized();
+    let asrank = asinfer::AsRank::new().infer(&clean);
+    let mut doubled = clean.clone();
+    doubled.append(&clean);
+    let bytes_of = |paths: &PathSet| {
+        breval_par::with_thread_cap(Some(1), || {
+            let before = counting_alloc::thread_allocated_bytes();
+            let cones = cone::ppdc_cones(paths, &asrank.rels);
+            (cones, counting_alloc::thread_allocated_bytes() - before)
+        })
+    };
+    let (once, once_bytes) = bytes_of(&clean);
+    let (twice, twice_bytes) = bytes_of(&doubled);
+    let encode = |cones: &asgraph::PpdcCones| {
+        let mut w = io::ByteWriter::new();
+        io::write_ppdc_cones(&mut w, cones);
+        w.into_bytes()
+    };
+    assert_eq!(
+        encode(&once),
+        encode(&twice),
+        "repeating every path changed the cones"
+    );
+    assert!(
+        (twice_bytes as f64) < once_bytes as f64 * MAX_PPDC_BYTES_GROWTH_ON_DOUBLED_HOPS,
+        "ppdc_cones allocates {once_bytes} bytes over {} paths but {twice_bytes} bytes \
+         over the same paths twice: it allocates per hop",
+        clean.len()
     );
 }

@@ -58,7 +58,7 @@ impl HeatmapConfig {
 
     /// A defensively usable copy: every dimension clamped to at least 1.
     /// Zero bins would underflow the clamp index (`bins - 1`) and zero max
-    /// would divide by zero in [`bin`]; a degenerate axis collapses to a
+    /// would divide by zero in `bin`; a degenerate axis collapses to a
     /// single catch-all bin instead of panicking.
     #[must_use]
     pub fn sanitized(self) -> Self {

@@ -14,7 +14,7 @@ use asinfer::{AsRank, Classifier, GaoClassifier, Inference, PreparedPaths, ProbL
 use bgpsim::RibSnapshot;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 use topogen::{Topology, TopologyConfig};
 use valdata::{ValDataConfig, ValidationSet};
 
@@ -101,6 +101,8 @@ pub struct Scenario {
     /// shared (`Arc`) by every analysis path — the single cache that
     /// replaced the old per-kind cone/PPDC/scored maps.
     snapshot_cache: Mutex<BTreeMap<String, Arc<ScenarioSnapshot>>>,
+    /// Set once the one PPDC walk has filled every inference's snapshot.
+    ppdc_walked: OnceLock<()>,
 }
 
 impl Scenario {
@@ -224,6 +226,7 @@ impl Scenario {
             validation,
             classifier,
             snapshot_cache,
+            ppdc_walked: OnceLock::new(),
         }
     }
 
@@ -281,16 +284,24 @@ impl Scenario {
     }
 
     /// PPDC bitset cones (paths × the named inference's relationships),
-    /// materialised into the snapshot on first use and shared.
+    /// shared through the snapshot. The first call for any known classifier
+    /// fills every inference's snapshot from one walk over the paths
+    /// ([`cone::ppdc_cones_each`]); the walk runs at most once per scenario,
+    /// however many threads ask at once. Unknown names yield empty cones.
     #[must_use]
     pub fn ppdc_cones_arc(&self, classifier_name: &str) -> Arc<PpdcCones> {
         let snap = self.snapshot_arc(classifier_name);
-        Arc::clone(snap.ppdc.get_or_init(|| {
-            Arc::new(match self.inferences.get(classifier_name) {
-                Some(inference) => cone::ppdc_cones(&self.paths, &inference.rels),
-                None => PpdcCones::default(),
-            })
-        }))
+        if self.inferences.contains_key(classifier_name) {
+            self.ppdc_walked.get_or_init(|| {
+                let labellings: Vec<_> = self.inferences.values().map(|i| &i.rels).collect();
+                let tables = cone::ppdc_cones_each(&self.paths, &labellings);
+                for (name, cones) in self.inferences.keys().zip(tables) {
+                    let _ = self.snapshot_arc(name).ppdc.set(Arc::new(cones));
+                }
+            });
+        }
+        snap.ppdc_cones()
+            .expect("the walk fills every inference's cones; empty snapshots hold empty ones")
     }
 
     /// PPDC cone sizes, derived once from the snapshot's bitset cones

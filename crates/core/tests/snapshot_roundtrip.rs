@@ -135,3 +135,28 @@ fn ppdc_heatmaps_follow_the_requested_classifier() {
     let (inf_default, _) = s.heatmaps(HeatmapMetric::Ppdc);
     assert_eq!(inf_default.cells, inf_a.cells);
 }
+
+#[test]
+fn one_ppdc_request_fills_every_classifier() {
+    // The first PPDC request walks the paths once for every inference, so
+    // asking for ProbLink's sizes alone leaves every snapshot with its own
+    // cones, each byte-identical to a standalone build.
+    let s = Scenario::run(config());
+    let _ = s.ppdc_sizes_arc("problink");
+    let encode = |cones: &asgraph::PpdcCones| {
+        let mut w = asgraph::io::ByteWriter::new();
+        asgraph::io::write_ppdc_cones(&mut w, cones);
+        w.into_bytes()
+    };
+    for (name, inference) in &s.inferences {
+        let cones = s
+            .snapshot_arc(name)
+            .ppdc_cones()
+            .unwrap_or_else(|| panic!("{name} has no PPDC cones after one request"));
+        assert_eq!(
+            encode(&cones),
+            encode(&asgraph::cone::ppdc_cones(&s.paths, &inference.rels)),
+            "PPDC cones of {name}"
+        );
+    }
+}

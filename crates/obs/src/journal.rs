@@ -6,11 +6,11 @@
 //!
 //! The aggregate registry in the crate root answers "how much, in total?";
 //! the journal answers "when, and on which thread?". Every thread that
-//! records an event lazily registers one [`ThreadBuf`] — an append-only
+//! records an event lazily registers one `ThreadBuf` — an append-only
 //! `Vec<Event>` behind a mutex that only the owning thread and the drain
 //! contend on — in a global list. Recording an event is: one relaxed
 //! atomic load (the journal switch), one monotonic-clock read against the
-//! process [`epoch`], two thread-local allocation-counter reads, and a
+//! process `epoch`, two thread-local allocation-counter reads, and a
 //! `Vec::push`. No event is ever written when the journal is off, so the
 //! aggregate-only configuration keeps its old cost.
 //!

@@ -6,7 +6,7 @@
 //!
 //! All instrumentation is gated on a single process-global switch backed by
 //! one `AtomicU8`. When observability is off (the default), every entry
-//! point — [`span`], [`counter`], [`gauge_set`], [`histogram_record`] —
+//! point — [`span()`], [`counter`], [`gauge_set`], [`histogram_record`] —
 //! returns after a single relaxed atomic load and no allocation, so
 //! instrumented hot paths cost nothing measurable. The switch is
 //! initialised lazily from the `BREVAL_OBS` environment variable
@@ -15,7 +15,7 @@
 //!
 //! # Spans
 //!
-//! [`span`] (or the [`span!`] macro) returns an RAII guard. Guards nest via
+//! [`span()`] (or the [`span!`] macro) returns an RAII guard. Guards nest via
 //! a thread-local stack: a span opened while another is active records
 //! under the slash-joined path `parent/child`, so child wall time is
 //! visible both on its own row and inside the parent's total. Dropping the
@@ -283,7 +283,7 @@ impl SpanActive {
     }
 }
 
-/// RAII guard for a timed span; records on drop. Obtained from [`span`].
+/// RAII guard for a timed span; records on drop. Obtained from [`span()`].
 pub struct SpanGuard {
     /// `None` when observability was off at creation: drop is free.
     active: Option<SpanActive>,
@@ -366,7 +366,7 @@ pub fn journal_span(name: &str) -> JournalSpanGuard {
     }
 }
 
-/// Opens a timed span; sugar for [`span`] so call sites read as
+/// Opens a timed span; sugar for [`span()`] so call sites read as
 /// `let _g = breval_obs::span!("stage");`.
 #[macro_export]
 macro_rules! span {
@@ -407,7 +407,7 @@ impl Drop for ContextGuard {
 }
 
 /// Adopts `parent` — a span path captured with [`current_path`] on another
-/// thread — as this thread's span context. Unlike [`span`], adoption
+/// thread — as this thread's span context. Unlike [`span()`], adoption
 /// records no timing of its own: spans opened under it path-join below
 /// `parent` exactly as if they ran on the submitting thread, and counters
 /// fired while it is innermost attribute to `parent`. No-op when `parent`

@@ -186,7 +186,7 @@ const MAX_CHUNKS: usize = 256;
 
 /// Items per chunk for a chunked fan-out over `len` items: `base` (the
 /// caller's tuned granularity) until the input is large enough that `base`
-/// would produce more than [`MAX_CHUNKS`] chunks, then `len / 256` so the
+/// would produce more than `MAX_CHUNKS` chunks, then `len / 256` so the
 /// chunk count stays bounded at million-item scale. The result depends on
 /// the input length only — **never** on the thread count — so chunk
 /// boundaries, and with them any order-sensitive merged output, are

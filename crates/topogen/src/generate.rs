@@ -6,7 +6,7 @@
 //!
 //! The builder is **streaming**: links are emitted into the output map as
 //! they are decided, provider candidates live in resident weighted pools
-//! ([`crate::picker::PoolSet`]) instead of per-AS cloned candidate vectors,
+//! (`picker::PoolSet`) instead of per-AS cloned candidate vectors,
 //! and the relationship post-passes (partial transit, hybrid links) rewrite
 //! the link map in place instead of materialising O(E) snapshots. Output is
 //! byte-identical to the pre-streaming builder at every seed and size the

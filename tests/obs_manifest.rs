@@ -31,6 +31,10 @@ fn small_scenario_manifest_covers_all_stages() {
         "join must run once per classifier (asrank, problink)"
     );
 
+    // One PPDC walk fills every classifier's cones, however many ask.
+    let _ = scenario.ppdc_sizes_arc("toposcope");
+    let _ = scenario.ppdc_sizes_arc("asrank");
+
     let manifest = obs::RunManifest::capture("integration", 99);
     obs::set_enabled(false);
 
@@ -92,6 +96,18 @@ fn small_scenario_manifest_covers_all_stages() {
     assert_eq!(
         manifest.counters["route_observations"],
         scenario.snapshot.observations.len() as u64
+    );
+
+    let ppdc = manifest
+        .stages
+        .iter()
+        .find(|s| s.name == "ppdc")
+        .expect("the PPDC walk is a stage");
+    assert_eq!(ppdc.calls, 1, "the PPDC walk must run once per scenario");
+    assert_eq!(
+        manifest.counters["ppdc_labellings"],
+        scenario.inferences.len() as u64,
+        "the one walk covers every inference"
     );
 
     // The per-stage attribution agrees with the global totals.
