@@ -21,7 +21,7 @@
 use crate::asn::Asn;
 use crate::csr::{ConeScratch, CsrGraph};
 use crate::graph::AsGraph;
-use crate::index::AsIndexer;
+use crate::index::{AsIndexer, HopIds};
 use crate::link::Link;
 use crate::paths::PathSet;
 use crate::rel::Rel;
@@ -306,13 +306,11 @@ pub fn ppdc_cones(paths: &PathSet, rels: &BTreeMap<Link, Rel>) -> PpdcCones {
 /// from one walk over `paths`, in the labellings' order.
 ///
 /// The walk interns the path ASes once, translates each path's hops to
-/// dense ids once into one reused buffer, and tests every hop pair against
+/// dense ids once ([`HopIds`]), and tests every hop pair against
 /// each labelling's [`CsrGraph`]: `u` reaches `x` from a provider or peer
 /// iff `u` is among `x`'s providers or peers. That equals a lookup of the
 /// pair's link in `rels` for every relationship valid for its link
 /// ([`Rel::is_valid_for`]). Nothing is allocated per path or per hop.
-/// Both the interning and the translation answer most hops from a small
-/// memo of recently seen ASNs instead of a binary search.
 #[must_use]
 pub fn ppdc_cones_each(paths: &PathSet, labellings: &[&BTreeMap<Link, Rel>]) -> Vec<PpdcCones> {
     let _span = breval_obs::span!("ppdc");
@@ -320,7 +318,7 @@ pub fn ppdc_cones_each(paths: &PathSet, labellings: &[&BTreeMap<Link, Rel>]) -> 
     if labellings.is_empty() {
         return Vec::new();
     }
-    let indexer = observed_indexer(paths);
+    let indexer = paths.observed_indexer();
     let n = indexer.len();
     let words = n.div_ceil(64);
     let cutoff = sparse_cutoff(n);
@@ -329,15 +327,9 @@ pub fn ppdc_cones_each(paths: &PathSet, labellings: &[&BTreeMap<Link, Rel>]) -> 
         .map(|rels| CsrGraph::from_links(indexer.clone(), rels.iter().map(|(l, r)| (*l, *r))))
         .collect();
     let mut tables: Vec<Vec<Option<BuildRow>>> = vec![vec![None; n]; labellings.len()];
-    let mut ids: Vec<u32> = Vec::new();
-    let mut recent = RecentAsns::new();
+    let mut hop_ids = HopIds::new(&indexer);
     for (_, c) in paths.iter().filter(|(_, c)| c.len() >= 2) {
-        ids.clear();
-        ids.extend(c.iter().map(|&asn| {
-            recent.get_or(asn, |asn| {
-                indexer.id(asn).expect("path hop is an observed AS")
-            })
-        }));
+        let ids = hop_ids.translate(c);
         for i in 1..ids.len() {
             let (upstream, x) = (ids[i - 1], ids[i]);
             for (graph, rows) in graphs.iter().zip(&mut tables) {
@@ -364,71 +356,6 @@ pub fn ppdc_cones_each(paths: &PathSet, labellings: &[&BTreeMap<Link, Rel>]) -> 
                 .collect(),
         })
         .collect()
-}
-
-/// Misses [`observed_indexer`] collects before merging them into its sorted
-/// list: large enough that merges stay rare, small enough to cost nothing.
-const INDEXER_MISS_BATCH: usize = 4096;
-
-/// Interns every AS observed on a multi-hop compressed path — exactly the
-/// key set of `PathStats::ases` (only `windows(2)` contribute degree) —
-/// without copying the hops: each hop not recently seen is probed in the
-/// ASNs found so far, and misses are merged in per batch.
-fn observed_indexer(paths: &PathSet) -> AsIndexer {
-    let mut known: Vec<Asn> = Vec::new();
-    let mut misses: Vec<Asn> = Vec::with_capacity(INDEXER_MISS_BATCH);
-    // A remembered ASN is in `known` or waiting in `misses`.
-    let mut seen = RecentAsns::new();
-    for (_, c) in paths.iter().filter(|(_, c)| c.len() >= 2) {
-        for &asn in c {
-            seen.get_or(asn, |asn| {
-                if known.binary_search(&asn).is_err() {
-                    misses.push(asn);
-                    if misses.len() == INDEXER_MISS_BATCH {
-                        known.append(&mut misses);
-                        known.sort_unstable();
-                        known.dedup();
-                    }
-                }
-            });
-        }
-    }
-    known.append(&mut misses);
-    AsIndexer::from_unsorted(known)
-}
-
-/// Slots of a [`RecentAsns`] memo.
-const RECENT_ASN_SLOTS: usize = 4096;
-
-/// A direct-mapped memo of one answer per ASN, slotted by the ASN's low
-/// bits. Most hops of a path set revisit a few thousand transit ASes, so
-/// the memo answers nearly every hop with one load where the indexer would
-/// binary-search. At default scale (13.47M hops, 10,945 ASes, one core of a
-/// 2-vCPU VM) it took interning from 0.49 to 0.08 s and translation from
-/// 0.45 to 0.10 s.
-struct RecentAsns<T> {
-    slots: Vec<Option<(Asn, T)>>,
-}
-
-impl<T: Copy> RecentAsns<T> {
-    fn new() -> Self {
-        RecentAsns {
-            slots: vec![None; RECENT_ASN_SLOTS],
-        }
-    }
-
-    /// The remembered answer for `asn`, or `answer(asn)`, remembered.
-    fn get_or(&mut self, asn: Asn, answer: impl FnOnce(Asn) -> T) -> T {
-        let slot = &mut self.slots[asn.0 as usize % RECENT_ASN_SLOTS];
-        match *slot {
-            Some((seen, value)) if seen == asn => value,
-            _ => {
-                let value = answer(asn);
-                *slot = Some((asn, value));
-                value
-            }
-        }
-    }
 }
 
 /// Build-time accumulator behind one PPDC row. Starts as an unsorted id
@@ -638,7 +565,9 @@ mod tests {
             asns.iter().map(|&a| cones.size(Asn(a))).collect::<Vec<_>>()
         };
         let plain: Vec<u32> = (1..=12).collect();
-        let colliding: Vec<u32> = (1..=12).map(|k| k * RECENT_ASN_SLOTS as u32 + 7).collect();
+        let colliding: Vec<u32> = (1..=12)
+            .map(|k| k * crate::index::RECENT_ASN_SLOTS as u32 + 7)
+            .collect();
         assert_eq!(cone_sizes(&plain)[1], Some(11));
         assert_eq!(cone_sizes(&colliding), cone_sizes(&plain));
     }

@@ -10,14 +10,16 @@
 //! * [`AsGraph`] — a relationship-labelled adjacency structure with degree,
 //!   provider/customer/peer views and customer-cone computation.
 //! * [`PathSet`] — observed BGP AS paths, each once and prepend-compressed in one
-//!   flat array, with the derived statistics (node degree, transit degree,
-//!   vantage-point visibility) that the inference algorithms in `asinfer` consume.
+//!   flat array, with the derived statistics ([`PathStats`]: node degree, transit
+//!   degree, vantage-point visibility, keyed by dense AS and link ids) that the
+//!   inference algorithms in `asinfer` consume.
 //! * [`clique`] — Tier-1 clique inference over transit-degree rankings, as used by
 //!   the ASRank pipeline.
 //! * [`AsIndexer`] / [`CsrGraph`] — the dense core: sorted-ASN ↔ `u32` id
 //!   interning plus role-segmented CSR adjacency, so the hot analysis kernels
-//!   (cone BFS, PPDC bitsets, class partition) run over flat arrays and only
-//!   convert back to [`Asn`] at serialization boundaries.
+//!   (cone BFS, PPDC bitsets, class partition, path statistics) run over flat
+//!   arrays and only convert back to [`Asn`] at serialization boundaries.
+//!   [`HopIds`] and [`LinkIds`] read path hops and hop pairs as those ids.
 //!
 //! The crate is dependency-light (only `serde`) and purely computational.
 
@@ -42,8 +44,8 @@ pub use cone::{ConeSizes, PpdcCones, PpdcStorageStats};
 pub use csr::{ConeScratch, CsrGraph};
 pub use error::GraphError;
 pub use graph::{AsGraph, NeighborRole};
-pub use index::AsIndexer;
+pub use index::{AsIndexer, HopIds};
 pub use link::Link;
-pub use paths::{has_loop, AsPath, PathSet, PathStats, RawHops};
+pub use paths::{has_loop, AsPath, LinkIds, PathSet, PathStats, RawHops};
 pub use rel::{GtRel, Rel, RelClass};
 pub use valley::{check_valley_free, ValleyViolation};

@@ -4,11 +4,14 @@
 //! paths collected at vantage points (route-collector peers). This module
 //! provides the path store plus the derived quantities the paper's
 //! algorithms rely on: node degree, *transit degree* (Luckie et al. 2013),
-//! per-link vantage-point visibility, and AS triplets.
+//! per-link vantage-point visibility, and AS triplets. The statistics are
+//! keyed by dense ids: ASes by an [`AsIndexer`] over the observed ASes, and
+//! links by their rank in `Link` order.
 
 use crate::asn::Asn;
+use crate::index::{distinct_sorted, AsIndexer, HopIds};
 use crate::link::Link;
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::BTreeSet;
 use std::fmt;
 use std::ops::Range;
 
@@ -163,8 +166,17 @@ impl PathSet {
     /// The distinct vantage points, sorted.
     #[must_use]
     pub fn vantage_points(&self) -> Vec<Asn> {
-        let set: BTreeSet<Asn> = self.vps.iter().copied().collect();
-        set.into_iter().collect()
+        distinct_sorted(self.vps.iter().copied())
+    }
+
+    /// Interns every AS observed on a multi-hop compressed path: exactly
+    /// the ASes on some link, the key set of [`PathStats::ases`].
+    pub(crate) fn observed_indexer(&self) -> AsIndexer {
+        let hops = self
+            .iter()
+            .filter(|(_, c)| c.len() >= 2)
+            .flat_map(|(_, c)| c.iter().copied());
+        AsIndexer::from_sorted(distinct_sorted(hops))
     }
 
     /// Retains only loop-free paths without reserved ASNs — the common
@@ -190,33 +202,205 @@ impl PathSet {
         out
     }
 
-    /// Computes the derived statistics in one pass.
+    /// Computes the derived statistics (see [`PathStats`]) in two passes
+    /// over the paths, allocating nothing per path or per hop.
     #[must_use]
     pub fn stats(&self) -> PathStats {
-        let mut neighbors: HashMap<Asn, HashSet<Asn>> = HashMap::new();
-        let mut transit: HashMap<Asn, HashSet<Asn>> = HashMap::new();
-        let mut link_vps: HashMap<Link, HashSet<Asn>> = HashMap::new();
-        for (vp, c) in self.iter() {
+        let (indexer, link_ends) = self.observed_links();
+        let vantage_points = AsIndexer::from_sorted(self.vantage_points());
+        let adjacency = Adjacency::from_links(indexer.len(), &link_ends);
+
+        // Pass 2: each hop pair's entry in both rows. An interior hop marks
+        // its entries for both path neighbours as transit; every hop pair
+        // sets its path's VP bit on its link.
+        let entries = adjacency.neighbors.len();
+        let words = vantage_points.len().div_ceil(64).max(1);
+        let mut vp_bits = vec![0u64; link_ends.len() * words];
+        let mut transit = vec![false; entries];
+        let mut vp_ids = HopIds::new(&vantage_points);
+        let mut hop_ids = HopIds::new(&indexer);
+        let mut recent = RecentPairs::new();
+        for (vp, c) in self.iter().filter(|(_, c)| c.len() >= 2) {
+            let vp = vp_ids.hop_id(vp) as usize;
+            let (word, bit) = (vp / 64, 1u64 << (vp % 64));
+            // The entry of the previous hop in the current hop's row.
+            let mut back: Option<usize> = None;
             for w in c.windows(2) {
-                if let Some(link) = Link::new(w[0], w[1]) {
-                    neighbors.entry(w[0]).or_default().insert(w[1]);
-                    neighbors.entry(w[1]).or_default().insert(w[0]);
-                    link_vps.entry(link).or_default().insert(vp);
+                // Keyed by ASNs, so a hop pair seen recently needs no ids.
+                let fwd = recent.get_or(w[0].0, w[1].0, || {
+                    let (a, b) = (hop_ids.hop_id(w[0]), hop_ids.hop_id(w[1]));
+                    let at = entry_of(&adjacency.offsets, &adjacency.neighbors, a, b);
+                    store_index(at.expect("the first pass collected every hop pair"))
+                }) as usize;
+                vp_bits[adjacency.links[fwd] as usize * words + word] |= bit;
+                if let Some(back) = back {
+                    transit[back] = true;
+                    transit[fwd] = true;
                 }
-            }
-            for w in c.windows(3) {
-                let t = transit.entry(w[1]).or_default();
-                t.insert(w[0]);
-                t.insert(w[2]);
+                back = Some(adjacency.twins[fwd] as usize);
             }
         }
+        let transit_degree = adjacency
+            .offsets
+            .windows(2)
+            .map(|w| {
+                let row = &transit[w[0] as usize..w[1] as usize];
+                store_index(row.iter().filter(|&&t| t).count())
+            })
+            .collect();
+        let link_vp_count = vp_bits
+            .chunks_exact(words)
+            .map(|bits| bits.iter().map(|b| b.count_ones()).sum())
+            .collect();
+        let links = link_ends
+            .iter()
+            .map(|&[a, b]| {
+                Link::new(indexer.asn(a), indexer.asn(b)).expect("compressed hops differ")
+            })
+            .collect();
         PathStats {
-            node_degree: neighbors.iter().map(|(a, s)| (*a, s.len())).collect(),
-            transit_degree: transit.iter().map(|(a, s)| (*a, s.len())).collect(),
-            link_vp_count: link_vps.iter().map(|(l, s)| (*l, s.len())).collect(),
-            links: link_vps.keys().copied().collect(),
+            indexer,
+            offsets: adjacency.offsets,
+            neighbors: adjacency.neighbors,
+            entry_links: adjacency.links,
+            link_ends,
+            transit_degree,
+            link_vp_count,
+            links,
+            vantage_points,
+            source: (self.len(), self.hops.len()),
         }
     }
+
+    /// Pass 1 of [`PathSet::stats`]: the ASes on some link, and the
+    /// `[lower id, higher id]` of every link, ascending. Compressed paths
+    /// never repeat a hop, so every hop pair is a link. Pairs seen recently
+    /// are skipped; the rest are collected and sorted and deduplicated each
+    /// time their count doubles, so memory stays proportional to the links.
+    /// The links' endpoints are exactly the ASes of
+    /// [`PathSet::observed_indexer`], so the statistics get their indexer
+    /// without a pass of their own over the hops.
+    fn observed_links(&self) -> (AsIndexer, Vec<[u32; 2]>) {
+        let mut recent = RecentPairs::new();
+        let mut pairs: Vec<u64> = Vec::new();
+        let mut merge_at = PAIR_BATCH;
+        for (_, c) in self.iter() {
+            for w in c.windows(2) {
+                let (a, b) = (w[0].0.min(w[1].0), w[0].0.max(w[1].0));
+                recent.get_or(a, b, || {
+                    pairs.push((u64::from(a) << 32) | u64::from(b));
+                    if pairs.len() == merge_at {
+                        pairs.sort_unstable();
+                        pairs.dedup();
+                        merge_at = 2 * pairs.len() + PAIR_BATCH;
+                    }
+                    0
+                });
+            }
+        }
+        pairs.sort_unstable();
+        pairs.dedup();
+        let ends = |key: u64| [Asn((key >> 32) as u32), Asn(key as u32)];
+        let indexer =
+            AsIndexer::from_sorted(distinct_sorted(pairs.iter().flat_map(|&key| ends(key))));
+        // Ids follow ASN order, so the links stay ascending.
+        let link_ends = pairs
+            .iter()
+            .map(|&key| ends(key).map(|asn| indexer.id(asn).expect("link ends are interned")))
+            .collect();
+        (indexer, link_ends)
+    }
+}
+
+/// Hop pairs [`PathSet::stats`] collects before its first dedup.
+const PAIR_BATCH: usize = 1 << 16;
+
+/// log2 of the slots of a [`RecentPairs`] memo.
+const PAIR_SLOT_BITS: u32 = 14;
+
+/// A direct-mapped memo of one answer per ordered pair, slotted by a
+/// multiplicative hash: of ids, or of ASNs. Paths repeat their hop pairs
+/// heavily: at default scale 10.7M hop pairs run over 34,921 links, and
+/// about 98 % of them hit a memo of 2^14 slots, where a lookup would
+/// binary-search a row. Unlike `index::RecentAsns`, which slots an ASN by
+/// its low bits, a pair needs the hash: its low bits are one endpoint's.
+struct RecentPairs {
+    slots: Vec<(u64, u32)>,
+}
+
+impl RecentPairs {
+    fn new() -> Self {
+        RecentPairs {
+            slots: vec![(u64::MAX, 0); 1 << PAIR_SLOT_BITS],
+        }
+    }
+
+    /// The remembered answer for `(a, b)`, or `answer()`, remembered.
+    fn get_or(&mut self, a: u32, b: u32, answer: impl FnOnce() -> u32) -> u32 {
+        let key = (u64::from(a) << 32) | u64::from(b);
+        let slot = key.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> (64 - PAIR_SLOT_BITS);
+        let slot = &mut self.slots[slot as usize];
+        if slot.0 != key {
+            *slot = (key, answer());
+        }
+        slot.1
+    }
+}
+
+/// The observed adjacency as a CSR holding both directions of every link,
+/// with each row's neighbour ids ascending.
+struct Adjacency {
+    /// Row `a` is `neighbors[offsets[a]..offsets[a + 1]]`.
+    offsets: Vec<u32>,
+    neighbors: Vec<u32>,
+    /// The link id of each entry.
+    links: Vec<u32>,
+    /// The entry of the same link in the other endpoint's row.
+    twins: Vec<u32>,
+}
+
+impl Adjacency {
+    /// Counting-sorts `link_ends` (ascending) into rows over `n` ids. Rows
+    /// come out sorted: row `x` receives its lower neighbours from the
+    /// links before `x`'s own, in order, then its higher ones.
+    fn from_links(n: usize, link_ends: &[[u32; 2]]) -> Adjacency {
+        let mut offsets = vec![0u32; n + 1];
+        for &[a, b] in link_ends {
+            offsets[a as usize + 1] += 1;
+            offsets[b as usize + 1] += 1;
+        }
+        for i in 1..offsets.len() {
+            offsets[i] += offsets[i - 1];
+        }
+        let entries = 2 * link_ends.len();
+        let mut cursor = offsets.clone();
+        let mut adjacency = Adjacency {
+            offsets,
+            neighbors: vec![0; entries],
+            links: vec![0; entries],
+            twins: vec![0; entries],
+        };
+        for (link, &[a, b]) in link_ends.iter().enumerate() {
+            let link = store_index(link);
+            let (at_a, at_b) = (cursor[a as usize], cursor[b as usize]);
+            cursor[a as usize] += 1;
+            cursor[b as usize] += 1;
+            for (at, other, twin) in [(at_a, b, at_b), (at_b, a, at_a)] {
+                adjacency.neighbors[at as usize] = other;
+                adjacency.links[at as usize] = link;
+                adjacency.twins[at as usize] = twin;
+            }
+        }
+        adjacency
+    }
+}
+
+/// The position of `b` in row `a` of a CSR; allocation-free.
+fn entry_of(offsets: &[u32], neighbors: &[u32], a: u32, b: u32) -> Option<usize> {
+    let start = *offsets.get(a as usize)? as usize;
+    let end = *offsets.get(a as usize + 1)? as usize;
+    let at = neighbors.get(start..end)?.binary_search(&b).ok()?;
+    Some(start + at)
 }
 
 /// A hop count as a store index: the store addresses its hops with `u32`.
@@ -285,20 +469,54 @@ impl<F: Fn(&mut fmt::Formatter<'_>) -> fmt::Result> fmt::Debug for DebugFn<F> {
     }
 }
 
-/// Statistics derived from a [`PathSet`] in a single pass.
+/// Statistics derived from a [`PathSet`], keyed by dense ids.
+///
+/// The ASes on some link get ids in ASN order ([`PathStats::indexer`]), and
+/// each link gets the id of its rank in `Link` order ([`PathStats::links`],
+/// [`PathStats::link_ends`]), so walks in id order visit ASes and links in
+/// the order of the `BTree` collections they replace. The observed
+/// adjacency is one CSR over both directions: a node's degree is its row
+/// length, its transit degree the number of row entries marked transit,
+/// and [`PathStats::link_id`] finds a link by one binary search in a row.
+/// Per link, the statistics keep the number of distinct VPs that saw it.
 #[derive(Debug, Clone, Default)]
 pub struct PathStats {
-    node_degree: HashMap<Asn, usize>,
-    transit_degree: HashMap<Asn, usize>,
-    link_vp_count: HashMap<Link, usize>,
+    indexer: AsIndexer,
+    /// Row `a` of the adjacency is `neighbors[offsets[a]..offsets[a + 1]]`.
+    offsets: Vec<u32>,
+    /// Neighbour ids, ascending within each row.
+    neighbors: Vec<u32>,
+    /// The link id of each adjacency entry.
+    entry_links: Vec<u32>,
+    /// `[lower id, higher id]` per link id.
+    link_ends: Vec<[u32; 2]>,
+    /// Transit degree per AS id.
+    transit_degree: Vec<u32>,
+    /// Distinct VPs per link id.
+    link_vp_count: Vec<u32>,
     links: BTreeSet<Link>,
+    /// The VPs of all paths, multi-hop or not.
+    vantage_points: AsIndexer,
+    /// `(paths, stored hops)` of the path set these statistics describe.
+    source: (usize, usize),
 }
 
 impl PathStats {
     /// Node degree of `asn` (distinct path neighbors).
     #[must_use]
     pub fn node_degree(&self, asn: Asn) -> usize {
-        self.node_degree.get(&asn).copied().unwrap_or(0)
+        self.indexer
+            .id(asn)
+            .map_or(0, |id| self.node_degree_by_id(id))
+    }
+
+    /// Node degree behind a dense id of [`PathStats::indexer`].
+    ///
+    /// # Panics
+    /// If `id` is out of range for the indexer.
+    #[must_use]
+    pub fn node_degree_by_id(&self, id: u32) -> usize {
+        (self.offsets[id as usize + 1] - self.offsets[id as usize]) as usize
     }
 
     /// Transit degree of `asn`: the number of distinct neighbors adjacent to
@@ -306,35 +524,115 @@ impl PathStats {
     /// (Luckie et al. 2013, §5).
     #[must_use]
     pub fn transit_degree(&self, asn: Asn) -> usize {
-        self.transit_degree.get(&asn).copied().unwrap_or(0)
+        self.indexer
+            .id(asn)
+            .map_or(0, |id| self.transit_degree_by_id(id))
+    }
+
+    /// Transit degree behind a dense id of [`PathStats::indexer`].
+    ///
+    /// # Panics
+    /// If `id` is out of range for the indexer.
+    #[must_use]
+    pub fn transit_degree_by_id(&self, id: u32) -> usize {
+        self.transit_degree[id as usize] as usize
     }
 
     /// Number of distinct vantage points that observed `link`.
     #[must_use]
     pub fn vp_count(&self, link: Link) -> usize {
-        self.link_vp_count.get(&link).copied().unwrap_or(0)
+        let ids = self.indexer.id(link.a()).zip(self.indexer.id(link.b()));
+        ids.and_then(|(a, b)| self.link_id(a, b))
+            .map_or(0, |id| self.link_vp_count[id as usize] as usize)
     }
 
-    /// All observed links, sorted.
+    /// All observed links, sorted; a link's id is its rank here.
     #[must_use]
     pub fn links(&self) -> &BTreeSet<Link> {
         &self.links
     }
 
+    /// The dense endpoint ids `[lower, higher]` of every link, by link id.
+    #[must_use]
+    pub fn link_ends(&self) -> &[[u32; 2]] {
+        &self.link_ends
+    }
+
+    /// The id of the link between the ASes with ids `a` and `b`, in either
+    /// order, or `None` if no path joins them. One binary search in `a`'s
+    /// row; allocation-free.
+    #[must_use]
+    pub fn link_id(&self, a: u32, b: u32) -> Option<u32> {
+        entry_of(&self.offsets, &self.neighbors, a, b).map(|at| self.entry_links[at])
+    }
+
+    /// The ids of the observed ASes: the ASes on some link, in ASN order.
+    #[must_use]
+    pub fn indexer(&self) -> &AsIndexer {
+        &self.indexer
+    }
+
+    /// The vantage points of all paths, multi-hop or not, in ASN order.
+    #[must_use]
+    pub fn vantage_points(&self) -> &AsIndexer {
+        &self.vantage_points
+    }
+
     /// ASes ranked by descending transit degree (ties by ascending ASN).
     #[must_use]
     pub fn transit_degree_ranking(&self) -> Vec<Asn> {
-        let mut v: Vec<Asn> = self.transit_degree.keys().copied().collect();
-        v.sort_by_key(|a| (std::cmp::Reverse(self.transit_degree(*a)), a.0));
-        v
+        let mut ids: Vec<u32> = (0..store_index(self.transit_degree.len()))
+            .filter(|&id| self.transit_degree_by_id(id) > 0)
+            .collect();
+        ids.sort_by_key(|&id| (std::cmp::Reverse(self.transit_degree_by_id(id)), id));
+        ids.into_iter().map(|id| self.indexer.asn(id)).collect()
     }
 
     /// All ASes with a nonzero node degree, sorted by ASN.
     #[must_use]
     pub fn ases(&self) -> Vec<Asn> {
-        let mut v: Vec<Asn> = self.node_degree.keys().copied().collect();
-        v.sort();
-        v
+        self.indexer.iter().collect()
+    }
+
+    /// Whether these can be the statistics of `paths`: a cheap check that
+    /// both count the same paths and stored hops. Readers that look paths
+    /// up through these statistics' ids assert it first.
+    #[must_use]
+    pub fn describes(&self, paths: &PathSet) -> bool {
+        self.source == (paths.len(), paths.hops.len())
+    }
+}
+
+/// Finds the link ids of hop pairs in one [`PathStats`], answering pairs
+/// seen recently from a memo instead of a binary search.
+pub struct LinkIds<'a> {
+    stats: &'a PathStats,
+    recent: RecentPairs,
+}
+
+impl<'a> LinkIds<'a> {
+    /// A lookup into the links of `stats`.
+    #[must_use]
+    pub fn new(stats: &'a PathStats) -> Self {
+        LinkIds {
+            stats,
+            recent: RecentPairs::new(),
+        }
+    }
+
+    /// The id of the link between the ASes with ids `a` and `b`;
+    /// allocation-free.
+    ///
+    /// # Panics
+    /// If no path of the statistics joins `a` and `b`: hop pairs must come
+    /// from the paths the statistics were derived from.
+    pub fn hop_link(&mut self, a: u32, b: u32) -> u32 {
+        let stats = self.stats;
+        self.recent.get_or(a, b, || {
+            stats
+                .link_id(a, b)
+                .expect("every hop pair of the paths is a link of their statistics")
+        })
     }
 }
 
@@ -449,6 +747,24 @@ mod tests {
         // Prepending adds neither a self-link nor a transit neighbour.
         assert_eq!(st.links().len(), 2);
         assert_eq!(st.transit_degree(Asn(2)), 2);
+    }
+
+    #[test]
+    fn vp_counts_fill_whole_bitset_words() {
+        // 128 VPs fill exactly two bitset words per link: all of them see
+        // link 1–2, and each sees its own link to AS 1 alone.
+        let vps: Vec<u32> = (1_000..1_128).collect();
+        let mut ps = PathSet::new();
+        for &vp in &vps {
+            ps.push(Asn(vp), path(&[vp, 1, 2]));
+        }
+        let st = ps.stats();
+        assert_eq!(st.vantage_points().len(), 128);
+        assert_eq!(st.vp_count(Link::new(Asn(1), Asn(2)).unwrap()), 128);
+        for &vp in &vps {
+            assert_eq!(st.vp_count(Link::new(Asn(1), Asn(vp)).unwrap()), 1);
+        }
+        assert!(st.describes(&ps) && !st.describes(&PathSet::new()));
     }
 
     #[test]

@@ -1,13 +1,49 @@
 //! Equivalence of the dense core against the BTree substrate: `CsrGraph`
 //! must mirror `AsGraph` exactly (per-role neighbors, cone sets, cone
-//! sizes) and the hybrid PPDC cones must match a hash-based oracle, on fixed
-//! and on arbitrary seeded inputs. The oracles are the BTree/hash kernels
-//! the dense core replaced; they live here so release builds never compile
-//! them.
+//! sizes), and the hybrid PPDC cones and the dense path statistics must
+//! match hash-based oracles, on fixed and on arbitrary seeded inputs. The
+//! oracles are the BTree/hash kernels the dense core replaced; they live
+//! here so release builds never compile them.
 
 use asgraph::{cone, AsGraph, AsPath, Asn, ConeScratch, CsrGraph, Link, PathSet, Rel};
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+
+/// Reference path statistics: the `HashMap<_, HashSet<_>>` folds
+/// `PathSet::stats` made before it kept dense ids.
+struct StatsOracle {
+    /// Distinct path neighbours per AS on some link.
+    neighbors: HashMap<Asn, HashSet<Asn>>,
+    /// Distinct path neighbours per AS in a transit (interior) position.
+    transit: HashMap<Asn, HashSet<Asn>>,
+    /// Distinct VPs per link.
+    link_vps: HashMap<Link, HashSet<Asn>>,
+}
+
+fn path_stats_hash(paths: &PathSet) -> StatsOracle {
+    let mut neighbors: HashMap<Asn, HashSet<Asn>> = HashMap::new();
+    let mut transit: HashMap<Asn, HashSet<Asn>> = HashMap::new();
+    let mut link_vps: HashMap<Link, HashSet<Asn>> = HashMap::new();
+    for (vp, c) in paths.iter() {
+        for w in c.windows(2) {
+            if let Some(link) = Link::new(w[0], w[1]) {
+                neighbors.entry(w[0]).or_default().insert(w[1]);
+                neighbors.entry(w[1]).or_default().insert(w[0]);
+                link_vps.entry(link).or_default().insert(vp);
+            }
+        }
+        for w in c.windows(3) {
+            let t = transit.entry(w[1]).or_default();
+            t.insert(w[0]);
+            t.insert(w[2]);
+        }
+    }
+    StatsOracle {
+        neighbors,
+        transit,
+        link_vps,
+    }
+}
 
 /// Reference customer-cone sizes: one fresh `BTreeSet` BFS per AS.
 fn customer_cone_sizes_btree(graph: &AsGraph) -> HashMap<Asn, usize> {
@@ -41,8 +77,7 @@ fn ppdc_cones_hash(paths: &PathSet, rels: &BTreeMap<Link, Rel>) -> HashMap<Asn, 
         }
     }
     // Every observed AS is in its own cone.
-    let stats = paths.stats();
-    for asn in stats.ases() {
+    for asn in path_stats_hash(paths).neighbors.into_keys() {
         cones.entry(asn).or_default().insert(asn);
     }
     cones
@@ -150,15 +185,34 @@ fn arb_graph() -> impl Strategy<Value = AsGraph> {
     })
 }
 
+/// A hop: mostly a small ASN, sometimes a reserved one (private use,
+/// `AS_TRANS`, AS 0), which the path store keeps like any other.
+fn arb_hop() -> impl Strategy<Value = Asn> {
+    prop_oneof![
+        arb_asn(),
+        arb_asn(),
+        arb_asn(),
+        prop::sample::select(vec![Asn(0), Asn(23_456), Asn(64_512), Asn(65_535)]),
+    ]
+}
+
 fn arb_pathset() -> impl Strategy<Value = PathSet> {
     // Paths long enough that some PPDC cones cross the sparse/dense cutoff
-    // (8 at this scale), so both row representations are exercised.
-    prop::collection::vec(prop::collection::vec(arb_asn(), 0..16), 0..25).prop_map(|paths| {
+    // (8 at this scale), so both row representations are exercised. A hop
+    // may repeat at once (prepending) or later (a loop), and a path may
+    // have no hop or one; its VP is drawn apart from its hops.
+    let hop = (
+        arb_hop(),
+        prop_oneof![Just(1usize), Just(1), Just(1), 2usize..4],
+    );
+    let path = (arb_asn(), prop::collection::vec(hop, 0..16));
+    prop::collection::vec(path, 0..25).prop_map(|paths| {
         let mut ps = PathSet::new();
-        for hops in paths {
-            if let Some(&vp) = hops.first() {
-                ps.push_hops(vp, hops);
-            }
+        for (vp, hops) in paths {
+            let hops = hops
+                .into_iter()
+                .flat_map(|(asn, copies)| std::iter::repeat_n(asn, copies));
+            ps.push_hops(vp, hops);
         }
         ps
     })
@@ -256,5 +310,42 @@ proptest! {
             let order: Vec<Asn> = sizes.iter().map(|(a, _)| a).collect();
             prop_assert!(order.windows(2).all(|w| w[0] < w[1]));
         }
+    }
+
+    /// The dense path statistics answer every getter as the hash oracle
+    /// does: both degrees of every AS (and 0 for one never seen), the VP
+    /// count of every link, the link set, the AS set, the transit-degree
+    /// ranking and the VP list; link ids follow `Link` order.
+    #[test]
+    fn path_stats_match_hash_baseline(ps in arb_pathset()) {
+        let stats = ps.stats();
+        let oracle = path_stats_hash(&ps);
+        let degree = |sets: &HashMap<Asn, HashSet<Asn>>, asn: Asn| sets.get(&asn).map_or(0, HashSet::len);
+        let mut ases: Vec<Asn> = oracle.neighbors.keys().copied().collect();
+        ases.sort();
+        prop_assert_eq!(stats.ases(), ases.clone());
+        for asn in ases.iter().copied().chain([Asn(1_000), Asn(u32::MAX)]) {
+            prop_assert_eq!(stats.node_degree(asn), degree(&oracle.neighbors, asn), "{:?}", asn);
+            prop_assert_eq!(stats.transit_degree(asn), degree(&oracle.transit, asn), "{:?}", asn);
+        }
+        let links: BTreeSet<Link> = oracle.link_vps.keys().copied().collect();
+        prop_assert_eq!(stats.links(), &links);
+        prop_assert_eq!(stats.link_ends().len(), links.len());
+        for (id, (link, &[a, b])) in links.iter().zip(stats.link_ends()).enumerate() {
+            let ends = (stats.indexer().asn(a), stats.indexer().asn(b));
+            prop_assert_eq!(ends, link.endpoints());
+            prop_assert_eq!(stats.link_id(a, b), Some(id as u32));
+            prop_assert_eq!(stats.link_id(b, a), Some(id as u32));
+            prop_assert_eq!(stats.vp_count(*link), oracle.link_vps[link].len(), "{}", link);
+        }
+        prop_assert_eq!(stats.vp_count(Link::new(Asn(1_000), Asn(1_001)).expect("distinct")), 0);
+        let mut ranking: Vec<Asn> = oracle.transit.keys().copied().collect();
+        ranking.sort_by_key(|a| (std::cmp::Reverse(degree(&oracle.transit, *a)), a.0));
+        prop_assert_eq!(stats.transit_degree_ranking(), ranking);
+        let vps: BTreeSet<Asn> = ps.iter().map(|(vp, _)| vp).collect();
+        let vps: Vec<Asn> = vps.into_iter().collect();
+        prop_assert_eq!(stats.vantage_points().iter().collect::<Vec<_>>(), vps.clone());
+        prop_assert_eq!(ps.vantage_points(), vps);
+        prop_assert!(stats.describes(&ps));
     }
 }

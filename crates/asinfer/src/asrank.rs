@@ -18,11 +18,16 @@
 //!    is precisely why true S-T1 *peerings* of anycast/research stubs get
 //!    misclassified, §6).
 //! 6. **Default** — every remaining link is P2P.
+//!
+//! Every stage runs over the dense ids of the path statistics: each path is
+//! translated to AS ids once per pass, votes and known P2C orientations
+//! live in arrays indexed by link id, and clique membership in one flag per
+//! AS id.
 
-use crate::common::{break_provider_cycles, Classifier, Inference, PreparedPaths};
+use crate::common::{break_provider_cycles, side, Classifier, Inference, PreparedPaths};
 use asgraph::clique::{infer_clique, CliqueParams};
-use asgraph::{Asn, Link, Rel};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use asgraph::{Asn, HopIds, Link, LinkIds, PathStats, Rel};
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Transit-degree boost applied to clique members during cycle repair, so
 /// an orientation flip can never rank a clique member below a non-member.
@@ -72,34 +77,48 @@ impl Classifier for AsRank {
 
     /// The pipeline over already-sanitized paths with precomputed stats.
     fn infer_prepared(&self, prep: PreparedPaths<'_>) -> Inference {
-        let (clean, stats) = (prep.paths, prep.stats);
+        let (clean, stats) = (prep.paths, prep.dense_stats());
         let clique = infer_clique(stats, self.params.clique);
+        let indexer = stats.indexer();
+        let mut in_clique = vec![false; indexer.len()];
+        for id in clique.iter().filter_map(|&a| indexer.id(a)) {
+            in_clique[id as usize] = true;
+        }
+        let td = |id: u32| stats.transit_degree_by_id(id);
 
         // ---- Stage 3: triplet cascade votes ---------------------------------
-        // votes[(provider, customer)] = evidence count.
-        let mut votes: HashMap<(Asn, Asn), usize> = HashMap::new();
+        // votes[link][side] = evidence count that the link's `side` end
+        // provides the other.
+        let mut votes: Vec<[usize; 2]> = vec![[0; 2]; stats.link_ends().len()];
         // Relationships established so far ("w is not u's customer" evidence):
-        // clique links + accumulated P2C (provider side).
-        let mut known_p2c: BTreeSet<(Asn, Asn)> = BTreeSet::new(); // (provider, customer)
+        // clique links + accumulated P2C, as `(provider, customer)` pairs and
+        // as the providing side of each link.
+        let mut known_p2c: BTreeSet<(Asn, Asn)> = BTreeSet::new();
+        let mut known: Vec<Option<usize>> = vec![None; votes.len()];
+        let mut hop_ids = HopIds::new(indexer);
+        let mut link_ids = LinkIds::new(stats);
+        let mut hop_links: Vec<u32> = Vec::new();
 
         for pass in 0..self.params.cascade_passes.max(1) {
-            let mut new_votes: HashMap<(Asn, Asn), usize> = HashMap::new();
             for (_, hops) in clean.iter() {
                 if hops.len() < 3 {
                     continue;
                 }
+                let ids = hop_ids.translate(hops);
+                hop_links.clear();
+                hop_links.extend(ids.windows(2).map(|w| link_ids.hop_link(w[0], w[1])));
                 // descending becomes true once some hop exported the route to
                 // a non-customer.
                 let mut descending = false;
-                for i in 1..hops.len() {
-                    let w = hops[i - 1]; // received the route from u
-                    let u = hops[i];
+                for i in 1..ids.len() {
+                    let w = ids[i - 1]; // received the route from u
+                    let u = ids[i];
                     // A descent that would place a clique member below a
                     // non-member is bogus (clique members are provider-free
                     // by construction): the earlier seed must have been an
                     // error-propagation artefact (e.g. through a sibling
                     // link). Reset and allow fresh seeding.
-                    if descending && clique.contains(&u) && !clique.contains(&w) {
+                    if descending && in_clique[u as usize] && !in_clique[w as usize] {
                         descending = false;
                     }
                     if !descending {
@@ -107,7 +126,8 @@ impl Classifier for AsRank {
                         // clique member is provider-free and so can never be
                         // u's customer; a known provider of u obviously is
                         // not.
-                        descending = clique.contains(&w) || known_p2c.contains(&(w, u));
+                        descending = in_clique[w as usize]
+                            || known[hop_links[i - 1] as usize] == Some(side(w, u));
                     }
                     if descending {
                         // u's route was already known customer-learned at w's
@@ -117,24 +137,20 @@ impl Classifier for AsRank {
                         // vastly out-ranking the provider) signals an
                         // error-propagation artefact — Luckie et al. infer
                         // c2p "top-down using ranking"; reset the descent.
-                        if let Some(&v) = hops.get(i + 1) {
-                            let rank_inverted = stats.transit_degree(v)
-                                > stats.transit_degree(u).saturating_mul(2).saturating_add(5);
-                            if clique.contains(&v) || rank_inverted {
+                        if let Some(&v) = ids.get(i + 1) {
+                            let rank_inverted = td(v) > td(u).saturating_mul(2).saturating_add(5);
+                            if in_clique[v as usize] || rank_inverted {
                                 descending = false;
                             } else {
-                                *new_votes.entry((u, v)).or_insert(0) += 1;
+                                votes[hop_links[i] as usize][side(u, v)] += 1;
                             }
                         }
                     }
                 }
             }
-            // Fold votes and derive provisional P2C set for the next pass.
+            // Derive the provisional P2C set for the next pass.
             let before = known_p2c.len();
-            for (k, v) in new_votes {
-                *votes.entry(k).or_insert(0) += v;
-            }
-            known_p2c = resolve_votes(&votes, stats, &clique, self.params.conflict_ratio);
+            known_p2c = resolve_votes(&votes, stats, &in_clique, self.params.conflict_ratio);
             // Vote resolution decides each link independently, so the
             // per-link decisions can assemble into a provider cycle — an
             // impossibility under the original's rank-ordered top-down
@@ -148,45 +164,36 @@ impl Classifier for AsRank {
                 };
                 stats.transit_degree(a) + boost
             });
+            known.fill(None);
+            for &(p, c) in &known_p2c {
+                let (p, c) = (hop_ids.hop_id(p), hop_ids.hop_id(c));
+                known[link_ids.hop_link(p, c) as usize] = Some(side(p, c));
+            }
             if known_p2c.len() == before && pass > 0 {
                 break;
             }
         }
 
         // ---- Stages 4–6: assemble final relationships ------------------------
-        let mut rels: BTreeMap<Link, Rel> = BTreeMap::new();
-        for (provider, customer) in &known_p2c {
-            if let Some(link) = Link::new(*provider, *customer) {
-                rels.insert(
-                    link,
-                    Rel::P2c {
-                        provider: *provider,
-                    },
-                );
-            }
-        }
-        for link in stats.links() {
-            if rels.contains_key(link) {
-                continue;
-            }
-            let (a, b) = link.endpoints();
-            // Clique links are peers by construction.
-            if clique.contains(&a) && clique.contains(&b) {
-                rels.insert(*link, Rel::P2p);
-                continue;
-            }
-            // Stub heuristic: clique member + transit-degree-0 stub → P2C.
-            let stub_rule = |c: Asn, s: Asn| -> Option<Rel> {
-                (clique.contains(&c) && stats.transit_degree(s) == 0)
-                    .then_some(Rel::P2c { provider: c })
-            };
-            if let Some(rel) = stub_rule(a, b).or_else(|| stub_rule(b, a)) {
-                rels.insert(*link, rel);
-                continue;
-            }
-            // Default: peering.
-            rels.insert(*link, Rel::P2p);
-        }
+        let links = stats.links().iter().zip(stats.link_ends()).zip(&known);
+        let rels: BTreeMap<Link, Rel> = links
+            .map(|((&link, &[lo, hi]), &provider)| {
+                let (a, b) = link.endpoints();
+                let stub_rule = |c: u32, s: u32| in_clique[c as usize] && td(s) == 0;
+                let rel = match provider {
+                    Some(0) => Rel::P2c { provider: a },
+                    Some(_) => Rel::P2c { provider: b },
+                    // Clique links are peers by construction.
+                    None if in_clique[lo as usize] && in_clique[hi as usize] => Rel::P2p,
+                    // Stub heuristic: clique member + transit-degree-0 stub → P2C.
+                    None if stub_rule(lo, hi) => Rel::P2c { provider: a },
+                    None if stub_rule(hi, lo) => Rel::P2c { provider: b },
+                    // Default: peering.
+                    None => Rel::P2p,
+                };
+                (link, rel)
+            })
+            .collect();
 
         Inference {
             classifier: self.name().to_owned(),
@@ -196,52 +203,43 @@ impl Classifier for AsRank {
     }
 }
 
-/// Resolves directional votes into a consistent (provider, customer) set.
-/// Clique members are provider-free: any vote naming one as a customer is
-/// flipped (one side clique) or discarded (both sides clique).
+/// Resolves directional votes into a consistent (provider, customer) set,
+/// deciding the links in link-id order. Clique members are provider-free:
+/// any vote naming one as a customer is flipped (one side clique) or
+/// discarded (both sides clique).
 ///
-/// Each link is decided from its two vote counts alone, never from which of
-/// its two keys the `HashMap` yields first: a tie in votes and in transit
-/// degree makes the lower ASN the provider.
+/// Each link is decided from its two vote counts alone: a tie in votes and
+/// in transit degree makes the lower ASN the provider.
 fn resolve_votes(
-    votes: &HashMap<(Asn, Asn), usize>,
-    stats: &asgraph::PathStats,
-    clique: &BTreeSet<Asn>,
+    votes: &[[usize; 2]],
+    stats: &PathStats,
+    in_clique: &[bool],
     ratio: f64,
 ) -> BTreeSet<(Asn, Asn)> {
-    let mut out = BTreeSet::new();
-    let mut seen: BTreeSet<Link> = BTreeSet::new();
-    for (&(p, c), &n) in votes {
-        let Some(link) = Link::new(p, c) else {
-            continue;
-        };
-        if seen.contains(&link) {
-            continue;
+    let clique = |id: u32| in_clique[id as usize];
+    let mut out = Vec::new();
+    for (&[lo, hi], &[up, down]) in stats.link_ends().iter().zip(votes) {
+        if (up == 0 && down == 0) || (clique(lo) && clique(hi)) {
+            continue; // no votes, or a clique link: a peering
         }
-        seen.insert(link);
-        if clique.contains(&p) && clique.contains(&c) {
-            continue; // clique links are peerings
-        }
-        let fwd = n;
-        let rev = votes.get(&(c, p)).copied().unwrap_or(0);
-        let (fwd, rev, p, c) = if fwd > rev || (fwd == rev && p < c) {
-            (fwd, rev, p, c)
+        let (fwd, rev, p, c) = if up >= down {
+            (up, down, lo, hi)
         } else {
-            (rev, fwd, c, p)
+            (down, up, hi, lo)
         };
-        let (p, c) = if clique.contains(&c) { (c, p) } else { (p, c) };
-        if rev == 0 || fwd as f64 >= ratio * rev as f64 || clique.contains(&p) {
-            out.insert((p, c));
-        } else {
+        let (p, c) = if clique(c) { (c, p) } else { (p, c) };
+        let decided = if rev == 0 || fwd as f64 >= ratio * rev as f64 || clique(p) {
+            (p, c)
+        } else if stats.transit_degree_by_id(p) >= stats.transit_degree_by_id(c) {
             // Ambiguous: higher transit degree becomes the provider.
-            if stats.transit_degree(p) >= stats.transit_degree(c) {
-                out.insert((p, c));
-            } else {
-                out.insert((c, p));
-            }
-        }
+            (p, c)
+        } else {
+            (c, p)
+        };
+        let asn = |id: u32| stats.indexer().asn(id);
+        out.push((asn(decided.0), asn(decided.1)));
     }
-    out
+    out.into_iter().collect()
 }
 
 #[cfg(test)]
@@ -328,18 +326,25 @@ mod tests {
     }
 
     #[test]
-    fn vote_ties_resolve_independently_of_hash_order() {
-        // Two votes each way and no transit degree on either side: only
-        // the lower-ASN rule can decide. Every fresh map draws new hash
-        // keys, so the two entries come back in varying order.
-        let stats = PathSet::new().stats();
-        let clique = BTreeSet::new();
-        for _ in 0..32 {
-            let votes: HashMap<(Asn, Asn), usize> =
-                HashMap::from([((Asn(7), Asn(3)), 2), ((Asn(3), Asn(7)), 2)]);
-            let resolved = resolve_votes(&votes, &stats, &clique, 2.0);
-            assert_eq!(resolved, BTreeSet::from([(Asn(3), Asn(7))]));
-        }
+    fn vote_ties_resolve_to_the_lower_asn() {
+        // Links 1–3, 3–7 and 7–9 get ids 0, 1 and 2, and ASes 3 and 7 both
+        // have transit degree 2. Only link 3–7 is undecided by its votes
+        // (two each way), so only the lower-ASN rule can orient it.
+        let mut ps = PathSet::new();
+        ps.push(Asn(9), path(&[9, 7, 3]));
+        ps.push(Asn(1), path(&[1, 3, 7]));
+        let stats = ps.stats();
+        assert_eq!(stats.link_ends(), &[[0, 1], [1, 2], [2, 3]]);
+        assert_eq!(stats.transit_degree(Asn(3)), stats.transit_degree(Asn(7)));
+        let no_clique = [false; 4];
+        let resolved = resolve_votes(&[[5, 0], [2, 2], [0, 4]], &stats, &no_clique, 2.0);
+        let expected = [(1, 3), (3, 7), (9, 7)].map(|(p, c)| (Asn(p), Asn(c)));
+        assert_eq!(resolved, BTreeSet::from(expected));
+        // One more vote either way decides the link by its votes instead.
+        let resolved = resolve_votes(&[[0; 2], [2, 3], [0; 2]], &stats, &no_clique, 2.0);
+        assert_eq!(resolved, BTreeSet::from([(Asn(7), Asn(3))]));
+        let resolved = resolve_votes(&[[0; 2], [3, 2], [0; 2]], &stats, &no_clique, 2.0);
+        assert_eq!(resolved, BTreeSet::from([(Asn(3), Asn(7))]));
     }
 
     #[test]

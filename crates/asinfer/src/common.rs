@@ -2,10 +2,10 @@
 //! the provider-cycle repair pass every P2C-producing classifier runs.
 
 use crate::asrank::AsRank;
-use asgraph::{Asn, Link, PathSet, PathStats, Rel, RelClass};
+use asgraph::{AsIndexer, Asn, Link, PathSet, PathStats, Rel, RelClass};
 use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 
 /// The output of a relationship-inference run.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -100,6 +100,21 @@ impl<'a> PreparedPaths<'a> {
         }
     }
 
+    /// The statistics, for classifiers that read `paths` through their
+    /// dense ids.
+    ///
+    /// # Panics
+    /// If `stats` cannot be the statistics of `paths` (see
+    /// [`PathStats::describes`]): their ids would not cover the hops.
+    #[must_use]
+    pub(crate) fn dense_stats(self) -> &'a PathStats {
+        assert!(
+            self.stats.describes(self.paths),
+            "PreparedPaths: `stats` must be the statistics of `paths` (`paths.stats()`)"
+        );
+        self.stats
+    }
+
     /// The shared ASRank inference, or a fresh one over these paths when
     /// none is attached.
     #[must_use]
@@ -152,6 +167,13 @@ pub trait Classifier {
     }
 }
 
+/// Which end of the link between the AS ids `provider` and `customer`
+/// provides: 0 when it is the lower id (the lower ASN), 1 otherwise. ASRank
+/// and Gao count votes per link in `[0, 1]` pairs indexed by it.
+pub(crate) fn side(provider: u32, customer: u32) -> usize {
+    usize::from(provider > customer)
+}
+
 /// Outcome of one [`break_provider_cycles`] run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CycleBreakReport {
@@ -187,6 +209,10 @@ impl CycleBreakReport {
 /// inputs are returned untouched. Deterministic: cycles are located by
 /// smallest-ASN walk and ties between candidate edges break on the edge
 /// tuple.
+///
+/// The search runs over dense ids: the edges' ASes are interned once, and
+/// each cycle is found by a Kahn pass and a walk over flat arrays that are
+/// reused from one break to the next.
 pub fn break_provider_cycles<F>(
     edges: &mut BTreeSet<(Asn, Asn)>,
     transit_degree: F,
@@ -195,34 +221,41 @@ where
     F: Fn(Asn) -> usize,
 {
     let mut report = CycleBreakReport::default();
+    let ases = AsIndexer::from_unsorted(edges.iter().flat_map(|&(p, c)| [p, c]).collect());
+    let id = |asn: Asn| ases.id(asn).expect("every edge endpoint is interned");
+    let mut dag = ProviderDag::new(
+        ases.len(),
+        edges.iter().map(|&(p, c)| (id(p), id(c))).collect(),
+    );
     let mut flipped_once: BTreeSet<Link> = BTreeSet::new();
-    loop {
-        let residue = p2c_residue(edges);
-        if residue.is_empty() {
-            break;
-        }
-        let cycle = find_cycle(edges, &residue);
+    while let Some(cycle) = dag.find_cycle() {
         // The weakest assertion on the cycle: smallest transit-degree gap.
         // Equal gaps prefer the rank-inverted orientation (so a two-node
         // cycle keeps the rank-ordered edge), then break ties by tuple.
-        let Some(&(provider, customer)) = cycle.iter().min_by_key(|&&(p, c)| {
-            (
-                transit_degree(p).abs_diff(transit_degree(c)),
-                usize::from(transit_degree(p) >= transit_degree(c)),
-                p.0,
-                c.0,
-            )
-        }) else {
-            break; // unreachable: a non-empty residue always yields a cycle
+        let Some((provider, customer)) = cycle
+            .iter()
+            .map(|&(p, c)| (ases.asn(p), ases.asn(c)))
+            .min_by_key(|&(p, c)| {
+                (
+                    transit_degree(p).abs_diff(transit_degree(c)),
+                    usize::from(transit_degree(p) >= transit_degree(c)),
+                    p.0,
+                    c.0,
+                )
+            })
+        else {
+            break; // unreachable: a cycle has at least one edge
         };
         let rank_inverted = transit_degree(customer) > transit_degree(provider);
         let link = Link::new(provider, customer);
         edges.remove(&(provider, customer));
+        dag.remove_edge((id(provider), id(customer)));
         if rank_inverted
             && link.map(|l| flipped_once.insert(l)).unwrap_or(false)
             && !edges.contains(&(customer, provider))
         {
             edges.insert((customer, provider));
+            dag.insert_edge((id(customer), id(provider)));
             report.flipped += 1;
         } else {
             report.dropped += 1;
@@ -233,70 +266,131 @@ where
     report
 }
 
-/// Kahn's algorithm over the provider→customer edges: returns the ASes
-/// left on cycles (empty for a DAG).
-fn p2c_residue(edges: &BTreeSet<(Asn, Asn)>) -> BTreeSet<Asn> {
-    let mut indegree: HashMap<Asn, usize> = HashMap::new();
-    let mut customers: HashMap<Asn, Vec<Asn>> = HashMap::new();
-    for &(p, c) in edges.iter() {
-        customers.entry(p).or_default().push(c);
-        *indegree.entry(c).or_insert(0) += 1;
-        indegree.entry(p).or_insert(0);
+/// Marks an id with no entry in [`ProviderDag`]'s per-node arrays.
+const NONE: u32 = u32::MAX;
+
+/// A provider→customer edge set over dense ids, with the scratch arrays of
+/// its cycle search. The edges stay sorted, so a provider's customers are
+/// one contiguous run and the first in-residue provider met per customer
+/// is its smallest.
+struct ProviderDag {
+    /// `(provider, customer)` id pairs, ascending.
+    edges: Vec<(u32, u32)>,
+    /// Per provider id, where its run of edges starts (`n + 1` entries).
+    starts: Vec<u32>,
+    indegree: Vec<u32>,
+    /// The Kahn queue, then the walk of [`ProviderDag::find_cycle`].
+    stack: Vec<u32>,
+    /// Per id: `true` while the node is left on a cycle or behind one.
+    residue: Vec<bool>,
+    /// Per customer id: its smallest in-residue provider, or [`NONE`].
+    provider_of: Vec<u32>,
+    /// Per id: its position on the current walk, or [`NONE`].
+    seen_at: Vec<u32>,
+}
+
+impl ProviderDag {
+    fn new(n: usize, edges: Vec<(u32, u32)>) -> Self {
+        ProviderDag {
+            edges,
+            starts: vec![0; n + 1],
+            indegree: vec![0; n],
+            stack: Vec::new(),
+            residue: vec![false; n],
+            provider_of: vec![NONE; n],
+            seen_at: vec![NONE; n],
+        }
     }
-    let mut queue: Vec<Asn> = indegree
-        .iter()
-        .filter(|(_, &d)| d == 0)
-        .map(|(a, _)| *a)
-        .collect();
-    while let Some(p) = queue.pop() {
-        if let Some(cs) = customers.get(&p) {
-            for c in cs {
-                let d = indegree
-                    .get_mut(c)
-                    .expect("every customer has an indegree entry");
-                *d -= 1;
-                if *d == 0 {
-                    queue.push(*c);
+
+    fn remove_edge(&mut self, edge: (u32, u32)) {
+        if let Ok(at) = self.edges.binary_search(&edge) {
+            self.edges.remove(at);
+        }
+    }
+
+    fn insert_edge(&mut self, edge: (u32, u32)) {
+        if let Err(at) = self.edges.binary_search(&edge) {
+            self.edges.insert(at, edge);
+        }
+    }
+
+    /// Kahn's algorithm over the edges: marks the nodes left on cycles (or
+    /// downstream of one) in `residue` and returns whether there are any.
+    fn kahn_residue(&mut self) -> bool {
+        self.starts.fill(0);
+        self.indegree.fill(0);
+        for &(p, c) in &self.edges {
+            self.starts[p as usize + 1] += 1;
+            self.indegree[c as usize] += 1;
+        }
+        for i in 1..self.starts.len() {
+            self.starts[i] += self.starts[i - 1];
+        }
+        self.stack.clear();
+        self.stack
+            .extend((0..self.indegree.len() as u32).filter(|&a| self.indegree[a as usize] == 0));
+        while let Some(p) = self.stack.pop() {
+            let run = self.starts[p as usize] as usize..self.starts[p as usize + 1] as usize;
+            for &(_, c) in &self.edges[run] {
+                self.indegree[c as usize] -= 1;
+                if self.indegree[c as usize] == 0 {
+                    self.stack.push(c);
                 }
             }
         }
-        indegree.remove(&p);
+        for (left, &d) in self.residue.iter_mut().zip(&self.indegree) {
+            *left = d > 0;
+        }
+        self.residue.contains(&true)
     }
-    indegree.keys().copied().collect()
-}
 
-/// Finds one provider cycle inside the Kahn residue: from the smallest
-/// residue AS, repeatedly step to the smallest in-residue provider until a
-/// node repeats. Every residue node has such a provider by construction.
-fn find_cycle(edges: &BTreeSet<(Asn, Asn)>, residue: &BTreeSet<Asn>) -> Vec<(Asn, Asn)> {
-    let mut providers_of: HashMap<Asn, Asn> = HashMap::new();
-    for &(p, c) in edges.iter() {
-        if residue.contains(&p) && residue.contains(&c) {
-            // BTreeSet iteration is ascending, so the first provider seen
-            // per customer is the smallest.
-            providers_of.entry(c).or_insert(p);
+    /// One provider cycle inside the Kahn residue, as `(provider,
+    /// customer)` id pairs, or `None` for a DAG: from the smallest residue
+    /// id, repeatedly step to the smallest in-residue provider until a node
+    /// repeats. Every residue node has such a provider by construction.
+    ///
+    /// Any start would give the same repair: each cycle the walk can return
+    /// is a cycle of the smallest-provider steps, those cycles share no
+    /// node, and breaking one leaves the others' edges and steps as they
+    /// were, so the order in which they are broken does not matter.
+    fn find_cycle(&mut self) -> Option<Vec<(u32, u32)>> {
+        if !self.kahn_residue() {
+            return None;
         }
-    }
-    let Some(start) = residue.iter().next().copied() else {
-        return Vec::new();
-    };
-    let mut walk: Vec<Asn> = vec![start];
-    let mut seen_at: HashMap<Asn, usize> = HashMap::new();
-    seen_at.insert(start, 0);
-    loop {
-        let cur = *walk.last().expect("walk starts non-empty");
-        let Some(&prov) = providers_of.get(&cur) else {
-            return Vec::new(); // unreachable for a true residue
+        self.provider_of.fill(NONE);
+        for &(p, c) in &self.edges {
+            let in_residue = self.residue[p as usize] && self.residue[c as usize];
+            if in_residue && self.provider_of[c as usize] == NONE {
+                self.provider_of[c as usize] = p;
+            }
+        }
+        let start = self.residue.iter().position(|&left| left)? as u32;
+        self.stack.clear();
+        self.stack.push(start);
+        self.seen_at[start as usize] = 0;
+        let mut cur = start;
+        let cycle = loop {
+            let prov = self.provider_of[cur as usize];
+            if prov == NONE {
+                break Vec::new(); // unreachable for a true residue
+            }
+            let k = self.seen_at[prov as usize];
+            if k != NONE {
+                // walk[k..] plus prov closes the cycle: prov provides
+                // walk[k], and walk[i + 1] provides walk[i] along the suffix.
+                let walk = &self.stack[k as usize..];
+                let mut cycle: Vec<(u32, u32)> = walk.windows(2).map(|w| (w[1], w[0])).collect();
+                cycle.push((prov, cur));
+                break cycle;
+            }
+            self.seen_at[prov as usize] = self.stack.len() as u32;
+            self.stack.push(prov);
+            cur = prov;
         };
-        if let Some(&k) = seen_at.get(&prov) {
-            // walk[k..] plus prov closes the cycle: prov provides walk[k],
-            // and walk[i+1] provides walk[i] along the suffix.
-            let mut cycle: Vec<(Asn, Asn)> = walk[k..].windows(2).map(|w| (w[1], w[0])).collect();
-            cycle.push((prov, cur));
-            return cycle;
+        for &a in &self.stack {
+            self.seen_at[a as usize] = NONE;
         }
-        seen_at.insert(prov, walk.len());
-        walk.push(prov);
+        Some(cycle)
     }
 }
 
@@ -490,6 +584,15 @@ mod tests {
         assert_eq!(via_infer, via_prep);
         assert_eq!(via_infer.rels.len(), 2);
         assert!(via_infer.rels.keys().all(|l| !l.involves_reserved()));
+    }
+
+    #[test]
+    #[should_panic(expected = "`stats` must be the statistics of `paths`")]
+    fn dense_classifiers_reject_statistics_of_other_paths() {
+        let mut paths = PathSet::new();
+        paths.push_hops(Asn(1), [Asn(1), Asn(2), Asn(3)]);
+        let other = PathSet::new().stats();
+        let _ = crate::GaoClassifier::new().infer_prepared(PreparedPaths::new(&paths, &other));
     }
 
     #[test]

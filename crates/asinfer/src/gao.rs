@@ -5,11 +5,12 @@
 //! before it ascend (right AS provides to left), pairs after it descend.
 //! Phase 2: links with votes in both directions and balanced counts become
 //! siblings. Phase 3: links with no transit votes and a bounded degree ratio
-//! become peers.
+//! become peers. Each path is translated to the dense ids of the path
+//! statistics once, and the votes are counted per link id.
 
-use crate::common::{break_provider_cycles_in_rels, Classifier, Inference, PreparedPaths};
-use asgraph::{Asn, Link, Rel};
-use std::collections::{BTreeMap, HashMap};
+use crate::common::{break_provider_cycles_in_rels, side, Classifier, Inference, PreparedPaths};
+use asgraph::{HopIds, Link, LinkIds, Rel};
+use std::collections::BTreeMap;
 
 /// Tunables for Gao's algorithm.
 #[derive(Debug, Clone, Copy)]
@@ -51,81 +52,81 @@ impl Classifier for GaoClassifier {
 
     /// The heuristic over already-sanitized paths with precomputed stats.
     fn infer_prepared(&self, prep: PreparedPaths<'_>) -> Inference {
-        let (clean, stats) = (prep.paths, prep.stats);
-        // transit[(provider, customer)] vote counts.
-        let mut votes: HashMap<(Asn, Asn), usize> = HashMap::new();
+        let (clean, stats) = (prep.paths, prep.dense_stats());
+        // votes[link][side]: transit votes that the link's `side` end
+        // provides the other.
+        let mut votes: Vec<[usize; 2]> = vec![[0; 2]; stats.link_ends().len()];
+        let mut hop_ids = HopIds::new(stats.indexer());
+        let mut link_ids = LinkIds::new(stats);
         for (_, hops) in clean.iter() {
             if hops.len() < 2 {
                 continue;
             }
+            let ids = hop_ids.translate(hops);
             // Apex: highest node degree (first occurrence on ties).
-            let apex = hops
-                .iter()
-                .enumerate()
-                .max_by(|(i, a), (j, b)| {
-                    stats
-                        .node_degree(**a)
-                        .cmp(&stats.node_degree(**b))
-                        .then(j.cmp(i)) // prefer the earlier position on ties
-                })
-                .map(|(i, _)| i)
-                .unwrap_or(0);
-            for i in 0..hops.len() - 1 {
-                let (left, right) = (hops[i], hops[i + 1]);
-                if i < apex {
-                    // Ascending toward the apex (collector side): the AS
-                    // closer to the apex provides to the one closer to the
-                    // collector... the collector-side AS *received* the
-                    // route, i.e. `left` learned from `right`; before the
-                    // apex the route travelled downhill from the apex to the
-                    // VP, so `right` provides to `left`.
-                    *votes.entry((right, left)).or_insert(0) += 1;
-                } else {
-                    // After the apex the path descends towards the origin:
-                    // `left` provides to `right`.
-                    *votes.entry((left, right)).or_insert(0) += 1;
+            let mut apex = 0;
+            let mut apex_degree = 0;
+            for (i, &id) in ids.iter().enumerate() {
+                let degree = stats.node_degree_by_id(id);
+                if i == 0 || degree > apex_degree {
+                    (apex, apex_degree) = (i, degree);
                 }
+            }
+            for (i, w) in ids.windows(2).enumerate() {
+                let (left, right) = (w[0], w[1]);
+                let link = link_ids.hop_link(left, right);
+                // Before the apex the route travelled downhill from the apex
+                // to the VP: `left` learned it from `right`, so `right`
+                // provides to `left`. After the apex the path descends
+                // towards the origin: `left` provides to `right`.
+                let (provider, customer) = if i < apex {
+                    (right, left)
+                } else {
+                    (left, right)
+                };
+                votes[link as usize][side(provider, customer)] += 1;
             }
         }
 
-        let mut rels: BTreeMap<Link, Rel> = BTreeMap::new();
-        for link in stats.links() {
-            let (a, b) = link.endpoints();
-            let ab = votes.get(&(a, b)).copied().unwrap_or(0); // a provides b
-            let ba = votes.get(&(b, a)).copied().unwrap_or(0);
-            let rel = if ab == 0 && ba == 0 {
-                Rel::P2p
-            } else if ab > 0
-                && ba > 0
-                && ab <= self.params.sibling_bound
-                && ba <= self.params.sibling_bound
-            {
-                Rel::S2s
-            } else if ab >= ba {
-                Rel::P2c { provider: a }
-            } else {
-                Rel::P2c { provider: b }
-            };
-            // Phase 3 refinement: transit-voted links with balanced degree
-            // and tiny vote margins could be peers; Gao only downgrades
-            // not-transit links, which we already defaulted to P2P above.
-            let rel = match rel {
-                Rel::P2c { .. } if ab > 0 && ba > 0 && ab == ba => {
-                    let da = stats.node_degree(a) as f64;
-                    let db = stats.node_degree(b) as f64;
-                    let ratio = if db == 0.0 { f64::MAX } else { da / db };
-                    if ratio < self.params.peer_degree_ratio
-                        && ratio > 1.0 / self.params.peer_degree_ratio
-                    {
-                        Rel::P2p
-                    } else {
-                        rel
+        let links = stats.links().iter().zip(stats.link_ends()).zip(&votes);
+        let mut rels: BTreeMap<Link, Rel> = links
+            .map(|((&link, &[lo, hi]), &[ab, ba])| {
+                // ab: a (the lower ASN) provides b; ba: b provides a.
+                let (a, b) = link.endpoints();
+                let rel = if ab == 0 && ba == 0 {
+                    Rel::P2p
+                } else if ab > 0
+                    && ba > 0
+                    && ab <= self.params.sibling_bound
+                    && ba <= self.params.sibling_bound
+                {
+                    Rel::S2s
+                } else if ab >= ba {
+                    Rel::P2c { provider: a }
+                } else {
+                    Rel::P2c { provider: b }
+                };
+                // Phase 3 refinement: transit-voted links with balanced degree
+                // and tiny vote margins could be peers; Gao only downgrades
+                // not-transit links, which we already defaulted to P2P above.
+                let rel = match rel {
+                    Rel::P2c { .. } if ab > 0 && ba > 0 && ab == ba => {
+                        let da = stats.node_degree_by_id(lo) as f64;
+                        let db = stats.node_degree_by_id(hi) as f64;
+                        let ratio = if db == 0.0 { f64::MAX } else { da / db };
+                        if ratio < self.params.peer_degree_ratio
+                            && ratio > 1.0 / self.params.peer_degree_ratio
+                        {
+                            Rel::P2p
+                        } else {
+                            rel
+                        }
                     }
-                }
-                other => other,
-            };
-            rels.insert(*link, rel);
-        }
+                    other => other,
+                };
+                (link, rel)
+            })
+            .collect();
 
         // Per-path apex votes can disagree into a provider cycle; repair by
         // rank order so downstream acyclicity checks hold for Gao too.
@@ -142,7 +143,7 @@ impl Classifier for GaoClassifier {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use asgraph::{AsPath, PathSet};
+    use asgraph::{AsPath, Asn, PathSet};
 
     fn path(hops: &[u32]) -> AsPath {
         AsPath::new(hops.iter().map(|&h| Asn(h)).collect())

@@ -61,17 +61,17 @@ impl Classifier for TopoScope {
     /// are independent), majority-vote reconciliation against the shared
     /// full-view inference, and provider-cycle repair.
     fn infer_prepared(&self, prep: PreparedPaths<'_>) -> Inference {
-        let (clean, stats, full) = (prep.paths, prep.stats, prep.asrank_seed());
+        let (clean, stats, full) = (prep.paths, prep.dense_stats(), prep.asrank_seed());
         let base = AsRank::new();
-        let vps = clean.vantage_points();
+        let vps = stats.vantage_points();
         let n_groups = self.params.n_groups.clamp(1, vps.len().max(1));
 
         // Deterministic round-robin VP grouping over the sorted VP list: a
         // path joins the group of its VP's position, mod `n_groups`.
         let mut grouped: Vec<PathSet> = vec![PathSet::new(); n_groups];
         for (vp, hops) in clean.iter() {
-            if let Ok(i) = vps.binary_search(&vp) {
-                grouped[i % n_groups].push_hops(vp, hops.iter().copied());
+            if let Some(i) = vps.id(vp) {
+                grouped[i as usize % n_groups].push_hops(vp, hops.iter().copied());
             }
         }
 

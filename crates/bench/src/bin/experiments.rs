@@ -1,14 +1,6 @@
 //! Regenerates every table and figure of the paper against the simulated
-//! world.
-//!
-//! ```text
-//! experiments [--small] [--seed N] [--out DIR] [targets…]
-//! targets: fig1 fig2 fig3 fig7 fig8 fig9 table1 table2 table3
-//!          fig456 casestudy cleaning hardlinks features
-//!          ablation_ambiguous ablation_sources ablation_legacy ablation_666
-//!          timeline (small-scale, not in "all") calibration verify
-//!          all                                  (default: all)
-//! ```
+//! world. `experiments --help` prints the command line ([`USAGE`]); every
+//! argument is checked before the scenario runs.
 
 #![forbid(unsafe_code)]
 
@@ -26,6 +18,39 @@ use std::path::PathBuf;
 #[global_allocator]
 static ALLOC: counting_alloc::CountingAlloc = counting_alloc::CountingAlloc::new();
 
+/// The command line, printed by `--help` and after a bad argument.
+const USAGE: &str = "\
+usage: experiments [--small] [--seed N] [--out DIR] [targets…]
+targets: fig1 fig2 fig3 fig7 fig8 fig9 table1 table2 table3
+         fig456 casestudy cleaning hardlinks features
+         ablation_ambiguous ablation_sources ablation_legacy ablation_666
+         timeline (small-scale, not in \"all\") calibration verify
+         all                                  (default: all)";
+
+/// The targets `all` (or no target) selects.
+const ALL_TARGETS: [&str; 20] = [
+    "fig1",
+    "fig2",
+    "fig3",
+    "fig7",
+    "fig8",
+    "fig9",
+    "table1",
+    "table2",
+    "table3",
+    "fig456",
+    "casestudy",
+    "cleaning",
+    "hardlinks",
+    "features",
+    "ablation_ambiguous",
+    "ablation_sources",
+    "ablation_legacy",
+    "ablation_666",
+    "calibration",
+    "verify",
+];
+
 struct Args {
     small: bool,
     seed: Option<u64>,
@@ -33,58 +58,38 @@ struct Args {
     targets: BTreeSet<String>,
 }
 
-fn parse_args() -> Args {
+/// Parses the command line, every argument before any work: `Ok(None)` for
+/// `--help`, `Err` with the reason for an argument it does not know.
+fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Option<Args>, String> {
     let mut args = Args {
         small: false,
         seed: None,
         out: PathBuf::from("results"),
         targets: BTreeSet::new(),
     };
-    let mut it = std::env::args().skip(1);
+    let mut it = argv.into_iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
+            "--help" | "-h" => return Ok(None),
             "--small" => args.small = true,
             "--seed" => {
-                args.seed = it.next().and_then(|s| s.parse().ok());
+                let value = it.next().ok_or("--seed needs a value")?;
+                let seed = value
+                    .parse()
+                    .map_err(|_| format!("--seed {value:?} is not a number"))?;
+                args.seed = Some(seed);
             }
-            "--out" => {
-                if let Some(dir) = it.next() {
-                    args.out = PathBuf::from(dir);
-                }
+            "--out" => args.out = PathBuf::from(it.next().ok_or("--out needs a directory")?),
+            target if target == "all" || target == "timeline" || ALL_TARGETS.contains(&target) => {
+                args.targets.insert(arg);
             }
-            other => {
-                args.targets.insert(other.to_owned());
-            }
+            other => return Err(format!("unknown argument {other:?}")),
         }
     }
     if args.targets.is_empty() || args.targets.contains("all") {
-        args.targets = [
-            "fig1",
-            "fig2",
-            "fig3",
-            "fig7",
-            "fig8",
-            "fig9",
-            "table1",
-            "table2",
-            "table3",
-            "fig456",
-            "casestudy",
-            "cleaning",
-            "hardlinks",
-            "features",
-            "ablation_ambiguous",
-            "ablation_sources",
-            "ablation_legacy",
-            "ablation_666",
-            "calibration",
-            "verify",
-        ]
-        .into_iter()
-        .map(str::to_owned)
-        .collect();
+        args.targets = ALL_TARGETS.into_iter().map(str::to_owned).collect();
     }
-    args
+    Ok(Some(args))
 }
 
 /// Writes a machine-readable JSON artefact beside the text/CSV outputs.
@@ -94,6 +99,17 @@ fn write_json<T: serde::Serialize>(out: &std::path::Path, name: &str, value: &T)
 }
 
 fn main() {
+    let args = match parse_args(std::env::args().skip(1)) {
+        Ok(Some(args)) => args,
+        Ok(None) => {
+            println!("{USAGE}");
+            return;
+        }
+        Err(reason) => {
+            eprintln!("experiments: {reason}\n{USAGE}");
+            std::process::exit(2);
+        }
+    };
     // The experiments binary is the primary observability consumer: it
     // records a run manifest and an event-journal trace by default.
     // Setting BREVAL_OBS / BREVAL_OBS_JOURNAL explicitly (e.g. =0) wins.
@@ -103,7 +119,6 @@ fn main() {
     if std::env::var(breval_obs::JOURNAL_ENV_VAR).is_err() {
         breval_obs::set_journal_enabled(true);
     }
-    let args = parse_args();
     let mut config = if args.small {
         ScenarioConfig::small(args.seed.unwrap_or(2018))
     } else {
@@ -608,6 +623,7 @@ overall: {}
                 }
                 emit("ablation_legacy", text, None);
             }
+            // `parse_args` admits only the targets above.
             other => eprintln!("unknown target {other:?} — skipping"),
         }
     }

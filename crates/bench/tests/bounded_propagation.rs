@@ -3,11 +3,12 @@
 //! across origins, and hybrid PPDC rows never cost more than the flat
 //! all-bitset layout. The path store imports and sanitises paths in a
 //! constant number of allocations too, neither the simulation nor the
-//! community-label compiler allocates per route observation, and the PPDC
-//! build allocates no bytes per hop.
+//! community-label compiler allocates per route observation, the PPDC
+//! build allocates no bytes per hop, and neither the path statistics nor
+//! Gao's votes allocate per observed link.
 
 use asgraph::{cone, io, AsPath, Link, PathSet, Rel};
-use asinfer::Classifier;
+use asinfer::{Classifier, PreparedPaths};
 use bgpsim::{OriginRoutes, PropScratch, Propagator, SimGraph};
 use std::collections::BTreeMap;
 
@@ -38,6 +39,14 @@ const MIN_OBSERVATIONS_PER_COMPILE_ALLOC: u64 = 16;
 /// with every hop twice: its rows and graphs depend on the ASes, not on
 /// how often they were seen.
 const MAX_PPDC_BYTES_GROWTH_ON_DOUBLED_HOPS: f64 = 1.1;
+/// Observed links per allocation that `PathSet::stats` must at least
+/// reach: it fills flat id arrays and one CSR, so only the `BTreeSet` of
+/// links it returns grows with the links, by one node per few links.
+const MIN_LINKS_PER_STATS_ALLOC: u64 = 4;
+/// Observed links per allocation that Gao must at least reach: it counts
+/// votes in link-id arrays and repairs cycles over reused id arrays, so
+/// only its `BTreeMap` output and the P2C edge set grow with the links.
+const MIN_LINKS_PER_GAO_ALLOC: u64 = 2;
 
 #[test]
 fn propagation_and_ppdc_stay_bounded_at_10k() {
@@ -196,5 +205,27 @@ fn ppdc_allocation_does_not_grow_with_the_hop_count() {
         "ppdc_cones allocates {once_bytes} bytes over {} paths but {twice_bytes} bytes \
          over the same paths twice: it allocates per hop",
         clean.len()
+    );
+}
+
+#[test]
+fn path_stats_and_gao_allocate_less_than_once_per_link() {
+    let topology = topogen::generate(&topogen::TopologyConfig::small(7));
+    let clean = bgpsim::simulate(&topology).paths.sanitized();
+    let (stats, stats_allocs) = allocations_of(|| clean.stats());
+    let links = stats.links().len() as u64;
+    assert!(
+        stats_allocs * MIN_LINKS_PER_STATS_ALLOC < links,
+        "PathSet::stats allocates {stats_allocs} times for {links} observed links \
+         (at most one per {MIN_LINKS_PER_STATS_ALLOC}): it allocates per AS or per link"
+    );
+    let gao = asinfer::GaoClassifier::new();
+    let (inference, gao_allocs) =
+        allocations_of(|| gao.infer_prepared(PreparedPaths::new(&clean, &stats)));
+    assert_eq!(inference.rels.len() as u64, links);
+    assert!(
+        gao_allocs * MIN_LINKS_PER_GAO_ALLOC < links,
+        "Gao allocates {gao_allocs} times for {links} observed links \
+         (at most one per {MIN_LINKS_PER_GAO_ALLOC}): it allocates per vote or per cycle edge"
     );
 }

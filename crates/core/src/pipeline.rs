@@ -493,17 +493,17 @@ impl Scenario {
             .copied()
             .collect();
 
-        let vp_set: BTreeSet<asgraph::Asn> = self.paths.vantage_points().into_iter().collect();
+        let vps = self.stats.vantage_points();
         let (tr_links, validated) = if metric == HeatmapMetric::PpdcNoVp {
             (
                 tr_links
                     .iter()
-                    .filter(|l| !vp_set.contains(&l.a()) && !vp_set.contains(&l.b()))
+                    .filter(|l| !vps.contains(l.a()) && !vps.contains(l.b()))
                     .copied()
                     .collect::<Vec<_>>(),
                 validated
                     .iter()
-                    .filter(|l| !vp_set.contains(&l.a()) && !vp_set.contains(&l.b()))
+                    .filter(|l| !vps.contains(l.a()) && !vps.contains(l.b()))
                     .copied()
                     .collect::<Vec<_>>(),
             )
