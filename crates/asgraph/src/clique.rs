@@ -7,7 +7,7 @@
 use crate::asn::Asn;
 use crate::link::Link;
 use crate::paths::PathStats;
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Parameters for clique inference.
 #[derive(Debug, Clone, Copy)]
@@ -34,9 +34,9 @@ impl Default for CliqueParams {
 #[must_use]
 pub fn infer_clique(stats: &PathStats, params: CliqueParams) -> BTreeSet<Asn> {
     let ranking = stats.transit_degree_ranking();
-    if ranking.is_empty() {
+    let Some(&top) = ranking.first() else {
         return BTreeSet::new();
-    }
+    };
 
     // Adjacency restricted to the scan window.
     let window: Vec<Asn> = ranking
@@ -44,11 +44,11 @@ pub fn infer_clique(stats: &PathStats, params: CliqueParams) -> BTreeSet<Asn> {
         .copied()
         .take(params.extension_scan.max(params.seed_candidates))
         .collect();
-    let window_set: HashSet<Asn> = window.iter().copied().collect();
-    let mut adj: HashMap<Asn, HashSet<Asn>> = window.iter().map(|a| (*a, HashSet::new())).collect();
+    let mut adj: BTreeMap<Asn, BTreeSet<Asn>> =
+        window.iter().map(|a| (*a, BTreeSet::new())).collect();
     for link in stats.links() {
         let (a, b) = link.endpoints();
-        if window_set.contains(&a) && window_set.contains(&b) {
+        if adj.contains_key(&a) && adj.contains_key(&b) {
             adj.entry(a).or_default().insert(b);
             adj.entry(b).or_default().insert(a);
         }
@@ -62,18 +62,17 @@ pub fn infer_clique(stats: &PathStats, params: CliqueParams) -> BTreeSet<Asn> {
         .copied()
         .take(params.seed_candidates)
         .collect();
-    // breval-lint: allow(L009) -- ranking is non-empty: guarded by the is_empty early return above
-    let top = ranking[0];
-    let rank: HashMap<Asn, usize> = ranking.iter().enumerate().map(|(i, a)| (*a, i)).collect();
+    // The window is a prefix of the ranking, so its positions are ranks.
+    let rank: BTreeMap<Asn, usize> = window.iter().enumerate().map(|(i, a)| (*a, i)).collect();
     let top_neighbors = adj.get(&top).cloned().unwrap_or_default();
     let mut best: Vec<Asn> = vec![top];
     let mut r = vec![top];
-    let p: HashSet<Asn> = seeds
+    let p: BTreeSet<Asn> = seeds
         .iter()
         .copied()
         .filter(|s| top_neighbors.contains(s))
         .collect();
-    let x = HashSet::new();
+    let x = BTreeSet::new();
     bron_kerbosch(&adj, &rank, &mut r, p, x, &mut best);
 
     let mut clique: BTreeSet<Asn> = best.into_iter().collect();
@@ -95,11 +94,11 @@ pub fn infer_clique(stats: &PathStats, params: CliqueParams) -> BTreeSet<Asn> {
 }
 
 fn bron_kerbosch(
-    adj: &HashMap<Asn, HashSet<Asn>>,
-    rank: &HashMap<Asn, usize>,
+    adj: &BTreeMap<Asn, BTreeSet<Asn>>,
+    rank: &BTreeMap<Asn, usize>,
     r: &mut Vec<Asn>,
-    mut p: HashSet<Asn>,
-    mut x: HashSet<Asn>,
+    mut p: BTreeSet<Asn>,
+    mut x: BTreeSet<Asn>,
     best: &mut Vec<Asn>,
 ) {
     let rank_of = |a: &Asn| rank.get(a).copied().unwrap_or(usize::MAX);
@@ -135,8 +134,8 @@ fn bron_kerbosch(
     for v in candidates {
         let nbrs = adj.get(&v).cloned().unwrap_or_default();
         r.push(v);
-        let p2: HashSet<Asn> = p.intersection(&nbrs).copied().collect();
-        let x2: HashSet<Asn> = x.intersection(&nbrs).copied().collect();
+        let p2: BTreeSet<Asn> = p.intersection(&nbrs).copied().collect();
+        let x2: BTreeSet<Asn> = x.intersection(&nbrs).copied().collect();
         bron_kerbosch(adj, rank, r, p2, x2, best);
         r.pop();
         p.remove(&v);

@@ -416,14 +416,6 @@ fn to_bitset(ids: &[u32], words: usize) -> Box<[u64]> {
     bits
 }
 
-/// PPDC cone *sizes* (see [`ppdc_cones`]), in dense ASN-ordered form.
-#[must_use]
-pub fn ppdc_sizes(paths: &PathSet, rels: &BTreeMap<Link, Rel>) -> ConeSizes {
-    let sizes = ppdc_cones(paths, rels).sizes();
-    breval_obs::counter("ppdc_sizes_computed", sizes.len() as u64);
-    sizes
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -506,7 +498,7 @@ mod tests {
         assert_eq!(cone2.into_iter().collect::<Vec<_>>(), vec![Asn(2), Asn(3)]);
         // AS3 observed only at path tails still has the self cone.
         assert_eq!(cones.members(Asn(3)).unwrap().len(), 1);
-        let sizes = ppdc_sizes(&ps, &rels);
+        let sizes = ppdc_cones(&ps, &rels).sizes();
         assert_eq!(sizes.get(Asn(2)), Some(2));
     }
 
@@ -517,7 +509,7 @@ mod tests {
         rels.insert(l(2, 3), p2c(2));
         let mut ps = PathSet::new();
         ps.push(Asn(1), AsPath::new(vec![Asn(1), Asn(2), Asn(3)]));
-        let sizes = ppdc_sizes(&ps, &rels);
+        let sizes = ppdc_cones(&ps, &rels).sizes();
         assert_eq!(sizes.get(Asn(2)), Some(2));
     }
 

@@ -516,7 +516,7 @@ impl PathStats {
     /// If `id` is out of range for the indexer.
     #[must_use]
     pub fn node_degree_by_id(&self, id: u32) -> usize {
-        (self.offsets[id as usize + 1] - self.offsets[id as usize]) as usize
+        self.neighbors_by_id(id).len()
     }
 
     /// Transit degree of `asn`: the number of distinct neighbors adjacent to
@@ -541,9 +541,18 @@ impl PathStats {
     /// Number of distinct vantage points that observed `link`.
     #[must_use]
     pub fn vp_count(&self, link: Link) -> usize {
-        let ids = self.indexer.id(link.a()).zip(self.indexer.id(link.b()));
-        ids.and_then(|(a, b)| self.link_id(a, b))
-            .map_or(0, |id| self.link_vp_count[id as usize] as usize)
+        self.link_id_of(link)
+            .map_or(0, |id| self.vp_count_by_id(id))
+    }
+
+    /// Number of distinct vantage points that observed the link with id
+    /// `link`.
+    ///
+    /// # Panics
+    /// If `link` is out of range for [`PathStats::link_ends`].
+    #[must_use]
+    pub fn vp_count_by_id(&self, link: u32) -> usize {
+        self.link_vp_count[link as usize] as usize
     }
 
     /// All observed links, sorted; a link's id is its rank here.
@@ -564,6 +573,23 @@ impl PathStats {
     #[must_use]
     pub fn link_id(&self, a: u32, b: u32) -> Option<u32> {
         entry_of(&self.offsets, &self.neighbors, a, b).map(|at| self.entry_links[at])
+    }
+
+    /// The id of `link`, or `None` if no path joins its endpoints.
+    #[must_use]
+    pub fn link_id_of(&self, link: Link) -> Option<u32> {
+        let ids = self.indexer.id(link.a()).zip(self.indexer.id(link.b()));
+        ids.and_then(|(a, b)| self.link_id(a, b))
+    }
+
+    /// The ids of the path neighbours of the AS with id `id`, ascending:
+    /// its row of the adjacency.
+    ///
+    /// # Panics
+    /// If `id` is out of range for the indexer.
+    #[must_use]
+    pub fn neighbors_by_id(&self, id: u32) -> &[u32] {
+        &self.neighbors[self.offsets[id as usize] as usize..self.offsets[id as usize + 1] as usize]
     }
 
     /// The ids of the observed ASes: the ASes on some link, in ASN order.

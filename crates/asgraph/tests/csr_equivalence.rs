@@ -313,9 +313,10 @@ proptest! {
     }
 
     /// The dense path statistics answer every getter as the hash oracle
-    /// does: both degrees of every AS (and 0 for one never seen), the VP
-    /// count of every link, the link set, the AS set, the transit-degree
-    /// ranking and the VP list; link ids follow `Link` order.
+    /// does: both degrees and the neighbour row of every AS (and 0 for one
+    /// never seen), the VP count of every link by `Link` and by id, the
+    /// link set, the AS set, the transit-degree ranking and the VP list;
+    /// link ids follow `Link` order.
     #[test]
     fn path_stats_match_hash_baseline(ps in arb_pathset()) {
         let stats = ps.stats();
@@ -328,6 +329,13 @@ proptest! {
             prop_assert_eq!(stats.node_degree(asn), degree(&oracle.neighbors, asn), "{:?}", asn);
             prop_assert_eq!(stats.transit_degree(asn), degree(&oracle.transit, asn), "{:?}", asn);
         }
+        for (id, asn) in (0u32..).zip(ases.iter().copied()) {
+            let row: Vec<Asn> =
+                stats.neighbors_by_id(id).iter().map(|&n| stats.indexer().asn(n)).collect();
+            let mut expected: Vec<Asn> = oracle.neighbors[&asn].iter().copied().collect();
+            expected.sort();
+            prop_assert_eq!(row, expected, "{:?}", asn);
+        }
         let links: BTreeSet<Link> = oracle.link_vps.keys().copied().collect();
         prop_assert_eq!(stats.links(), &links);
         prop_assert_eq!(stats.link_ends().len(), links.len());
@@ -336,9 +344,19 @@ proptest! {
             prop_assert_eq!(ends, link.endpoints());
             prop_assert_eq!(stats.link_id(a, b), Some(id as u32));
             prop_assert_eq!(stats.link_id(b, a), Some(id as u32));
+            prop_assert_eq!(stats.link_id_of(*link), Some(id as u32));
             prop_assert_eq!(stats.vp_count(*link), oracle.link_vps[link].len(), "{}", link);
+            prop_assert_eq!(stats.vp_count_by_id(id as u32), oracle.link_vps[link].len(), "{}", link);
         }
-        prop_assert_eq!(stats.vp_count(Link::new(Asn(1_000), Asn(1_001)).expect("distinct")), 0);
+        let unseen = Link::new(Asn(1_000), Asn(1_001)).expect("distinct");
+        prop_assert_eq!(stats.vp_count(unseen), 0);
+        prop_assert_eq!(stats.link_id_of(unseen), None);
+        if let [a, b, ..] = ases[..] {
+            // Two observed ASes that no path joins have no link id.
+            let joined = oracle.neighbors[&a].contains(&b);
+            let link = Link::new(a, b).expect("distinct");
+            prop_assert_eq!(stats.link_id_of(link).is_some(), joined);
+        }
         let mut ranking: Vec<Asn> = oracle.transit.keys().copied().collect();
         ranking.sort_by_key(|a| (std::cmp::Reverse(degree(&oracle.transit, *a)), a.0));
         prop_assert_eq!(stats.transit_degree_ranking(), ranking);

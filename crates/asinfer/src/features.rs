@@ -1,8 +1,8 @@
 //! Link features shared by the probabilistic classifiers (ProbLink's feature
 //! set, bucketised).
 
-use asgraph::{Asn, Link, PathSet, PathStats, Rel, RelClass};
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
+use asgraph::{Asn, HopIds, Link, LinkIds, PathSet, PathStats, Rel, RelClass};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 /// Bucketised per-link features.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -32,89 +32,103 @@ fn log_bucket(v: usize) -> u8 {
     b
 }
 
-/// Computes features for every observed link.
+/// Computes features for every observed link, indexed by link id (a
+/// link's rank in [`PathStats::links`]).
+///
+/// Every step reads the dense ids of `stats`: neighbours come from its
+/// adjacency rows, and clique distances and triplet support live in arrays
+/// indexed by AS id and link id.
+///
+/// # Panics
+/// If `stats` cannot be the statistics of `paths` (see
+/// [`PathStats::describes`]).
 #[must_use]
 pub fn compute_features(
     paths: &PathSet,
     stats: &PathStats,
     clique: &BTreeSet<Asn>,
-) -> HashMap<Link, LinkFeatures> {
-    // Neighbor sets for common-neighbor counts.
-    let mut neighbors: HashMap<Asn, HashSet<Asn>> = HashMap::new();
-    for link in stats.links() {
-        let (a, b) = link.endpoints();
-        neighbors.entry(a).or_default().insert(b);
-        neighbors.entry(b).or_default().insert(a);
-    }
+) -> Vec<LinkFeatures> {
+    assert!(
+        stats.describes(paths),
+        "compute_features: `stats` must be the statistics of `paths`"
+    );
+    let indexer = stats.indexer();
+    let cap = N_BUCKETS as u8 - 1;
 
-    // BFS hop distance from the clique over the observed graph.
-    let mut dist: HashMap<Asn, u8> = HashMap::new();
-    let mut queue: VecDeque<Asn> = VecDeque::new();
-    for &c in clique {
-        dist.insert(c, 0);
-        queue.push_back(c);
+    // BFS hop distance from the clique over the observed graph; ASes more
+    // than `cap` hops away stay unseen (`u8::MAX`).
+    let mut in_clique = vec![false; indexer.len()];
+    let mut dist = vec![u8::MAX; indexer.len()];
+    let mut queue: VecDeque<u32> = VecDeque::new();
+    for id in clique.iter().filter_map(|&c| indexer.id(c)) {
+        in_clique[id as usize] = true;
+        dist[id as usize] = 0;
+        queue.push_back(id);
     }
     while let Some(u) = queue.pop_front() {
-        let d = dist[&u];
-        if d as usize >= N_BUCKETS - 1 {
+        let d = dist[u as usize];
+        if d >= cap {
             continue;
         }
-        if let Some(ns) = neighbors.get(&u) {
-            for &v in ns {
-                dist.entry(v).or_insert_with(|| {
-                    queue.push_back(v);
-                    d + 1
-                });
+        for &v in stats.neighbors_by_id(u) {
+            if dist[v as usize] == u8::MAX {
+                dist[v as usize] = d + 1;
+                queue.push_back(v);
             }
         }
     }
 
     // Triplet support: (w, u, v) with w in the clique supports (u, v).
-    let mut support: HashMap<Link, usize> = HashMap::new();
-    for (_, hops) in paths.iter() {
-        for w in hops.windows(3) {
-            if clique.contains(&w[0]) {
-                if let Some(link) = Link::new(w[1], w[2]) {
-                    *support.entry(link).or_insert(0) += 1;
-                }
+    let mut support = vec![0usize; stats.link_ends().len()];
+    let mut hop_ids = HopIds::new(indexer);
+    let mut link_ids = LinkIds::new(stats);
+    for (_, hops) in paths.iter().filter(|(_, hops)| hops.len() >= 3) {
+        for w in hop_ids.translate(hops).windows(3) {
+            if in_clique[w[0] as usize] {
+                support[link_ids.hop_link(w[1], w[2]) as usize] += 1;
             }
         }
     }
 
-    let mut out = HashMap::with_capacity(stats.links().len());
-    for link in stats.links() {
-        let (a, b) = link.endpoints();
-        let (da, db) = (
-            stats.transit_degree(a).max(1),
-            stats.transit_degree(b).max(1),
-        );
-        let ratio = da.max(db) / da.min(db);
-        let common = neighbors
-            .get(&a)
-            .map(|na| {
-                neighbors
-                    .get(&b)
-                    .map(|nb| na.intersection(nb).count())
-                    .unwrap_or(0)
-            })
-            .unwrap_or(0);
-        let d = dist
-            .get(&a)
-            .copied()
-            .unwrap_or(N_BUCKETS as u8 - 1)
-            .min(dist.get(&b).copied().unwrap_or(N_BUCKETS as u8 - 1));
-        out.insert(
-            *link,
+    let td = |id: u32| stats.transit_degree_by_id(id).max(1);
+    (0u32..)
+        .zip(stats.link_ends())
+        .map(|(link, &[a, b])| {
+            let (da, db) = (td(a), td(b));
+            let common = common_count(stats.neighbors_by_id(a), stats.neighbors_by_id(b));
             LinkFeatures {
-                vp_bucket: log_bucket(stats.vp_count(*link)),
-                degree_ratio_bucket: log_bucket(ratio),
-                dist_to_clique: d.min(N_BUCKETS as u8 - 1),
-                triplet_support: log_bucket(support.get(link).copied().unwrap_or(0)),
+                vp_bucket: log_bucket(stats.vp_count_by_id(link)),
+                degree_ratio_bucket: log_bucket(da.max(db) / da.min(db)),
+                dist_to_clique: dist[a as usize].min(dist[b as usize]).min(cap),
+                triplet_support: log_bucket(support[link as usize]),
                 common_neighbors: log_bucket(common),
-            },
-        );
-    }
-    out
+            }
+        })
+        .collect()
+}
+
+/// The number of ids two ascending rows share: each id of the shorter row
+/// is binary-searched in the longer one, so a stub's link to a hub costs a
+/// few probes rather than a walk over the hub's row.
+fn common_count(a: &[u32], b: &[u32]) -> usize {
+    let (short, long) = if a.len() <= b.len() { (a, b) } else { (b, a) };
+    short
+        .iter()
+        .filter(|id| long.binary_search(id).is_ok())
+        .count()
+}
+
+/// The features of each link of `labels`, in the labelling's order: `None`
+/// for a link the statistics never observed.
+pub(crate) fn labelled_features<'f>(
+    labels: &BTreeMap<Link, Rel>,
+    stats: &PathStats,
+    features: &'f [LinkFeatures],
+) -> Vec<Option<&'f LinkFeatures>> {
+    labels
+        .keys()
+        .map(|&link| stats.link_id_of(link).map(|id| &features[id as usize]))
+        .collect()
 }
 
 impl LinkFeatures {
@@ -145,18 +159,17 @@ pub(crate) struct NaiveBayes {
 }
 
 impl NaiveBayes {
-    /// Fits the histograms on the P2C and P2P links of `labels` that have
-    /// features; sibling labels are skipped.
-    pub(crate) fn fit(
-        labels: &BTreeMap<Link, Rel>,
-        features: &HashMap<Link, LinkFeatures>,
+    /// Fits the histograms on the P2C and P2P labels that have features;
+    /// sibling labels are skipped.
+    pub(crate) fn fit<'f>(
+        labelled: impl IntoIterator<Item = (&'f Rel, &'f Option<&'f LinkFeatures>)>,
     ) -> Self {
         let mut nb = NaiveBayes {
             counts: [[[1.0; N_BUCKETS]; 5]; 2], // Laplace smoothing
             totals: [N_BUCKETS as f64; 2],
         };
-        for (link, rel) in labels {
-            let Some(f) = features.get(link) else {
+        for (rel, f) in labelled {
+            let Some(f) = f else {
                 continue;
             };
             let class = match rel.class() {
@@ -223,12 +236,21 @@ mod tests {
         let clique: BTreeSet<Asn> = [Asn(1), Asn(2)].into_iter().collect();
         let feats = compute_features(&ps, &stats, &clique);
         assert_eq!(feats.len(), stats.links().len());
+        let of = |a: u32, b: u32| {
+            let link = Link::new(Asn(a), Asn(b)).unwrap();
+            feats[stats.link_id_of(link).unwrap() as usize]
+        };
         // Link 2-3 follows clique member 1 in path 10,1,2,3 → support > 0.
-        let f23 = feats[&Link::new(Asn(2), Asn(3)).unwrap()];
-        assert!(f23.triplet_support > 0);
+        assert!(of(2, 3).triplet_support > 0);
         // Distance to clique: links incident to clique have distance 0.
-        let f12 = feats[&Link::new(Asn(1), Asn(2)).unwrap()];
-        assert_eq!(f12.dist_to_clique, 0);
+        assert_eq!(of(1, 2).dist_to_clique, 0);
+    }
+
+    #[test]
+    fn common_count_matches_set_intersection() {
+        assert_eq!(common_count(&[], &[1, 2]), 0);
+        assert_eq!(common_count(&[1, 3, 5, 7], &[3, 4, 7]), 2);
+        assert_eq!(common_count(&[4], &[1, 2, 3, 4, 5, 6]), 1);
     }
 
     #[test]

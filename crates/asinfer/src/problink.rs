@@ -14,7 +14,7 @@
 //! contain fewer links").
 
 use crate::common::{Classifier, Inference, PreparedPaths};
-use crate::features::{compute_features, NaiveBayes, CLASS_P2C, CLASS_P2P};
+use crate::features::{compute_features, labelled_features, NaiveBayes, CLASS_P2C, CLASS_P2P};
 use asgraph::{Rel, RelClass};
 
 /// Tunables for ProbLink.
@@ -62,44 +62,40 @@ impl Classifier for ProbLink {
         let features = compute_features(clean, stats, &initial.clique);
 
         let mut labels = initial.rels.clone();
+        // Refinement relabels links but never adds or drops one, so each
+        // label's features are looked up once.
+        let linked = labelled_features(&labels, stats, &features);
         let n_links = labels.len().max(1);
         for _ in 0..self.params.max_iters {
-            let nb = NaiveBayes::fit(&labels, &features);
+            let nb = NaiveBayes::fit(labels.values().zip(&linked));
             let mut changes = 0usize;
             let mut next = labels.clone();
-            for (link, rel) in &labels {
+            for ((link, rel), f) in labels.iter().zip(&linked) {
                 // Clique links stay peers; sibling labels are untouched.
                 if rel.class() == RelClass::S2s
                     || (initial.clique.contains(&link.a()) && initial.clique.contains(&link.b()))
                 {
                     continue;
                 }
-                let Some(f) = features.get(link) else {
+                let Some(f) = f else {
                     continue;
                 };
                 let lp = nb.log_posteriors(f);
-                let want = if lp[CLASS_P2C] >= lp[CLASS_P2P] {
-                    RelClass::P2c
-                } else {
-                    RelClass::P2p
-                };
-                if want == rel.class() {
+                let p2c = lp[CLASS_P2C] >= lp[CLASS_P2P];
+                if p2c == (rel.class() == RelClass::P2c) {
                     continue;
                 }
-                let new_rel = match want {
-                    RelClass::P2p => Rel::P2p,
-                    RelClass::P2c => {
-                        // Orientation: the larger transit degree provides.
-                        let (a, b) = link.endpoints();
-                        let provider = if stats.transit_degree(a) >= stats.transit_degree(b) {
-                            a
-                        } else {
-                            b
-                        };
-                        Rel::P2c { provider }
-                    }
-                    // breval-lint: allow(L009) -- the proposal stage never emits s2s; exhaustive-match invariant
-                    RelClass::S2s => unreachable!("never proposed"),
+                let new_rel = if p2c {
+                    // Orientation: the larger transit degree provides.
+                    let (a, b) = link.endpoints();
+                    let provider = if stats.transit_degree(a) >= stats.transit_degree(b) {
+                        a
+                    } else {
+                        b
+                    };
+                    Rel::P2c { provider }
+                } else {
+                    Rel::P2p
                 };
                 next.insert(*link, new_rel);
                 changes += 1;

@@ -11,10 +11,10 @@
 //! mean 90 % accuracy?).
 
 use crate::common::{Classifier, Inference, PreparedPaths};
-use crate::features::{compute_features, NaiveBayes, CLASS_P2C, CLASS_P2P};
+use crate::features::{compute_features, labelled_features, NaiveBayes, CLASS_P2C, CLASS_P2P};
 use asgraph::{Link, Rel, RelClass};
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 /// A probability distribution over the relationship of one link.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -65,11 +65,13 @@ impl Unari {
     pub fn beliefs(&self, prep: PreparedPaths<'_>) -> BTreeMap<Link, LinkBelief> {
         let initial = prep.asrank_seed();
         let features = compute_features(prep.paths, prep.stats, &initial.clique);
-        let nb = NaiveBayes::fit(&initial.rels, &features);
+        let linked = labelled_features(&initial.rels, prep.stats, &features);
+        let nb = NaiveBayes::fit(initial.rels.values().zip(&linked));
         initial
             .rels
             .iter()
-            .map(|(link, rel)| {
+            .zip(&linked)
+            .map(|((link, rel), f)| {
                 let provider = match rel {
                     Rel::P2c { provider } => *provider,
                     _ => {
@@ -82,7 +84,7 @@ impl Unari {
                         }
                     }
                 };
-                let belief = match features.get(link) {
+                let belief = match f {
                     Some(f) => {
                         let lp = nb.log_posteriors(f);
                         let (lc, lp) = (lp[CLASS_P2C], lp[CLASS_P2P]);
@@ -144,7 +146,7 @@ pub struct CalibrationBin {
 #[must_use]
 pub fn calibration_curve(
     beliefs: &BTreeMap<Link, LinkBelief>,
-    reference: &HashMap<Link, Rel>,
+    reference: &BTreeMap<Link, Rel>,
     bins: usize,
 ) -> Vec<CalibrationBin> {
     let bins = bins.max(1);
@@ -234,7 +236,7 @@ mod tests {
         let beliefs = Unari::new().beliefs(PreparedPaths::new(&ps, &stats));
         // Use the hard labels themselves as reference: accuracy must be 1.0
         // in every populated bin.
-        let reference: HashMap<Link, Rel> =
+        let reference: BTreeMap<Link, Rel> =
             beliefs.iter().map(|(l, b)| (*l, b.hard_label())).collect();
         let bins = calibration_curve(&beliefs, &reference, 5);
         assert_eq!(bins.len(), 5);

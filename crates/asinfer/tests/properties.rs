@@ -1,14 +1,106 @@
 //! Property tests for the inference algorithms: well-formed outputs on
 //! arbitrary path sets, stability invariants, and the provider-cycle repair
-//! against the hash-based pass it replaced.
+//! and the link features against the hash-based passes they replaced.
 
-use asgraph::{AsPath, Asn, Link, PathSet, Rel};
+use asgraph::{AsPath, Asn, Link, PathSet, PathStats, Rel};
+use asinfer::features::{compute_features, LinkFeatures, N_BUCKETS};
 use asinfer::{
     break_provider_cycles, AsRank, Classifier, CycleBreakReport, GaoClassifier, PreparedPaths,
     ProbLink, TopoScope, Unari,
 };
 use proptest::prelude::*;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
+
+/// Reference features: `compute_features` as it ran before it moved to the
+/// statistics' dense ids, with neighbour sets, clique distances and
+/// triplet support in hash containers keyed by ASN or `Link`.
+fn compute_features_hash(
+    paths: &PathSet,
+    stats: &PathStats,
+    clique: &BTreeSet<Asn>,
+) -> HashMap<Link, LinkFeatures> {
+    let log_bucket = |v: usize| {
+        let (mut b, mut x) = (0u8, v);
+        while x > 0 && b < (N_BUCKETS as u8 - 1) {
+            x >>= 1;
+            b += 1;
+        }
+        b
+    };
+    let mut neighbors: HashMap<Asn, HashSet<Asn>> = HashMap::new();
+    for link in stats.links() {
+        let (a, b) = link.endpoints();
+        neighbors.entry(a).or_default().insert(b);
+        neighbors.entry(b).or_default().insert(a);
+    }
+
+    let mut dist: HashMap<Asn, u8> = HashMap::new();
+    let mut queue: VecDeque<Asn> = VecDeque::new();
+    for &c in clique {
+        dist.insert(c, 0);
+        queue.push_back(c);
+    }
+    while let Some(u) = queue.pop_front() {
+        let d = dist[&u];
+        if d as usize >= N_BUCKETS - 1 {
+            continue;
+        }
+        if let Some(ns) = neighbors.get(&u) {
+            for &v in ns {
+                dist.entry(v).or_insert_with(|| {
+                    queue.push_back(v);
+                    d + 1
+                });
+            }
+        }
+    }
+
+    let mut support: HashMap<Link, usize> = HashMap::new();
+    for (_, hops) in paths.iter() {
+        for w in hops.windows(3) {
+            if clique.contains(&w[0]) {
+                if let Some(link) = Link::new(w[1], w[2]) {
+                    *support.entry(link).or_insert(0) += 1;
+                }
+            }
+        }
+    }
+
+    let mut out = HashMap::with_capacity(stats.links().len());
+    for link in stats.links() {
+        let (a, b) = link.endpoints();
+        let (da, db) = (
+            stats.transit_degree(a).max(1),
+            stats.transit_degree(b).max(1),
+        );
+        let ratio = da.max(db) / da.min(db);
+        let common = neighbors
+            .get(&a)
+            .map(|na| {
+                neighbors
+                    .get(&b)
+                    .map(|nb| na.intersection(nb).count())
+                    .unwrap_or(0)
+            })
+            .unwrap_or(0);
+        let d = dist
+            .get(&a)
+            .copied()
+            .unwrap_or(N_BUCKETS as u8 - 1)
+            .min(dist.get(&b).copied().unwrap_or(N_BUCKETS as u8 - 1));
+        out.insert(
+            *link,
+            LinkFeatures {
+                vp_bucket: log_bucket(stats.vp_count(*link)),
+                degree_ratio_bucket: log_bucket(ratio),
+                dist_to_clique: d.min(N_BUCKETS as u8 - 1),
+                triplet_support: log_bucket(support.get(link).copied().unwrap_or(0)),
+                common_neighbors: log_bucket(common),
+            },
+        );
+    }
+    out
+}
 
 /// Reference cycle repair: `break_provider_cycles` as it ran before its
 /// search moved to dense ids, with a Kahn pass and a cycle walk in fresh
@@ -206,6 +298,42 @@ proptest! {
         for (link, belief) in &beliefs {
             prop_assert!((belief.p_p2c + belief.p_p2p - 1.0).abs() < 1e-9);
             prop_assert_eq!(inf.rel(*link), Some(belief.hard_label()));
+        }
+    }
+}
+
+/// A path set over few ASes, so shared neighbours and triplets through
+/// the clique are common, plus one chain hanging off AS `start` that runs
+/// past the clique-distance cap; the clique is random over the same ASes.
+fn arb_features_input() -> impl Strategy<Value = (PathSet, BTreeSet<Asn>)> {
+    let paths = prop::collection::vec(prop::collection::vec(1u32..40, 1..9), 0..60);
+    let chain = (1u32..40, 0u32..25);
+    let clique = prop::collection::btree_set((1u32..45).prop_map(Asn), 0..6);
+    (paths, chain, clique).prop_map(|(paths, (start, len), clique)| {
+        let mut ps = PathSet::new();
+        for hops in paths {
+            let hops: Vec<Asn> = hops.into_iter().map(Asn).collect();
+            ps.push(hops[0], AsPath::new(hops));
+        }
+        let chain = std::iter::once(start).chain(100..100 + len).map(Asn);
+        ps.push(Asn(start), AsPath::new(chain.collect()));
+        (ps, clique)
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The dense features equal the hash oracle's on every link, in all
+    /// five buckets, and come back one per link id.
+    #[test]
+    fn features_match_hash_baseline((ps, clique) in arb_features_input()) {
+        let stats = ps.stats();
+        let dense = compute_features(&ps, &stats, &clique);
+        let oracle = compute_features_hash(&ps, &stats, &clique);
+        prop_assert_eq!(dense.len(), stats.links().len());
+        for (link, features) in stats.links().iter().zip(&dense) {
+            prop_assert_eq!(features.dims(), oracle[link].dims(), "{}", link);
         }
     }
 }

@@ -10,14 +10,14 @@ use crate::iana::IanaAsnTable;
 use crate::region::RirRegion;
 use asgraph::Asn;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// The combined ASN → region map.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct RegionMap {
     iana: IanaAsnTable,
     /// Refinements from delegation files (these win over the IANA bootstrap).
-    delegated: HashMap<Asn, RirRegion>,
+    delegated: BTreeMap<Asn, RirRegion>,
 }
 
 impl RegionMap {
@@ -26,7 +26,7 @@ impl RegionMap {
     pub fn from_iana(iana: IanaAsnTable) -> Self {
         RegionMap {
             iana,
-            delegated: HashMap::new(),
+            delegated: BTreeMap::new(),
         }
     }
 

@@ -538,13 +538,8 @@ overall: {}
                 let prep = asinfer::PreparedPaths::new(&scenario.paths, &scenario.stats)
                     .with_asrank(asrank);
                 let beliefs = asinfer::Unari::new().beliefs(prep);
-                let reference: std::collections::HashMap<_, _> = scenario
-                    .validation
-                    .labels
-                    .iter()
-                    .map(|(l, r)| (*l, *r))
-                    .collect();
-                let bins = asinfer::unari::calibration_curve(&beliefs, &reference, 10);
+                let bins =
+                    asinfer::unari::calibration_curve(&beliefs, &scenario.validation.labels, 10);
                 write_json(&args.out, "calibration_unari", &bins);
                 let mut text = String::from(
                     "# UNARI-style belief calibration vs validation labels\n                     certainty-range     links  mean-cert  accuracy\n",

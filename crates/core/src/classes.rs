@@ -76,7 +76,7 @@ impl TopoClass {
 
 /// The Stub/Transit/T1/hypergiant partition materialised once as a flat
 /// per-id class array, so per-link classification is two binary searches
-/// plus two array reads — no set probes, no `HashMap` lookups.
+/// plus two array reads — no set probes, no hash lookups.
 #[derive(Debug, Clone, Default)]
 pub struct TopoIndex {
     indexer: AsIndexer,

@@ -6,9 +6,9 @@
 //! experiment harness measure both effects on the simulation: per-criterion
 //! error rates, and validation coverage of hard vs easy links.
 
-use asgraph::{Asn, Link, PathSet, PathStats};
+use asgraph::{Asn, HopIds, Link, LinkIds, PathSet, PathStats};
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Which §3.3 criteria mark a link as hard.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -78,66 +78,80 @@ impl Default for HardLinkConfig {
 }
 
 /// Classifies every observed link against the five criteria.
+///
+/// The walk reads `paths` through the dense ids of `stats`: clique
+/// membership lives in one flag per AS id, and clique-pair sightings and
+/// down votes in arrays indexed by link id.
+///
+/// # Panics
+/// If `stats` cannot be the statistics of `paths` (see
+/// [`PathStats::describes`]).
 #[must_use]
 pub fn classify_hard_links(
     paths: &PathSet,
     stats: &PathStats,
     clique: &BTreeSet<Asn>,
     cfg: &HardLinkConfig,
-) -> HashMap<Link, HardLinkFlags> {
-    let vps: BTreeSet<Asn> = paths.vantage_points().into_iter().collect();
+) -> BTreeMap<Link, HardLinkFlags> {
+    assert!(
+        stats.describes(paths),
+        "classify_hard_links: `stats` must be the statistics of `paths`"
+    );
+    let indexer = stats.indexer();
+    let vps = stats.vantage_points();
     let n_vps = vps.len().max(1);
     let band_lo = (cfg.visibility_band.0 * n_vps as f64).round() as usize;
     let band_hi = (cfg.visibility_band.1 * n_vps as f64).round() as usize;
+    let mut in_clique = vec![false; indexer.len()];
+    for id in clique.iter().filter_map(|&c| indexer.id(c)) {
+        in_clique[id as usize] = true;
+    }
 
     // (iv) For stub links: does any path containing the link also contain two
-    // consecutive clique members? (v) Valley-free orientation votes.
-    let mut has_clique_pair: HashSet<Link> = HashSet::new();
-    let mut down_votes: HashMap<(Asn, Asn), usize> = HashMap::new();
-    for (_, hops) in paths.iter() {
-        let clique_pair = hops
+    // consecutive clique members? (v) Valley-free orientation votes: whether
+    // some path descends the link from each of its ends.
+    let n_links = stats.link_ends().len();
+    let mut has_clique_pair = vec![false; n_links];
+    let mut down_votes = vec![[false; 2]; n_links];
+    let mut hop_ids = HopIds::new(indexer);
+    let mut link_ids = LinkIds::new(stats);
+    for (_, hops) in paths.iter().filter(|(_, hops)| hops.len() >= 2) {
+        let ids = hop_ids.translate(hops);
+        let clique_pair = ids
             .windows(2)
-            .any(|w| clique.contains(&w[0]) && clique.contains(&w[1]));
+            .any(|w| in_clique[w[0] as usize] && in_clique[w[1] as usize]);
         let mut descending = false;
-        for i in 1..hops.len() {
-            let (w, u) = (hops[i - 1], hops[i]);
-            if let Some(link) = Link::new(w, u) {
-                if clique_pair {
-                    has_clique_pair.insert(link);
-                }
+        for (i, w) in ids.windows(2).enumerate() {
+            if clique_pair {
+                has_clique_pair[link_ids.hop_link(w[0], w[1]) as usize] = true;
             }
-            if !descending && clique.contains(&w) {
-                descending = true;
-            }
+            descending |= in_clique[w[0] as usize];
             if descending {
-                if let Some(&v) = hops.get(i + 1) {
-                    *down_votes.entry((u, v)).or_insert(0) += 1;
+                if let Some(&v) = ids.get(i + 2) {
+                    let u = w[1];
+                    down_votes[link_ids.hop_link(u, v) as usize][usize::from(u > v)] = true;
                 }
             }
         }
     }
 
-    stats
-        .links()
-        .iter()
-        .map(|link| {
-            let (a, b) = link.endpoints();
-            let degree = stats.node_degree(a).min(stats.node_degree(b));
-            let vis = stats.vp_count(*link);
-            let a_stub = stats.transit_degree(a) == 0;
-            let b_stub = stats.transit_degree(b) == 0;
+    let is_vp = |id: u32| vps.contains(indexer.asn(id));
+    let links = stats.links().iter().zip(stats.link_ends());
+    (0u32..)
+        .zip(links)
+        .map(|(id, (&link, &[a, b]))| {
+            let degree = stats.node_degree_by_id(a).min(stats.node_degree_by_id(b));
+            let vis = stats.vp_count_by_id(id);
+            let stub = stats.transit_degree_by_id(a) == 0 || stats.transit_degree_by_id(b) == 0;
+            let [down_from_a, down_from_b] = down_votes[id as usize];
             let flags = HardLinkFlags {
                 low_degree: degree < cfg.degree_threshold,
                 mid_visibility: vis >= band_lo && vis <= band_hi,
-                remote: !vps.contains(&a)
-                    && !vps.contains(&b)
-                    && !clique.contains(&a)
-                    && !clique.contains(&b),
-                stub_without_clique_pair: (a_stub || b_stub) && !has_clique_pair.contains(link),
-                conflicting_votes: down_votes.get(&(a, b)).copied().unwrap_or(0) > 0
-                    && down_votes.get(&(b, a)).copied().unwrap_or(0) > 0,
+                remote: !is_vp(a) && !is_vp(b) && !in_clique[a as usize] && !in_clique[b as usize],
+                stub_without_clique_pair: stub && !has_clique_pair[id as usize],
+                conflicting_votes: down_from_a && down_from_b,
             };
-            (*link, flags)
+            (link, flags)
         })
         .collect()
 }
@@ -166,7 +180,7 @@ pub struct HardLinkReport {
 /// links.
 #[must_use]
 pub fn hard_link_report(
-    flags: &HashMap<Link, HardLinkFlags>,
+    flags: &BTreeMap<Link, HardLinkFlags>,
     validated: &BTreeSet<Link>,
     scored: &[crate::metrics::ScoredLink],
 ) -> HardLinkReport {
@@ -282,7 +296,7 @@ mod tests {
     fn report_partitions_links() {
         let l1 = Link::new(Asn(1), Asn(2)).unwrap();
         let l2 = Link::new(Asn(3), Asn(4)).unwrap();
-        let mut flags = HashMap::new();
+        let mut flags = BTreeMap::new();
         flags.insert(
             l1,
             HardLinkFlags {

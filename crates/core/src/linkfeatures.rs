@@ -24,7 +24,7 @@
 use asgraph::{Asn, ConeSizes, Link, PathStats};
 use bgpsim::RibSnapshot;
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, HashSet};
+use std::collections::BTreeMap;
 use topogen::Topology;
 
 /// The Appendix C feature vector for one link.
@@ -61,9 +61,9 @@ pub struct LinkMetrics {
 /// Computes the Appendix C metrics for every observed link.
 ///
 /// `ppdc` supplies the per-AS PPDC cone sizes used for feature 9
-/// ([`asgraph::cone::ppdc_sizes`] over the inferred relationships — the
-/// paper would use the inferred relationships). Passed in precomputed so
-/// callers share one derivation with the rest of the pipeline.
+/// ([`asgraph::cone::PpdcCones::sizes`] over the inferred relationships —
+/// the paper would use the inferred relationships). Passed in precomputed
+/// so callers share one derivation with the rest of the pipeline.
 #[must_use]
 pub fn compute_link_metrics(
     topology: &Topology,
@@ -71,15 +71,16 @@ pub fn compute_link_metrics(
     stats: &PathStats,
     ppdc: &ConeSizes,
 ) -> BTreeMap<Link, LinkMetrics> {
+    #[derive(Default)]
     struct Acc {
-        vps: HashSet<Asn>,
-        prefixes: HashSet<bgpwire::Ipv4Prefix>,
-        originated: HashSet<bgpwire::Ipv4Prefix>,
-        left: HashSet<Asn>,
-        right: HashSet<Asn>,
+        vps: Distinct<Asn>,
+        prefixes: Distinct<bgpwire::Ipv4Prefix>,
+        originated: Distinct<bgpwire::Ipv4Prefix>,
+        left: Distinct<Asn>,
+        right: Distinct<Asn>,
     }
     // Link-keyed BTreeMap so the returned metric table (and everything
-    // rendered from it) iterates in deterministic Link order (L008).
+    // rendered from it) iterates in Link order.
     let mut acc: BTreeMap<Link, Acc> = BTreeMap::new();
 
     for (obs, (_, hops)) in snapshot.observations.iter().zip(snapshot.paths.iter()) {
@@ -87,24 +88,14 @@ pub fn compute_link_metrics(
             let Some(link) = Link::new(w[0], w[1]) else {
                 continue;
             };
-            let entry = acc.entry(link).or_insert_with(|| Acc {
-                vps: HashSet::new(),
-                prefixes: HashSet::new(),
-                originated: HashSet::new(),
-                left: HashSet::new(),
-                right: HashSet::new(),
-            });
+            let entry = acc.entry(link).or_default();
             entry.vps.insert(obs.vp);
             entry.prefixes.insert(obs.prefix);
             if i + 2 == hops.len() {
                 entry.originated.insert(obs.prefix);
             }
-            for &l in &hops[..=i] {
-                entry.left.insert(l);
-            }
-            for &r in &hops[i + 1..] {
-                entry.right.insert(r);
-            }
+            entry.left.extend(&hops[..=i]);
+            entry.right.extend(&hops[i + 1..]);
         }
     }
 
@@ -127,14 +118,15 @@ pub fn compute_link_metrics(
                     .filter(|asn| topology.info(*asn).map(f).unwrap_or(false))
                     .count() as u8
             };
+            let (prefixes, originated) = (a.prefixes.finish(), a.originated.finish());
             let metrics = LinkMetrics {
-                visibility: a.vps.len(),
-                prefixes_redistributed: a.prefixes.len(),
-                addresses_redistributed: a.prefixes.iter().map(|p| p.address_count()).sum(),
-                prefixes_originated: a.originated.len(),
-                addresses_originated: a.originated.iter().map(|p| p.address_count()).sum(),
-                left_ases: a.left.len().saturating_sub(1),
-                right_ases: a.right.len().saturating_sub(1),
+                visibility: a.vps.finish().len(),
+                prefixes_redistributed: prefixes.len(),
+                addresses_redistributed: prefixes.iter().map(|p| p.address_count()).sum(),
+                prefixes_originated: originated.len(),
+                addresses_originated: originated.iter().map(|p| p.address_count()).sum(),
+                left_ases: a.left.finish().len().saturating_sub(1),
+                right_ases: a.right.finish().len().saturating_sub(1),
                 transit_degree_diff: rel_diff(stats.transit_degree(x), stats.transit_degree(y)),
                 ppdc_diff: rel_diff(ppdc.get(x).unwrap_or(1), ppdc.get(y).unwrap_or(1)),
                 common_ixps,
@@ -145,6 +137,50 @@ pub fn compute_link_metrics(
             (link, metrics)
         })
         .collect()
+}
+
+/// A set collected by pushing into a vector that is sorted and deduplicated
+/// whenever it has doubled since it last was, so most inserts are one push
+/// and the vector stays within twice the set.
+struct Distinct<T> {
+    items: Vec<T>,
+    compact_at: usize,
+}
+
+impl<T> Default for Distinct<T> {
+    fn default() -> Self {
+        Distinct {
+            items: Vec::new(),
+            compact_at: DISTINCT_BATCH,
+        }
+    }
+}
+
+/// Pushes a [`Distinct`] takes before its first deduplication.
+const DISTINCT_BATCH: usize = 16;
+
+impl<T: Ord + Copy> Distinct<T> {
+    fn insert(&mut self, value: T) {
+        self.items.push(value);
+        if self.items.len() >= self.compact_at {
+            self.items.sort_unstable();
+            self.items.dedup();
+            self.compact_at = 2 * self.items.len() + DISTINCT_BATCH;
+        }
+    }
+
+    fn extend(&mut self, values: &[T]) {
+        for &value in values {
+            self.insert(value);
+        }
+    }
+
+    /// The distinct values, ascending.
+    fn finish(mut self) -> Vec<T> {
+        self.items.sort_unstable();
+        self.items.dedup();
+        self.items
+    }
 }
 
 /// One row of the feature-vs-error analysis: links bucketed by a feature's
@@ -218,7 +254,7 @@ mod tests {
         let paths = snap.to_pathset(false).sanitized();
         let stats = paths.stats();
         let rels: BTreeMap<Link, Rel> = topo.links.iter().map(|(l, r)| (*l, r.base)).collect();
-        let ppdc = cone::ppdc_sizes(&paths, &rels);
+        let ppdc = cone::ppdc_cones(&paths, &rels).sizes();
         let metrics = compute_link_metrics(&topo, &snap, &stats, &ppdc);
         // Every observed link gets a metric row.
         for link in stats.links().iter().take(500) {
@@ -246,7 +282,7 @@ mod tests {
         let paths = snap.to_pathset(false).sanitized();
         let stats = paths.stats();
         let rels: BTreeMap<Link, Rel> = topo.links.iter().map(|(l, r)| (*l, r.base)).collect();
-        let ppdc = cone::ppdc_sizes(&paths, &rels);
+        let ppdc = cone::ppdc_cones(&paths, &rels).sizes();
         let metrics = compute_link_metrics(&topo, &snap, &stats, &ppdc);
         assert!(!topo.ixps.is_empty(), "generator must emit IXPs");
         // Some observed link connects two co-members of an IXP.
@@ -260,7 +296,7 @@ mod tests {
         let paths = snap.to_pathset(false).sanitized();
         let stats = paths.stats();
         let rels: BTreeMap<Link, Rel> = topo.links.iter().map(|(l, r)| (*l, r.base)).collect();
-        let ppdc = cone::ppdc_sizes(&paths, &rels);
+        let ppdc = cone::ppdc_cones(&paths, &rels).sizes();
         let metrics = compute_link_metrics(&topo, &snap, &stats, &ppdc);
         // Score ground truth against itself with a few synthetic errors.
         let scored: Vec<ScoredLink> = stats

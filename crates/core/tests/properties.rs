@@ -1,12 +1,98 @@
 //! Property tests for the analysis core: metric algebra, heatmap
-//! normalisation, coverage accounting, cleaning invariants.
+//! normalisation, coverage accounting, cleaning invariants, and the hard
+//! links against the hash-based pass they replaced.
 
-use asgraph::{Asn, Link, Rel, RelClass};
+use asgraph::{AsPath, Asn, Link, PathSet, PathStats, Rel, RelClass};
 use breval_core::cleaning::{clean, AmbiguousPolicy, CleaningConfig};
+use breval_core::hardlinks::{classify_hard_links, HardLinkConfig, HardLinkFlags};
 use breval_core::heatmap::{Heatmap, HeatmapConfig};
 use breval_core::metrics::{confusion, ConfusionMatrix, ScoredLink};
 use proptest::prelude::*;
+use std::collections::{BTreeSet, HashMap, HashSet};
 use valdata::{LabelSource, ValidationSet};
+
+/// Reference hard links: `classify_hard_links` as it ran before it moved
+/// to the statistics' dense ids, with the VPs re-collected from the paths
+/// and clique-pair sightings and down votes in hash containers.
+fn classify_hard_links_hash(
+    paths: &PathSet,
+    stats: &PathStats,
+    clique: &BTreeSet<Asn>,
+    cfg: &HardLinkConfig,
+) -> HashMap<Link, HardLinkFlags> {
+    let vps: BTreeSet<Asn> = paths.vantage_points().into_iter().collect();
+    let n_vps = vps.len().max(1);
+    let band_lo = (cfg.visibility_band.0 * n_vps as f64).round() as usize;
+    let band_hi = (cfg.visibility_band.1 * n_vps as f64).round() as usize;
+    let mut has_clique_pair: HashSet<Link> = HashSet::new();
+    let mut down_votes: HashMap<(Asn, Asn), usize> = HashMap::new();
+    for (_, hops) in paths.iter() {
+        let clique_pair = hops
+            .windows(2)
+            .any(|w| clique.contains(&w[0]) && clique.contains(&w[1]));
+        let mut descending = false;
+        for i in 1..hops.len() {
+            let (w, u) = (hops[i - 1], hops[i]);
+            if let Some(link) = Link::new(w, u) {
+                if clique_pair {
+                    has_clique_pair.insert(link);
+                }
+            }
+            if !descending && clique.contains(&w) {
+                descending = true;
+            }
+            if descending {
+                if let Some(&v) = hops.get(i + 1) {
+                    *down_votes.entry((u, v)).or_insert(0) += 1;
+                }
+            }
+        }
+    }
+    stats
+        .links()
+        .iter()
+        .map(|link| {
+            let (a, b) = link.endpoints();
+            let degree = stats.node_degree(a).min(stats.node_degree(b));
+            let vis = stats.vp_count(*link);
+            let a_stub = stats.transit_degree(a) == 0;
+            let b_stub = stats.transit_degree(b) == 0;
+            let flags = HardLinkFlags {
+                low_degree: degree < cfg.degree_threshold,
+                mid_visibility: vis >= band_lo && vis <= band_hi,
+                remote: !vps.contains(&a)
+                    && !vps.contains(&b)
+                    && !clique.contains(&a)
+                    && !clique.contains(&b),
+                stub_without_clique_pair: (a_stub || b_stub) && !has_clique_pair.contains(link),
+                conflicting_votes: down_votes.get(&(a, b)).copied().unwrap_or(0) > 0
+                    && down_votes.get(&(b, a)).copied().unwrap_or(0) > 0,
+            };
+            (*link, flags)
+        })
+        .collect()
+}
+
+/// Paths over few ASes, VPs that are not always the first hop, a clique
+/// over the same ASes, and thresholds that make every criterion both fire
+/// and not fire.
+fn arb_hard_links_input() -> impl Strategy<Value = (PathSet, BTreeSet<Asn>, HardLinkConfig)> {
+    let path = (1u32..30, prop::collection::vec(1u32..30, 0..8));
+    let paths = prop::collection::vec(path, 0..50);
+    let clique = prop::collection::btree_set((1u32..30).prop_map(Asn), 0..5);
+    let cfg =
+        (0usize..8, 0.0f64..0.6, 0.0f64..0.6).prop_map(|(degree, lo, width)| HardLinkConfig {
+            degree_threshold: degree,
+            visibility_band: (lo, lo + width),
+        });
+    (paths, clique, cfg).prop_map(|(paths, clique, cfg)| {
+        let mut ps = PathSet::new();
+        for (vp, hops) in paths {
+            ps.push(Asn(vp), AsPath::new(hops.into_iter().map(Asn).collect()));
+        }
+        (ps, clique, cfg)
+    })
+}
 
 fn arb_rel() -> impl Strategy<Value = Rel> {
     prop_oneof![
@@ -164,6 +250,22 @@ proptest! {
         }
         let parsed = ValidationSet::parse(&set.to_text()).unwrap();
         prop_assert_eq!(set, parsed);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The dense hard-link pass flags every link as the hash oracle does.
+    #[test]
+    fn hard_links_match_hash_baseline((ps, clique, cfg) in arb_hard_links_input()) {
+        let stats = ps.stats();
+        let dense = classify_hard_links(&ps, &stats, &clique, &cfg);
+        let oracle = classify_hard_links_hash(&ps, &stats, &clique, &cfg);
+        prop_assert_eq!(dense.len(), oracle.len());
+        for (link, flags) in &dense {
+            prop_assert_eq!(flags, &oracle[link], "{}", link);
+        }
     }
 }
 

@@ -1,6 +1,6 @@
 //! Item-level recursive-descent parser over the [`crate::tokens`] stream.
 //!
-//! The semantic rules (L008–L011) need to know *which function* a token
+//! The flow rules (L009–L011) need to know *which function* a token
 //! belongs to, how functions nest in modules and impls, and what a file
 //! imports — they do not need expression trees. So this parser recognises
 //! exactly the item grammar: `mod` (inline and out-of-line), `use` trees
@@ -8,7 +8,7 @@
 //! significant-token stream), `impl` and `trait` blocks (recursing into
 //! their methods), and skips everything else with balanced-delimiter
 //! recovery. Attributes are retained far enough to classify test-only code
-//! (`#[cfg(test)]`, `#[test]`) and to spot `#[derive(Serialize)]` sinks.
+//! (`#[cfg(test)]`, `#[test]`).
 //!
 //! The parser is deliberately *total*: malformed input never panics, it
 //! degrades to `Other` items, so an analysis run can always report on the
@@ -71,8 +71,8 @@ pub enum ItemKind {
     Impl {
         /// The self type's head identifier (`Foo` for `impl Foo<T>`).
         self_ty: String,
-        /// The trait's head identifier for trait impls (`Serialize` for
-        /// `impl Serialize for Foo`).
+        /// The trait's head identifier for trait impls (`Display` for
+        /// `impl fmt::Display for Foo`).
         trait_name: Option<String>,
         /// Associated items (functions; others become `Other`).
         items: Vec<Item>,
@@ -88,8 +88,6 @@ pub enum ItemKind {
     Other {
         /// The item's name when one was recognisable.
         name: Option<String>,
-        /// Attribute texts (to spot `#[derive(Serialize)]` on types).
-        attrs: Vec<String>,
     },
 }
 
@@ -303,7 +301,7 @@ impl<'a> Parser<'a> {
                 }
                 self.pos += 1;
                 return Some(Item {
-                    kind: ItemKind::Other { name: None, attrs },
+                    kind: ItemKind::Other { name: None },
                     line,
                     cfg_test,
                     is_test_fn,
@@ -324,10 +322,7 @@ impl<'a> Parser<'a> {
             _ => self.parse_unknown(),
         };
         Some(Item {
-            kind: kind.unwrap_or(ItemKind::Other {
-                name: None,
-                attrs: Vec::new(),
-            }),
+            kind: kind.unwrap_or(ItemKind::Other { name: None }),
             line,
             cfg_test,
             is_test_fn,
@@ -624,10 +619,7 @@ impl<'a> Parser<'a> {
                 _ => self.pos += 1,
             }
         }
-        Some(ItemKind::Other {
-            name,
-            attrs: Vec::new(),
-        })
+        Some(ItemKind::Other { name })
     }
 
     /// `const`/`static`/`type` items: skip to the terminating `;`.
@@ -649,10 +641,7 @@ impl<'a> Parser<'a> {
                 _ => self.pos += 1,
             }
         }
-        Some(ItemKind::Other {
-            name,
-            attrs: Vec::new(),
-        })
+        Some(ItemKind::Other { name })
     }
 
     fn parse_macro_def(&mut self) -> Option<ItemKind> {
@@ -676,10 +665,7 @@ impl<'a> Parser<'a> {
         if self.cur_is_punct(";") {
             self.pos += 1;
         }
-        Some(ItemKind::Other {
-            name,
-            attrs: Vec::new(),
-        })
+        Some(ItemKind::Other { name })
     }
 
     /// Anything unrecognised — most commonly a top-level macro invocation

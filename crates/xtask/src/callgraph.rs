@@ -8,10 +8,9 @@
 //! dynamic call relation: rules built on it can flag conservatively but
 //! never miss a path the resolver understands.
 //!
-//! Two query directions serve the flow rules: [`CallGraph::reachable`]
-//! (forward, from pipeline entry points — L009/L010) and
-//! [`CallGraph::coreachable`] (reverse, "can this function reach a
-//! serialization sink?" — L008).
+//! The flow rules ask one question of it, [`CallGraph::reachable`]: what
+//! can run from a pipeline entry point (L009), a hot kernel (L010) or a
+//! parallel closure (L011)?
 
 use crate::resolve::{CallRef, Workspace};
 use crate::tokens::{Tok, TokKind};
@@ -26,8 +25,6 @@ const NON_CALL_KEYWORDS: [&str; 22] = [
 pub struct CallGraph {
     /// Forward adjacency: `edges[f]` lists callees of `f` (sorted, deduped).
     pub edges: Vec<Vec<usize>>,
-    /// Reverse adjacency: `redges[f]` lists callers of `f`.
-    pub redges: Vec<Vec<usize>>,
 }
 
 impl CallGraph {
@@ -47,51 +44,34 @@ impl CallGraph {
             targets.dedup();
             edges[id] = targets;
         }
-        let mut redges: Vec<Vec<usize>> = vec![Vec::new(); n];
-        for (from, outs) in edges.iter().enumerate() {
-            for &to in outs {
-                redges[to].push(from);
-            }
-        }
-        CallGraph { edges, redges }
+        CallGraph { edges }
     }
 
     /// Forward reachability: every function reachable from `seeds`
     /// (inclusive) following call edges.
     #[must_use]
     pub fn reachable(&self, seeds: &[usize]) -> Vec<bool> {
-        bfs(&self.edges, seeds)
-    }
-
-    /// Reverse reachability: every function that can *reach* one of
-    /// `seeds` (inclusive) — i.e. BFS over the reversed edges.
-    #[must_use]
-    pub fn coreachable(&self, seeds: &[usize]) -> Vec<bool> {
-        bfs(&self.redges, seeds)
-    }
-}
-
-fn bfs(adj: &[Vec<usize>], seeds: &[usize]) -> Vec<bool> {
-    let mut seen = vec![false; adj.len()];
-    let mut queue: Vec<usize> = Vec::new();
-    for &s in seeds {
-        if s < seen.len() && !seen[s] {
-            seen[s] = true;
-            queue.push(s);
-        }
-    }
-    let mut head = 0usize;
-    while head < queue.len() {
-        let cur = queue[head];
-        head += 1;
-        for &next in &adj[cur] {
-            if !seen[next] {
-                seen[next] = true;
-                queue.push(next);
+        let mut seen = vec![false; self.edges.len()];
+        let mut queue: Vec<usize> = Vec::new();
+        for &s in seeds {
+            if s < seen.len() && !seen[s] {
+                seen[s] = true;
+                queue.push(s);
             }
         }
+        let mut head = 0usize;
+        while head < queue.len() {
+            let cur = queue[head];
+            head += 1;
+            for &next in &self.edges[cur] {
+                if !seen[next] {
+                    seen[next] = true;
+                    queue.push(next);
+                }
+            }
+        }
+        seen
     }
-    seen
 }
 
 /// Skips a turbofish / generic-argument run starting at the `<` at `i`;
@@ -289,17 +269,6 @@ mod tests {
         let reach = g.reachable(&[id_of(&ws, "caller")]);
         assert!(reach[id_of(&ws, "one")], "m1::shared resolves into m1");
         assert!(!reach[id_of(&ws, "two")], "m2 stays unreachable");
-    }
-
-    #[test]
-    fn coreachability_finds_sink_feeders() {
-        let (ws, g) = graph_for(
-            "fn writer() {}\nfn builds() { writer(); }\nfn feeds() { builds(); }\nfn unrelated() {}\n",
-        );
-        let can_reach = g.coreachable(&[id_of(&ws, "writer")]);
-        assert!(can_reach[id_of(&ws, "feeds")]);
-        assert!(can_reach[id_of(&ws, "builds")]);
-        assert!(!can_reach[id_of(&ws, "unrelated")]);
     }
 
     #[test]

@@ -4,17 +4,17 @@
 //! `cargo run -p xtask -- <lint|deepcheck|sanitize|obsreport>`:
 //!
 //! * **token lints** ([`lexer`], [`rules`], [`lint`]) — a token-level Rust
-//!   scanner enforcing the project rules L001–L007 (panic discipline,
+//!   scanner enforcing the project rules L001–L008 (panic discipline,
 //!   `#![forbid(unsafe_code)]`, registered observability labels, clock
 //!   usage, print discipline, workspace-mediated dependencies, pinned CI
-//!   actions), with an auditable waiver pragma:
-//!   `// breval-lint: allow(L001) -- <reason, mandatory>`;
+//!   actions, no hash containers outside tests), with an auditable waiver
+//!   pragma: `// breval-lint: allow(L001) -- <reason, mandatory>`;
 //! * **flow rules** ([`ast`], [`resolve`], [`callgraph`], [`rules_flow`]) —
 //!   `deepcheck` parses items, resolves symbols workspace-wide, builds a
-//!   cross-crate call graph, and enforces L008–L011 (sink-order
-//!   determinism, entry-reachable panic freedom, allocation-free hot
-//!   kernels, parallel-closure hygiene) against the role registry in
-//!   `crates/xtask/deepcheck.txt`, honouring the same waiver pragma;
+//!   cross-crate call graph, and enforces L009–L011 (entry-reachable panic
+//!   freedom, allocation-free hot kernels, parallel-closure hygiene)
+//!   against the `entry`/`kernel` registry in `crates/xtask/deepcheck.txt`,
+//!   honouring the same waiver pragma;
 //! * **data sanitizer** (in `breval_core::sanitize`, driven from this
 //!   crate's binary) — domain invariants of the paper pipeline checked over
 //!   a freshly-run scenario and the persisted `results/` artifacts;

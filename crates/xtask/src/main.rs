@@ -1,10 +1,10 @@
 //! Command-line driver:
 //! `cargo run -p xtask -- <lint|deepcheck|sanitize|obsreport>`.
 //!
-//! * `lint [--format json] [files…]` — run the L001–L007 project lints over
+//! * `lint [--format json] [files…]` — run the L001–L008 project lints over
 //!   the whole workspace (default) or an explicit file list; exit 1 on any
 //!   violation.
-//! * `deepcheck [--format json]` — run the flow-aware L008–L011 rules over
+//! * `deepcheck [--format json]` — run the flow-aware L009–L011 rules over
 //!   the workspace call graph (see `xtask::rules_flow`); exit 1 on any
 //!   violation.
 //! * `sanitize [--seed N]` — run a small end-to-end scenario and check every

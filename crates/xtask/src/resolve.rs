@@ -12,7 +12,7 @@
 //! returns every plausible target, so reachability-based rules may flag too
 //! much but never silently miss an edge. Two precision guards: a
 //! `Type::assoc(..)` call only resolves when `Type` is a workspace type —
-//! `Vec::new` or `HashMap::from` never aliases onto workspace functions —
+//! `Vec::new` or `BTreeMap::from` never aliases onto workspace functions —
 //! and a path rooted at `std`, `core` or `alloc` never resolves into the
 //! workspace, so `std::thread::current()` is not every workspace `current`.
 
@@ -431,7 +431,7 @@ impl Workspace {
     }
 
     /// All function ids whose path ends with the given `::`-separated
-    /// suffix — how registry entries (`entry`, `kernel`, `sink`) and
+    /// suffix — how registry entries (`entry`, `kernel`) and
     /// waiver-free config name functions.
     #[must_use]
     pub fn match_suffix(&self, suffix: &str) -> Vec<usize> {
@@ -583,16 +583,6 @@ impl Workspace {
                 }
             }
         }
-    }
-
-    /// `true` if this function participates in a `Serialize`/`Serializer`
-    /// impl — an automatic serialization sink for L008.
-    #[must_use]
-    pub fn is_serialize_impl(&self, id: usize) -> bool {
-        self.fns[id]
-            .trait_name
-            .as_deref()
-            .is_some_and(|t| t == "Serialize" || t == "Serializer")
     }
 }
 

@@ -1,4 +1,4 @@
-//! The project lint rules (L001–L007) and the malformed-pragma check (L000).
+//! The project lint rules (L001–L008) and the malformed-pragma check (L000).
 //!
 //! | rule | invariant |
 //! |------|-----------|
@@ -10,6 +10,7 @@
 //! | L005 | no `println!`/`eprintln!` in library code (`report.rs` exempt) |
 //! | L006 | crate dependencies resolve through `[workspace.dependencies]` |
 //! | L007 | every workflow `uses:` pins an exact version (tag or commit SHA) |
+//! | L008 | no `HashMap`/`HashSet`/`hash_map`/`hash_set` in non-test code |
 //!
 //! All source rules honour the waiver pragma
 //! `// breval-lint: allow(L00X) -- <reason>` on the offending line or the
@@ -109,6 +110,7 @@ pub fn check_source(ctx: &FileContext, scanned: &ScannedFile) -> Vec<Violation> 
     check_l003(ctx, scanned, &mut out);
     check_l004(ctx, scanned, &mut out);
     check_l005(ctx, scanned, &mut out);
+    check_l008(ctx, scanned, &mut out);
     out
 }
 
@@ -372,6 +374,43 @@ fn check_l005(ctx: &FileContext, scanned: &ScannedFile, out: &mut Vec<Violation>
     }
 }
 
+/// The identifiers L008 rejects: the std hash containers and their modules.
+const HASH_CONTAINERS: [&str; 4] = ["HashMap", "HashSet", "hash_map", "hash_set"];
+
+/// L008 — determinism: no hash container in non-test library, binary or
+/// example code. Iterating one visits its entries in hasher order, which
+/// would leak into outputs that are pinned byte for byte; naming the type
+/// is rejected outright, so no call graph has to decide which iterations
+/// reach an output. BTree containers and arrays indexed by dense ids take
+/// their place; tests may keep hash-based oracles.
+fn check_l008(ctx: &FileContext, scanned: &ScannedFile, out: &mut Vec<Violation>) {
+    if ctx.kind == FileKind::Test {
+        return;
+    }
+    for (i, info) in scanned.lines.iter().enumerate() {
+        if info.in_test || scanned.waived(i, "L008") {
+            continue;
+        }
+        let named = HASH_CONTAINERS.into_iter().find(|name| {
+            token_occurrences(&info.code, name).into_iter().any(|at| {
+                !info.code[at + name.len()..].starts_with(|c: char| c.is_alphanumeric() || c == '_')
+            })
+        });
+        if let Some(name) = named {
+            push(
+                out,
+                ctx,
+                i,
+                "L008",
+                format!(
+                    "`{name}` in non-test code — hash iteration order is not deterministic; \
+                     use a BTree container or an array indexed by dense ids"
+                ),
+            );
+        }
+    }
+}
+
 /// L002 — a crate-root file must carry `#![forbid(unsafe_code)]`.
 #[must_use]
 pub fn check_l002(path: &Path, scanned: &ScannedFile) -> Vec<Violation> {
@@ -589,6 +628,36 @@ mod tests {
         let bin = Path::new("crates/foo/src/main.rs");
         let cb = ctx(bin, &reg);
         assert!(check_source(&cb, &scan("println!(\"hi\");\n")).is_empty());
+    }
+
+    #[test]
+    fn l008_flags_hash_identifiers_outside_tests() {
+        let reg = LabelRegistry::default();
+        let path = Path::new("crates/foo/src/lib.rs");
+        let c = ctx(path, &reg);
+        for line in [
+            "use std::collections::HashMap;\n",
+            "let s: std::collections::HashSet<u32> = Default::default();\n",
+            "use std::collections::hash_map::Entry;\n",
+            "use std::collections::{hash_set, BTreeMap};\n",
+        ] {
+            let v = check_source(&c, &scan(line));
+            assert_eq!(v.len(), 1, "{line}: {v:?}");
+            assert_eq!(v[0].rule, "L008");
+        }
+        // Longer identifiers, comments, strings and test modules pass.
+        for src in [
+            "struct HashMapLike; fn my_hash_map() {}\n",
+            "// a HashMap would leak its order\n",
+            "let s = \"HashSet\";\n",
+            "#[cfg(test)]\nmod tests {\n    use std::collections::HashMap;\n}\n",
+        ] {
+            assert!(check_source(&c, &scan(src)).is_empty(), "{src}");
+        }
+        // Integration tests keep their hash oracles.
+        let test_file = Path::new("crates/foo/tests/oracle.rs");
+        let t = ctx(test_file, &reg);
+        assert!(check_source(&t, &scan("use std::collections::HashMap;\n")).is_empty());
     }
 
     #[test]

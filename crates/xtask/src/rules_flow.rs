@@ -1,12 +1,8 @@
-//! Flow-aware semantic rules (`deepcheck`): L008–L011.
+//! Flow-aware semantic rules (`deepcheck`): L009–L011.
 //!
 //! Where `rules.rs` checks one scanned line at a time, these rules reason
 //! over the workspace call graph built by [`crate::callgraph`]:
 //!
-//! - **L008 determinism** — a function from which a serialization/output
-//!   sink is *coreachable* must not iterate a `HashMap`/`HashSet`
-//!   unsorted: iteration order would leak into emitted artifacts and
-//!   break byte-identical reproducibility.
 //! - **L009 panic reachability** — no `unwrap()`, message-less
 //!   `expect()`, `panic!`-family macro, or indexing with a literal in any
 //!   function reachable from a registered pipeline entry point.
@@ -21,15 +17,17 @@
 //!   closure calls outside the sanctioned `breval_par`/`breval_obs`
 //!   internals.
 //!
-//! All four respect the standard waiver pragma
+//! All three respect the standard waiver pragma
 //! (`// breval-lint: allow(L0xx) -- reason`), resolved through
-//! [`crate::lexer::scan`] exactly like the token-level rules.
+//! [`crate::lexer::scan`] exactly like the token-level rules. The
+//! determinism rule L008 needs no call graph: it is a token rule in
+//! [`crate::rules`].
 
 use std::collections::BTreeMap;
 
 use crate::callgraph::{extract_calls, CallGraph};
 use crate::lexer;
-use crate::resolve::{CallRef, Workspace};
+use crate::resolve::Workspace;
 use crate::rules::Violation;
 use crate::tokens::{Tok, TokKind};
 
@@ -40,11 +38,13 @@ pub struct Registry {
     pub entries: Vec<(String, usize)>,
     /// Hot kernels that must stay allocation-free.
     pub kernels: Vec<(String, usize)>,
-    /// Serialization / output sinks.
-    pub sinks: Vec<(String, usize)>,
+    /// `(text, 1-based registry line)` of lines that are not one known role
+    /// and one suffix. Each is a finding: a typo must not disable a check
+    /// without notice.
+    pub malformed: Vec<(String, usize)>,
 }
 
-/// Repo-relative path of the built-in registry, used in stale-entry findings.
+/// Repo-relative path of the built-in registry, used in registry findings.
 pub const REGISTRY_PATH: &str = "crates/xtask/deepcheck.txt";
 
 impl Registry {
@@ -57,17 +57,12 @@ impl Registry {
             if line.is_empty() {
                 continue;
             }
-            let mut parts = line.split_whitespace();
-            let (Some(role), Some(suffix)) = (parts.next(), parts.next()) else {
-                continue;
-            };
-            let slot = match role {
-                "entry" => &mut reg.entries,
-                "kernel" => &mut reg.kernels,
-                "sink" => &mut reg.sinks,
-                _ => continue,
-            };
-            slot.push((suffix.to_owned(), idx + 1));
+            let parts: Vec<&str> = line.split_whitespace().collect();
+            match parts[..] {
+                ["entry", suffix] => reg.entries.push((suffix.to_owned(), idx + 1)),
+                ["kernel", suffix] => reg.kernels.push((suffix.to_owned(), idx + 1)),
+                _ => reg.malformed.push((line.to_owned(), idx + 1)),
+            }
         }
         reg
     }
@@ -84,32 +79,28 @@ impl Registry {
 #[must_use]
 pub fn deepcheck(ws: &Workspace, reg: &Registry) -> Vec<Violation> {
     let graph = CallGraph::build(ws);
-    let mut out = Vec::new();
+    let mut out: Vec<Violation> = reg
+        .malformed
+        .iter()
+        .map(|(text, line)| Violation {
+            file: REGISTRY_PATH.to_owned(),
+            line: *line,
+            rule: "L000",
+            message: format!(
+                "malformed registry line `{text}`: expected `entry <suffix>` or `kernel <suffix>`"
+            ),
+        })
+        .collect();
 
     let entries = resolve_registry(ws, &reg.entries, "L009", "entry", &mut out);
     let kernels = resolve_registry(ws, &reg.kernels, "L010", "kernel", &mut out);
-    let mut sinks = resolve_registry(ws, &reg.sinks, "L008", "sink", &mut out);
-    for id in 0..ws.fns.len() {
-        if !ws.fns[id].is_test && (ws.is_serialize_impl(id) || is_auto_sink(ws, id)) {
-            sinks.push(id);
-        }
-    }
-
     let from_entry = graph.reachable(&entries);
     let in_kernel = graph.reachable(&kernels);
-    let to_sink = graph.coreachable(&sinks);
 
     for id in 0..ws.fns.len() {
         let f = &ws.fns[id];
         if f.is_test || f.body.is_none() {
             continue;
-        }
-        // L008 scope: functions that can reach a sink directly, plus
-        // producer functions that hand a hash container up to the
-        // entry-reachable pipeline (their iteration order leaks into
-        // whatever the pipeline emits from it).
-        if to_sink[id] || (from_entry[id] && fn_returns_hash(ws, id)) {
-            l008_scan(ws, id, &mut out);
         }
         if from_entry[id] {
             l009_scan(ws, id, &mut out);
@@ -158,128 +149,9 @@ fn resolve_registry(
     ids
 }
 
-/// Functions that write artifacts directly (JSON, files, stdout tables)
-/// are sinks even without a registry line.
-fn is_auto_sink(ws: &Workspace, id: usize) -> bool {
-    let f = &ws.fns[id];
-    let Some((b0, b1)) = f.body else {
-        return false;
-    };
-    let file = &ws.files[f.file_idx];
-    let src = &file.src;
-    let toks = &file.toks;
-    let mut i = b0;
-    while i < b1 {
-        let t = &toks[i];
-        if t.kind == TokKind::Ident {
-            match t.text(src) {
-                "serde_json" => return true,
-                "write" | "write_all" | "create" | "println" | "writeln" | "print" => {
-                    // `fs::write`, `File::create`, `writeln!(..)`, stdout
-                    // emission. Require call shape to skip field names.
-                    let called = toks
-                        .get(i + 1)
-                        .is_some_and(|n| n.is_punct(src, "(") || n.is_punct(src, "!"));
-                    let qualified = i
-                        .checked_sub(1)
-                        .and_then(|p| toks.get(p))
-                        .is_some_and(|p| p.is_punct(src, "::") || p.is_punct(src, "."));
-                    if called
-                        && (qualified || t.text(src).ends_with("ln") || t.text(src) == "print")
-                    {
-                        return true;
-                    }
-                }
-                _ => {}
-            }
-        }
-        i += 1;
-    }
-    false
-}
-
 // ---------------------------------------------------------------------
-// L008 — determinism: unsorted hash iteration feeding output
+// L009 — panic reachability from pipeline entry points
 // ---------------------------------------------------------------------
-
-const ITER_METHODS: [&str; 8] = [
-    "iter",
-    "iter_mut",
-    "keys",
-    "values",
-    "values_mut",
-    "into_iter",
-    "drain",
-    "into_keys",
-];
-
-fn l008_scan(ws: &Workspace, id: usize, out: &mut Vec<Violation>) {
-    let f = &ws.fns[id];
-    let file = &ws.files[f.file_idx];
-    let (src, toks) = (&file.src, &file.toks);
-    let (b0, b1) = f.body.expect("caller checked body");
-    let hash_vars = collect_hash_vars(src, toks, f.sig, (b0, b1));
-    if hash_vars.is_empty() && !body_has_hash_returning_call(ws, f.file_idx, src, toks, b0, b1) {
-        return;
-    }
-    let path = ws.path_of(id);
-
-    let mut i = b0;
-    while i < b1 {
-        let t = &toks[i];
-        // `name.iter()` / `name.keys()` … on a hash-typed variable.
-        if t.is_punct(src, ".") && i > b0 {
-            let recv = &toks[i - 1];
-            let meth = toks.get(i + 1);
-            let open = toks.get(i + 2);
-            if recv.kind == TokKind::Ident
-                && hash_vars.contains(&recv.text(src).to_owned())
-                && meth.is_some_and(|m| {
-                    m.kind == TokKind::Ident && ITER_METHODS.contains(&m.text(src))
-                })
-                && open.is_some_and(|o| o.is_punct(src, "("))
-                && !mitigated(src, toks, i, b0, b1)
-            {
-                out.push(Violation {
-                    file: file.rel.to_string_lossy().replace('\\', "/"),
-                    line: t.line as usize,
-                    rule: "L008",
-                    message: format!(
-                        "unordered iteration over hash container `{}` in `{path}`, which can \
-                         reach an output sink; sort before emission or use a BTree container",
-                        recv.text(src)
-                    ),
-                });
-            }
-        }
-        // `for pat in <expr> {` where <expr> is a bare hash variable or a
-        // call returning a hash container.
-        if t.is_ident(src, "for") {
-            if let Some((e0, e1)) = for_loop_expr(src, toks, i, b1) {
-                let mut k = e0;
-                while k < e1 && (toks[k].is_punct(src, "&") || toks[k].is_ident(src, "mut")) {
-                    k += 1;
-                }
-                let bare_hash = e1 == k + 1
-                    && toks[k].kind == TokKind::Ident
-                    && hash_vars.contains(&toks[k].text(src).to_owned());
-                let call_hash = call_returns_hash(ws, f.file_idx, src, toks, k, e1);
-                if (bare_hash || call_hash) && !mitigated(src, toks, i, b0, b1) {
-                    out.push(Violation {
-                        file: file.rel.to_string_lossy().replace('\\', "/"),
-                        line: t.line as usize,
-                        rule: "L008",
-                        message: format!(
-                            "for-loop over unordered hash container in `{path}`, which can \
-                             reach an output sink; sort before emission or use a BTree container"
-                        ),
-                    });
-                }
-            }
-        }
-        i += 1;
-    }
-}
 
 /// Extent `[e0, e1)` of the iterated expression of the `for` at `i`.
 fn for_loop_expr(src: &str, toks: &[Tok], i: usize, end: usize) -> Option<(usize, usize)> {
@@ -372,222 +244,6 @@ fn windows_bindings(src: &str, toks: &[Tok], b0: usize, b1: usize) -> BTreeMap<S
     }
     map
 }
-
-/// `true` if `[k, e1)` starts with a path call whose resolved target
-/// returns a `HashMap`/`HashSet`.
-fn call_returns_hash(
-    ws: &Workspace,
-    file_idx: usize,
-    src: &str,
-    toks: &[Tok],
-    k: usize,
-    e1: usize,
-) -> bool {
-    if k >= e1 || toks[k].kind != TokKind::Ident {
-        return false;
-    }
-    for call in extract_calls(src, toks, k, e1) {
-        if let CallRef::Path(_) = call {
-            if ws
-                .resolve(file_idx, &call)
-                .into_iter()
-                .any(|t| fn_returns_hash(ws, t))
-            {
-                return true;
-            }
-        }
-    }
-    false
-}
-
-fn fn_returns_hash(ws: &Workspace, id: usize) -> bool {
-    let f = &ws.fns[id];
-    let file = &ws.files[f.file_idx];
-    let (src, toks) = (&file.src, &file.toks);
-    let (s0, s1) = f.sig;
-    let mut seen_arrow = false;
-    for t in &toks[s0..s1.min(toks.len())] {
-        if t.is_punct(src, "->") {
-            seen_arrow = true;
-        }
-        if seen_arrow && t.kind == TokKind::Ident {
-            let w = t.text(src);
-            if w == "HashMap" || w == "HashSet" {
-                return true;
-            }
-        }
-    }
-    false
-}
-
-/// Hash-typed names in scope: parameters and `let` bindings whose
-/// declaration mentions `HashMap`/`HashSet`.
-fn collect_hash_vars(
-    src: &str,
-    toks: &[Tok],
-    sig: (usize, usize),
-    body: (usize, usize),
-) -> Vec<String> {
-    let mut vars = Vec::new();
-    // Parameters: `name: ... HashMap<..> ...` segments inside the sig parens.
-    let (s0, s1) = sig;
-    let mut i = s0;
-    while i < s1.min(toks.len()) && !toks[i].is_punct(src, "(") {
-        i += 1;
-    }
-    if i < s1.min(toks.len()) {
-        let mut depth = 0i64;
-        let mut seg_name: Option<String> = None;
-        let mut seg_hash = false;
-        let mut j = i;
-        while j < s1.min(toks.len()) {
-            let t = &toks[j];
-            if t.kind == TokKind::Punct {
-                match t.text(src) {
-                    "(" | "[" | "{" | "<" => depth += 1,
-                    ")" | "]" | "}" | ">" => {
-                        depth -= 1;
-                        if depth <= 0 {
-                            break;
-                        }
-                    }
-                    "," if depth == 1 => {
-                        if seg_hash {
-                            vars.extend(seg_name.take());
-                        }
-                        seg_name = None;
-                        seg_hash = false;
-                        j += 1;
-                        continue;
-                    }
-                    _ => {}
-                }
-            }
-            if depth == 1
-                && seg_name.is_none()
-                && t.kind == TokKind::Ident
-                && !t.is_ident(src, "mut")
-                && toks.get(j + 1).is_some_and(|n| n.is_punct(src, ":"))
-            {
-                seg_name = Some(t.text(src).to_owned());
-            }
-            if t.is_ident(src, "HashMap") || t.is_ident(src, "HashSet") {
-                seg_hash = true;
-            }
-            j += 1;
-        }
-        if seg_hash {
-            vars.extend(seg_name);
-        }
-    }
-    // `let [mut] name ... = ... ;` statements mentioning HashMap/HashSet.
-    let (b0, b1) = body;
-    let mut j = b0;
-    while j < b1 {
-        if toks[j].is_ident(src, "let") {
-            let mut k = j + 1;
-            while k < b1 && toks[k].is_ident(src, "mut") {
-                k += 1;
-            }
-            let name =
-                (k < b1 && toks[k].kind == TokKind::Ident).then(|| toks[k].text(src).to_owned());
-            // Scan the statement (to `;` at delimiter depth 0).
-            let mut depth = 0i64;
-            let mut hash = false;
-            while k < b1 {
-                let t = &toks[k];
-                if t.kind == TokKind::Punct {
-                    match t.text(src) {
-                        "(" | "[" | "{" => depth += 1,
-                        ")" | "]" | "}" => depth -= 1,
-                        ";" if depth <= 0 => break,
-                        _ => {}
-                    }
-                }
-                if t.is_ident(src, "HashMap") || t.is_ident(src, "HashSet") {
-                    hash = true;
-                }
-                k += 1;
-            }
-            if hash {
-                vars.extend(name);
-            }
-            j = k;
-            continue;
-        }
-        j += 1;
-    }
-    vars.sort();
-    vars.dedup();
-    vars
-}
-
-fn body_has_hash_returning_call(
-    ws: &Workspace,
-    file_idx: usize,
-    src: &str,
-    toks: &[Tok],
-    b0: usize,
-    b1: usize,
-) -> bool {
-    extract_calls(src, toks, b0, b1).iter().any(|c| {
-        matches!(c, CallRef::Path(_))
-            && ws
-                .resolve(file_idx, c)
-                .into_iter()
-                .any(|t| fn_returns_hash(ws, t))
-    })
-}
-
-/// An iteration at token `i` is mitigated when the same statement routes
-/// into an ordered container, or the function sorts afterwards before
-/// anything is emitted.
-fn mitigated(src: &str, toks: &[Tok], i: usize, b0: usize, b1: usize) -> bool {
-    // Statement extent around `i`.
-    let mut s = i;
-    while s > b0 {
-        let t = &toks[s - 1];
-        if t.is_punct(src, ";") || t.is_punct(src, "{") || t.is_punct(src, "}") {
-            break;
-        }
-        s -= 1;
-    }
-    let mut e = i;
-    let mut depth = 0i64;
-    while e < b1 {
-        let t = &toks[e];
-        if t.kind == TokKind::Punct {
-            match t.text(src) {
-                "(" | "[" | "{" => depth += 1,
-                ")" | "]" | "}" => depth -= 1,
-                ";" if depth <= 0 => break,
-                _ => {}
-            }
-        }
-        e += 1;
-    }
-    for t in &toks[s..e.min(b1)] {
-        if t.is_ident(src, "BTreeMap") || t.is_ident(src, "BTreeSet") {
-            return true;
-        }
-    }
-    // A later `.sort*()` call in the same function body.
-    let mut j = e;
-    while j + 1 < b1 {
-        if toks[j].is_punct(src, ".")
-            && toks[j + 1].kind == TokKind::Ident
-            && toks[j + 1].text(src).starts_with("sort")
-        {
-            return true;
-        }
-        j += 1;
-    }
-    false
-}
-
-// ---------------------------------------------------------------------
-// L009 — panic reachability from pipeline entry points
-// ---------------------------------------------------------------------
 
 fn l009_scan(ws: &Workspace, id: usize, out: &mut Vec<Violation>) {
     let f = &ws.fns[id];
@@ -1020,11 +676,16 @@ mod tests {
     #[test]
     fn registry_parses_roles_and_comments() {
         let reg = Registry::parse(
-            "# header\nentry a::b # trailing\nkernel c::d\nsink e::f\n\nbogus g::h\n",
+            "# header\nentry a::b # trailing\nkernel c::d\nsink e::f\n\nbogus g::h\nentry\n",
         );
         assert_eq!(reg.entries, vec![("a::b".to_owned(), 2)]);
         assert_eq!(reg.kernels, vec![("c::d".to_owned(), 3)]);
-        assert_eq!(reg.sinks, vec![("e::f".to_owned(), 4)]);
+        let malformed = vec![
+            ("sink e::f".to_owned(), 4),
+            ("bogus g::h".to_owned(), 6),
+            ("entry".to_owned(), 7),
+        ];
+        assert_eq!(reg.malformed, malformed);
     }
 
     #[test]
@@ -1032,7 +693,7 @@ mod tests {
         let reg = Registry::builtin();
         assert!(!reg.entries.is_empty());
         assert!(!reg.kernels.is_empty());
-        assert!(!reg.sinks.is_empty());
+        assert!(reg.malformed.is_empty(), "{:?}", reg.malformed);
     }
 
     #[test]
@@ -1047,40 +708,20 @@ mod tests {
     }
 
     #[test]
-    fn l008_fires_on_hash_iteration_feeding_sink() {
-        let src = "use std::collections::HashMap;\n\
-                   pub fn emit(m: &HashMap<u32, u32>) -> String {\n\
-                       let mut s = String::new();\n\
-                       for (k, v) in m.iter() { s.push_str(&format!(\"{k}{v}\")); }\n\
-                       s\n\
-                   }\n";
-        let v = check(&[("src/lib.rs", src)], "sink testcrate::emit\n");
-        assert!(v.iter().any(|x| x.rule == "L008"), "{v:?}");
-    }
-
-    #[test]
-    fn l008_quiet_when_sorted_or_btree() {
-        let src = "use std::collections::{BTreeMap, HashMap};\n\
-                   pub fn emit(m: &HashMap<u32, u32>) -> String {\n\
-                       let ordered: BTreeMap<_, _> = m.iter().collect();\n\
-                       let mut keys: Vec<_> = Vec::new();\n\
-                       keys.sort_unstable();\n\
-                       format!(\"{}\", ordered.len() + keys.len())\n\
-                   }\n";
-        let v = check(&[("src/lib.rs", src)], "sink testcrate::emit\n");
-        assert!(v.iter().all(|x| x.rule != "L008"), "{v:?}");
-    }
-
-    #[test]
-    fn l008_quiet_when_no_sink_reachable() {
-        let src = "use std::collections::HashMap;\n\
-                   pub fn internal(m: &HashMap<u32, u32>) -> u32 {\n\
-                       let mut sum = 0;\n\
-                       for (_, v) in m.iter() { sum += v; }\n\
-                       sum\n\
-                   }\n";
-        let v = check(&[("src/lib.rs", src)], "");
-        assert!(v.iter().all(|x| x.rule != "L008"), "{v:?}");
+    fn unknown_roles_and_missing_suffixes_are_violations() {
+        // A misspelt role and a role without a suffix would otherwise
+        // silently drop their checks.
+        let v = check(
+            &[("src/lib.rs", "pub fn real() {}\n")],
+            "entry testcrate::real\nkernal testcrate::real\nkernel\n",
+        );
+        let registry: Vec<(usize, &str)> = v
+            .iter()
+            .filter(|x| x.file == REGISTRY_PATH)
+            .map(|x| (x.line, x.rule))
+            .collect();
+        assert_eq!(registry, vec![(2, "L000"), (3, "L000")], "{v:?}");
+        assert!(v[0].message.contains("kernal testcrate::real"), "{v:?}");
     }
 
     #[test]

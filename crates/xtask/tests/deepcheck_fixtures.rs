@@ -1,11 +1,10 @@
-//! Fixture-driven end-to-end tests of the L008–L011 deepcheck rules.
+//! Fixture-driven end-to-end tests of the L009–L011 deepcheck rules.
 //!
 //! Unlike the token-level lint fixtures (single files), each deepcheck
 //! fixture is a miniature *crate* under `fixtures/` — the flow rules reason
 //! over a call graph, so every fixture ships a `src/lib.rs` plus a
-//! `registry.txt` naming its entry/kernel/sink functions. A violating
-//! fixture must produce findings (the CLI exits 1), its clean twin none
-//! (exit 0).
+//! `registry.txt` naming its entry/kernel functions. A violating fixture
+//! must produce findings (the CLI exits 1), its clean twin none (exit 0).
 
 use std::path::{Path, PathBuf};
 use xtask::resolve::Workspace;
@@ -25,17 +24,6 @@ fn run_fixture(name: &str) -> Vec<Violation> {
     let reg = std::fs::read_to_string(dir.join("registry.txt"))
         .unwrap_or_else(|e| panic!("fixture registry {name} unreadable: {e}"));
     deepcheck(&ws, &Registry::parse(&reg))
-}
-
-#[test]
-fn l008_hash_iteration_upstream_of_sink_fires_and_btree_passes() {
-    let bad = run_fixture("l008_violate");
-    assert!(
-        bad.iter().any(|v| v.rule == "L008"),
-        "HashMap iteration upstream of a sink must fire: {bad:?}"
-    );
-    let clean = run_fixture("l008_clean");
-    assert!(clean.is_empty(), "BTreeMap twin must pass: {clean:?}");
 }
 
 #[test]

@@ -1,4 +1,4 @@
-//! Fixture-driven end-to-end tests of the L001–L007 project lints.
+//! Fixture-driven end-to-end tests of the L001–L008 project lints.
 //!
 //! Each rule has a violating and a clean fixture under `tests/fixtures/`.
 //! Fixtures are read as *content* and linted under a synthetic library-crate
@@ -119,6 +119,23 @@ fn l005_printing_library_flagged_and_clean_passes() {
 }
 
 #[test]
+fn l008_hash_containers_flagged_and_comments_strings_tests_pass() {
+    let bad = lint_as_lib_root("l008_violate.rs");
+    let lines: Vec<usize> = bad
+        .iter()
+        .filter(|v| v.rule == "L008")
+        .map(|v| v.line)
+        .collect();
+    assert_eq!(
+        lines,
+        vec![4, 5, 21],
+        "hash_map import, HashMap alias, HashSet iterated off any sink path: {bad:?}"
+    );
+    let clean = lint_as_lib_root("l008_clean.rs");
+    assert!(clean.is_empty(), "{clean:?}");
+}
+
+#[test]
 fn l006_local_deps_flagged_and_workspace_deps_pass() {
     let bad = check_l006(
         Path::new("crates/fixture/Cargo.toml"),
@@ -175,6 +192,7 @@ fn lint_paths_flags_violating_fixtures_and_passes_clean_ones() {
         "l003_violate.rs",
         "l004_violate.rs",
         "l005_violate.rs",
+        "l008_violate.rs",
         "l006_violate.toml",
         "l007_violate.yml",
     ];
@@ -189,6 +207,7 @@ fn lint_paths_flags_violating_fixtures_and_passes_clean_ones() {
         "l003_clean.rs",
         "l004_clean.rs",
         "l005_clean.rs",
+        "l008_clean.rs",
         "l006_clean.toml",
         "l007_clean.yml",
     ];
