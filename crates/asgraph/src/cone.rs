@@ -20,32 +20,11 @@
 
 use crate::asn::Asn;
 use crate::csr::{ConeScratch, CsrGraph};
-use crate::graph::AsGraph;
 use crate::index::{AsIndexer, HopIds};
 use crate::link::Link;
 use crate::paths::PathSet;
 use crate::rel::Rel;
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
-
-/// Computes the full customer cone of `asn` over `graph` (self included).
-///
-/// This is the readable reference implementation; for whole-graph cone sizes
-/// use [`customer_cone_sizes_csr`], which runs the dense CSR kernel instead.
-#[must_use]
-pub fn customer_cone(graph: &AsGraph, asn: Asn) -> BTreeSet<Asn> {
-    let mut cone = BTreeSet::new();
-    let mut queue = VecDeque::new();
-    cone.insert(asn);
-    queue.push_back(asn);
-    while let Some(current) = queue.pop_front() {
-        for customer in graph.customers(current) {
-            if cone.insert(customer) {
-                queue.push_back(customer);
-            }
-        }
-    }
-    cone
-}
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Per-AS cone sizes in dense form: a `Vec<usize>` indexed by the dense id
 /// of an [`AsIndexer`]. Iteration is always in ascending ASN order, so no
@@ -433,19 +412,24 @@ mod tests {
 
     #[test]
     fn cone_follows_customers_transitively() {
-        let mut g = AsGraph::new();
-        g.add_rel(l(1, 2), p2c(1)).unwrap();
-        g.add_rel(l(2, 3), p2c(2)).unwrap();
-        g.add_rel(l(2, 4), p2c(2)).unwrap();
-        g.add_rel(l(1, 5), Rel::P2p).unwrap(); // peers do not extend the cone
-
-        let cone = customer_cone(&g, Asn(1));
-        assert_eq!(
-            cone.into_iter().collect::<Vec<_>>(),
-            vec![Asn(1), Asn(2), Asn(3), Asn(4)]
-        );
-        assert_eq!(customer_cone(&g, Asn(3)).len(), 1);
-        let sizes = customer_cone_sizes_csr(&CsrGraph::build(&g));
+        let rels = BTreeMap::from([
+            (l(1, 2), p2c(1)),
+            (l(2, 3), p2c(2)),
+            (l(2, 4), p2c(2)),
+            (l(1, 5), Rel::P2p), // peers do not extend the cone
+        ]);
+        let csr = CsrGraph::build(&rels);
+        let mut scratch = ConeScratch::new();
+        let id = |asn: u32| csr.indexer().id(Asn(asn)).unwrap();
+        let mut cone: Vec<Asn> = csr
+            .customer_cone_ids(id(1), &mut scratch)
+            .iter()
+            .map(|&i| csr.indexer().asn(i))
+            .collect();
+        cone.sort();
+        assert_eq!(cone, vec![Asn(1), Asn(2), Asn(3), Asn(4)]);
+        assert_eq!(csr.customer_cone_ids(id(3), &mut scratch), &[id(3)]);
+        let sizes = customer_cone_sizes_csr(&csr);
         assert_eq!(sizes.get(Asn(1)), Some(4));
         assert_eq!(sizes.get(Asn(2)), Some(3));
         assert_eq!(sizes.get(Asn(5)), Some(1));
@@ -454,23 +438,26 @@ mod tests {
 
     #[test]
     fn cone_handles_multihoming_without_double_count() {
-        let mut g = AsGraph::new();
-        g.add_rel(l(1, 2), p2c(1)).unwrap();
-        g.add_rel(l(1, 3), p2c(1)).unwrap();
-        g.add_rel(l(2, 4), p2c(2)).unwrap();
-        g.add_rel(l(3, 4), p2c(3)).unwrap(); // 4 multihomes to 2 and 3
-        assert_eq!(customer_cone(&g, Asn(1)).len(), 4);
+        let rels = BTreeMap::from([
+            (l(1, 2), p2c(1)),
+            (l(1, 3), p2c(1)),
+            (l(2, 4), p2c(2)),
+            (l(3, 4), p2c(3)), // 4 multihomes to 2 and 3
+        ]);
+        let sizes = customer_cone_sizes_csr(&CsrGraph::build(&rels));
+        assert_eq!(sizes.get(Asn(1)), Some(4));
     }
 
     #[test]
     fn cone_sizes_iterate_in_ascending_asn_order() {
         // Regression for the old HashMap return type: iteration order must be
         // the ASN order, never a hash order.
-        let mut g = AsGraph::new();
-        g.add_rel(l(30, 2), p2c(30)).unwrap();
-        g.add_rel(l(2, 17), p2c(2)).unwrap();
-        g.add_rel(l(9, 17), Rel::P2p).unwrap();
-        let sizes = customer_cone_sizes_csr(&CsrGraph::build(&g));
+        let rels = BTreeMap::from([
+            (l(30, 2), p2c(30)),
+            (l(2, 17), p2c(2)),
+            (l(9, 17), Rel::P2p),
+        ]);
+        let sizes = customer_cone_sizes_csr(&CsrGraph::build(&rels));
         let order: Vec<Asn> = sizes.iter().map(|(a, _)| a).collect();
         assert_eq!(order, vec![Asn(2), Asn(9), Asn(17), Asn(30)]);
         let as_map: Vec<(Asn, usize)> = sizes.iter().collect();

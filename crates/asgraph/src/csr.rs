@@ -15,10 +15,23 @@
 //! ASN order), so CSR iteration reproduces the BTree iteration order
 //! bit-for-bit.
 
-use crate::graph::{AsGraph, NeighborRole};
 use crate::index::AsIndexer;
 use crate::link::Link;
 use crate::rel::Rel;
+use serde::{Deserialize, Serialize};
+
+/// The role of a neighbor relative to a given AS.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+pub enum NeighborRole {
+    /// The neighbor provides transit to the given AS.
+    Provider,
+    /// The neighbor buys transit from the given AS.
+    Customer,
+    /// Settlement-free peer.
+    Peer,
+    /// Same-organisation sibling.
+    Sibling,
+}
 
 /// One role's adjacency in compressed-sparse-row form. Fields are
 /// crate-visible so the binary codec (`crate::io`) can rebuild a role
@@ -62,11 +75,19 @@ pub struct CsrGraph {
 }
 
 impl CsrGraph {
-    /// Builds the CSR mirror of `graph` over all of its ASes.
+    /// Builds the CSR of a relationship labelling over the ASes its links
+    /// touch: `&BTreeMap<Link, Rel>` or `&AsGraph`, iterated in ascending
+    /// link order.
     #[must_use]
-    pub fn build(graph: &AsGraph) -> Self {
-        let indexer = AsIndexer::from_sorted(graph.ases().collect());
-        let csr = CsrGraph::from_links(indexer, graph.links());
+    pub fn build<'a, I>(rels: I) -> Self
+    where
+        I: IntoIterator<Item = (&'a Link, &'a Rel)>,
+        I::IntoIter: Clone,
+    {
+        let rels = rels.into_iter();
+        let indexer =
+            AsIndexer::from_unsorted(rels.clone().flat_map(|(l, _)| [l.a(), l.b()]).collect());
+        let csr = CsrGraph::from_links(indexer, rels.map(|(l, r)| (*l, *r)));
         breval_obs::counter("csr_nodes_indexed", csr.node_count() as u64);
         csr
     }
@@ -236,14 +257,14 @@ impl ConeScratch {
         ConeScratch::default()
     }
 
-    /// Prepares for a BFS over `n` nodes: resizes the visited array if the
-    /// graph size changed and advances the epoch (wrapping safely — on
-    /// overflow the array is zeroed so stale stamps can never collide).
+    /// Prepares for a BFS over `n` nodes: sizes the visited array and the
+    /// queue for `n` nodes if the graph size changed, and advances the epoch
+    /// (wrapping safely — on overflow the array is zeroed so stale stamps
+    /// can never collide).
     fn begin(&mut self, n: usize) {
         if self.visited.len() != n {
-            self.visited.clear();
             // breval-lint: allow(L010) -- sanctioned scratch growth point: begin() amortizes allocation across cones
-            self.visited.resize(n, 0);
+            (self.visited, self.queue) = (vec![0; n], Vec::with_capacity(n));
             self.epoch = 0;
         }
         if self.epoch == u32::MAX {
@@ -270,6 +291,7 @@ impl ConeScratch {
 mod tests {
     use super::*;
     use crate::asn::Asn;
+    use std::collections::BTreeMap;
 
     fn l(a: u32, b: u32) -> Link {
         Link::new(Asn(a), Asn(b)).expect("distinct endpoints")
@@ -281,14 +303,14 @@ mod tests {
         }
     }
 
-    fn sample() -> AsGraph {
-        let mut g = AsGraph::new();
-        g.add_rel(l(1, 2), p2c(1)).unwrap();
-        g.add_rel(l(2, 3), p2c(2)).unwrap();
-        g.add_rel(l(2, 4), p2c(2)).unwrap();
-        g.add_rel(l(2, 5), Rel::P2p).unwrap();
-        g.add_rel(l(2, 6), Rel::S2s).unwrap();
-        g
+    fn sample() -> BTreeMap<Link, Rel> {
+        BTreeMap::from([
+            (l(1, 2), p2c(1)),
+            (l(2, 3), p2c(2)),
+            (l(2, 4), p2c(2)),
+            (l(2, 5), Rel::P2p),
+            (l(2, 6), Rel::S2s),
+        ])
     }
 
     #[test]
@@ -358,9 +380,7 @@ mod tests {
     fn scratch_adapts_to_graph_size_changes() {
         let g1 = sample();
         let csr1 = CsrGraph::build(&g1);
-        let mut g2 = AsGraph::new();
-        g2.add_rel(l(1, 2), p2c(1)).unwrap();
-        let csr2 = CsrGraph::build(&g2);
+        let csr2 = CsrGraph::build(&BTreeMap::from([(l(1, 2), p2c(1))]));
         let mut scratch = ConeScratch::new();
         assert_eq!(csr1.customer_cone_size(0, &mut scratch), 4);
         assert_eq!(csr2.customer_cone_size(0, &mut scratch), 2);

@@ -1,10 +1,10 @@
-//! Error types for graph construction and queries.
+//! Error type of relationship-labelling construction.
 
 use crate::asn::Asn;
 use crate::link::Link;
 use std::fmt;
 
-/// Errors raised when building or mutating an [`crate::AsGraph`].
+/// Errors raised when a relationship label is added to a graph.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum GraphError {
     /// The same link was inserted twice with conflicting relationships.
@@ -19,11 +19,6 @@ pub enum GraphError {
         /// The offending provider ASN.
         provider: Asn,
     },
-    /// A self-adjacency was passed where a link was required.
-    SelfLoop {
-        /// The ASN adjacent to itself.
-        asn: Asn,
-    },
 }
 
 impl fmt::Display for GraphError {
@@ -35,7 +30,6 @@ impl fmt::Display for GraphError {
             GraphError::ProviderNotOnLink { link, provider } => {
                 write!(f, "provider {provider} is not an endpoint of link {link}")
             }
-            GraphError::SelfLoop { asn } => write!(f, "self-loop on {asn} is not a link"),
         }
     }
 }

@@ -7,18 +7,20 @@
 //!   paper).
 //! * [`Link`] — an undirected, normalised AS adjacency.
 //! * [`Rel`] / [`GtRel`] — simple and ground-truth (complex) business relationships.
-//! * [`AsGraph`] — a relationship-labelled adjacency structure with degree,
-//!   provider/customer/peer views and customer-cone computation.
+//! * [`AsGraph`] — a validated relationship labelling (one [`Rel`] per
+//!   [`Link`]), which [`CsrGraph::build`] turns into neighbour rows by role.
 //! * [`PathSet`] — observed BGP AS paths, each once and prepend-compressed in one
 //!   flat array, with the derived statistics ([`PathStats`]: node degree, transit
 //!   degree, vantage-point visibility, keyed by dense AS and link ids) that the
 //!   inference algorithms in `asinfer` consume.
 //! * [`clique`] — Tier-1 clique inference over transit-degree rankings, as used by
 //!   the ASRank pipeline.
-//! * [`AsIndexer`] / [`CsrGraph`] — the dense core: sorted-ASN ↔ `u32` id
-//!   interning plus role-segmented CSR adjacency, so the hot analysis kernels
-//!   (cone BFS, PPDC bitsets, class partition, path statistics) run over flat
-//!   arrays and only convert back to [`Asn`] at serialization boundaries.
+//! * [`AsIndexer`] / [`CsrGraph`] — the dense core and the one adjacency
+//!   layout: sorted-ASN ↔ `u32` id interning plus role-segmented CSR rows
+//!   ([`NeighborRole`]), so the hot analysis kernels (cone BFS, PPDC
+//!   bitsets, class partition, path statistics) and every neighbour query
+//!   run over flat arrays and only convert back to [`Asn`] at serialization
+//!   boundaries.
 //!   [`HopIds`] and [`LinkIds`] read path hops and hop pairs as those ids.
 //!
 //! The crate is dependency-light (only `serde`) and purely computational.
@@ -41,9 +43,9 @@ pub mod valley;
 
 pub use asn::Asn;
 pub use cone::{ConeSizes, PpdcCones, PpdcStorageStats};
-pub use csr::{ConeScratch, CsrGraph};
+pub use csr::{ConeScratch, CsrGraph, NeighborRole};
 pub use error::GraphError;
-pub use graph::{AsGraph, NeighborRole};
+pub use graph::AsGraph;
 pub use index::{AsIndexer, HopIds};
 pub use link::Link;
 pub use paths::{has_loop, AsPath, LinkIds, PathSet, PathStats, RawHops};

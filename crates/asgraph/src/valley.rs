@@ -6,7 +6,7 @@
 //! ASes act as one).
 
 use crate::asn::Asn;
-use crate::graph::AsGraph;
+use crate::link::Link;
 use crate::rel::Rel;
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -47,24 +47,24 @@ impl fmt::Display for ValleyViolation {
 }
 
 /// Checks a path (receiver-first, origin-last, prepending tolerated) against
-/// `graph`'s relationships.
+/// the relationships `rel_of` looks up, `None` for a link it does not know.
 ///
 /// Steps are classified from the exporter's perspective walking origin→
 /// receiver: customer→provider steps are uphill, peer steps lateral,
 /// provider→customer steps downhill, sibling steps neutral.
-pub fn check_valley_free(graph: &AsGraph, hops: &[Asn]) -> Result<(), ValleyViolation> {
+pub fn check_valley_free(
+    rel_of: impl Fn(Link) -> Option<Rel>,
+    hops: &[Asn],
+) -> Result<(), ValleyViolation> {
     // Walk from the origin (end) towards the receiver (front). A prepended
     // hop pairs with itself, which is no link, and is skipped.
     let mut turned = false; // saw a lateral or downhill step already
     for (i, w) in hops.windows(2).enumerate().rev() {
         // w[1] exported the route to w[0].
-        let link = match crate::link::Link::new(w[0], w[1]) {
-            Some(l) => l,
-            None => continue,
+        let Some(link) = Link::new(w[0], w[1]) else {
+            continue;
         };
-        let rel = graph
-            .rel(link)
-            .ok_or(ValleyViolation::UnknownLink { at: i })?;
+        let rel = rel_of(link).ok_or(ValleyViolation::UnknownLink { at: i })?;
         match rel {
             // Receiver w[0] is the provider: w[1] exported up.
             Rel::P2c { provider } if provider == w[0] => {
@@ -91,20 +91,21 @@ pub fn check_valley_free(graph: &AsGraph, hops: &[Asn]) -> Result<(), ValleyViol
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::link::Link;
+    use std::collections::BTreeMap;
 
-    fn graph() -> AsGraph {
-        let mut g = AsGraph::new();
+    /// Hierarchy: 1 and 2 are peers at the top; 1→3→5, 2→4.
+    fn graph() -> impl Fn(Link) -> Option<Rel> {
         let l = |a: u32, b: u32| Link::new(Asn(a), Asn(b)).unwrap();
         let p2c = |p: u32| Rel::P2c { provider: Asn(p) };
-        // Hierarchy: 1 and 2 are peers at the top; 1→3→5, 2→4.
-        g.add_rel(l(1, 2), Rel::P2p).unwrap();
-        g.add_rel(l(1, 3), p2c(1)).unwrap();
-        g.add_rel(l(3, 5), p2c(3)).unwrap();
-        g.add_rel(l(2, 4), p2c(2)).unwrap();
-        g.add_rel(l(3, 4), Rel::P2p).unwrap();
-        g.add_rel(l(5, 6), Rel::S2s).unwrap();
-        g
+        let rels = BTreeMap::from([
+            (l(1, 2), Rel::P2p),
+            (l(1, 3), p2c(1)),
+            (l(3, 5), p2c(3)),
+            (l(2, 4), p2c(2)),
+            (l(3, 4), Rel::P2p),
+            (l(5, 6), Rel::S2s),
+        ]);
+        move |link| rels.get(&link).copied()
     }
 
     fn hops(h: &[u32]) -> Vec<Asn> {

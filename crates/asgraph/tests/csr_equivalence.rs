@@ -1,13 +1,54 @@
-//! Equivalence of the dense core against the BTree substrate: `CsrGraph`
-//! must mirror `AsGraph` exactly (per-role neighbors, cone sets, cone
-//! sizes), and the hybrid PPDC cones and the dense path statistics must
-//! match hash-based oracles, on fixed and on arbitrary seeded inputs. The
-//! oracles are the BTree/hash kernels the dense core replaced; they live
-//! here so release builds never compile them.
+//! Equivalence of the dense core against BTree and hash oracles: `CsrGraph`
+//! must mirror a per-role view read off the link map exactly (per-role
+//! neighbors, cone sets, cone sizes), and the hybrid PPDC cones and the
+//! dense path statistics must match hash-based oracles, on fixed and on
+//! arbitrary seeded inputs. The oracles are the BTree/hash kernels the
+//! dense core replaced; they live here so release builds never compile
+//! them.
 
-use asgraph::{cone, AsGraph, AsPath, Asn, ConeScratch, CsrGraph, Link, PathSet, Rel};
+use asgraph::{
+    cone, AsGraph, AsPath, Asn, ConeScratch, CsrGraph, Link, NeighborRole, PathSet, Rel,
+};
 use proptest::prelude::*;
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
+
+/// Reference adjacency: every AS with a link, and its neighbours per
+/// [`NeighborRole`] (at `role as usize`), read off the link map. Links
+/// iterate in ascending order, so every list comes out ascending.
+type RoleView = BTreeMap<Asn, [Vec<Asn>; 4]>;
+
+fn role_view(graph: &AsGraph) -> RoleView {
+    let mut view = RoleView::new();
+    for (link, rel) in graph {
+        let (a, b) = link.endpoints();
+        let (role_of_b, role_of_a) = match *rel {
+            Rel::P2c { provider } if provider == a => {
+                (NeighborRole::Customer, NeighborRole::Provider)
+            }
+            Rel::P2c { .. } => (NeighborRole::Provider, NeighborRole::Customer),
+            Rel::P2p => (NeighborRole::Peer, NeighborRole::Peer),
+            Rel::S2s => (NeighborRole::Sibling, NeighborRole::Sibling),
+        };
+        view.entry(a).or_default()[role_of_b as usize].push(b);
+        view.entry(b).or_default()[role_of_a as usize].push(a);
+    }
+    view
+}
+
+/// Reference customer cone of `asn` (self included): a `BTreeSet` BFS over
+/// the view's customer lists.
+fn customer_cone(view: &RoleView, asn: Asn) -> BTreeSet<Asn> {
+    let mut cone = BTreeSet::from([asn]);
+    let mut queue = VecDeque::from([asn]);
+    while let Some(current) = queue.pop_front() {
+        for &customer in &view[&current][NeighborRole::Customer as usize] {
+            if cone.insert(customer) {
+                queue.push_back(customer);
+            }
+        }
+    }
+    cone
+}
 
 /// Reference path statistics: the `HashMap<_, HashSet<_>>` folds
 /// `PathSet::stats` made before it kept dense ids.
@@ -47,9 +88,9 @@ fn path_stats_hash(paths: &PathSet) -> StatsOracle {
 
 /// Reference customer-cone sizes: one fresh `BTreeSet` BFS per AS.
 fn customer_cone_sizes_btree(graph: &AsGraph) -> HashMap<Asn, usize> {
-    graph
-        .ases()
-        .map(|asn| (asn, cone::customer_cone(graph, asn).len()))
+    let view = role_view(graph);
+    view.keys()
+        .map(|&asn| (asn, customer_cone(&view, asn).len()))
         .collect()
 }
 
@@ -224,16 +265,17 @@ proptest! {
     #[test]
     fn csr_neighbors_match_graph(g in arb_graph()) {
         let csr = CsrGraph::build(&g);
-        prop_assert_eq!(csr.node_count(), g.as_count());
-        for asn in g.ases() {
+        let view = role_view(&g);
+        prop_assert_eq!(csr.node_count(), view.len());
+        for (&asn, roles) in &view {
             let id = csr.indexer().id(asn).expect("graph AS is interned");
             let to_asns = |ids: &[u32]| -> Vec<Asn> {
                 ids.iter().map(|&i| csr.indexer().asn(i)).collect()
             };
-            prop_assert_eq!(to_asns(csr.providers(id)), g.providers(asn));
-            prop_assert_eq!(to_asns(csr.customers(id)), g.customers(asn));
-            prop_assert_eq!(to_asns(csr.peers(id)), g.peers(asn));
-            prop_assert_eq!(to_asns(csr.siblings(id)), g.siblings(asn));
+            prop_assert_eq!(&to_asns(csr.providers(id)), &roles[NeighborRole::Provider as usize]);
+            prop_assert_eq!(&to_asns(csr.customers(id)), &roles[NeighborRole::Customer as usize]);
+            prop_assert_eq!(&to_asns(csr.peers(id)), &roles[NeighborRole::Peer as usize]);
+            prop_assert_eq!(&to_asns(csr.siblings(id)), &roles[NeighborRole::Sibling as usize]);
         }
     }
 
@@ -242,9 +284,10 @@ proptest! {
     #[test]
     fn csr_cone_sets_match_reference(g in arb_graph()) {
         let csr = CsrGraph::build(&g);
+        let view = role_view(&g);
         let mut scratch = ConeScratch::new();
-        for asn in g.ases() {
-            let reference = cone::customer_cone(&g, asn);
+        for &asn in view.keys() {
+            let reference = customer_cone(&view, asn);
             let id = csr.indexer().id(asn).expect("graph AS is interned");
             let dense: BTreeSet<Asn> = csr
                 .customer_cone_ids(id, &mut scratch)
@@ -281,7 +324,7 @@ proptest! {
     ) {
         let labellings: Vec<BTreeMap<Link, Rel>> = [graphs.0, graphs.1, graphs.2]
             .iter()
-            .map(|g| g.links().collect())
+            .map(|g| g.into_iter().map(|(l, r)| (*l, *r)).collect())
             .collect();
         let refs: Vec<&BTreeMap<Link, Rel>> = labellings.iter().collect();
         let tables = cone::ppdc_cones_each(&ps, &refs);

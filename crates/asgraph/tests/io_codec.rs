@@ -7,15 +7,16 @@ use asgraph::io::{
     read_cone_sizes, read_csr_graph, read_ppdc_cones, write_cone_sizes, write_csr_graph,
     write_ppdc_cones, ByteReader, ByteWriter, IoError,
 };
-use asgraph::{cone, AsGraph, AsPath, Asn, CsrGraph, Link, PathSet, Rel};
+use asgraph::{cone, AsPath, Asn, CsrGraph, Link, PathSet, Rel};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 
-/// A small random relationship graph: edges over a bounded ASN space with
-/// random role labels; conflicting/self edges are simply skipped.
-fn arb_graph() -> impl Strategy<Value = AsGraph> {
+/// A small random relationship labelling: edges over a bounded ASN space
+/// with random role labels; self edges are skipped and the first label of a
+/// link wins.
+fn arb_graph() -> impl Strategy<Value = BTreeMap<Link, Rel>> {
     proptest::collection::vec(((1u32..40), (1u32..40), (0u8..3)), 0..60).prop_map(|edges| {
-        let mut g = AsGraph::new();
+        let mut rels = BTreeMap::new();
         for (a, b, kind) in edges {
             let Some(link) = Link::new(Asn(a), Asn(b)) else {
                 continue;
@@ -25,9 +26,9 @@ fn arb_graph() -> impl Strategy<Value = AsGraph> {
                 1 => Rel::P2p,
                 _ => Rel::S2s,
             };
-            let _ = g.add_rel(link, rel);
+            rels.entry(link).or_insert(rel);
         }
-        g
+        rels
     })
 }
 
@@ -44,11 +45,10 @@ fn arb_paths() -> impl Strategy<Value = PathSet> {
     })
 }
 
-fn encode(graph: &AsGraph, paths: &PathSet) -> (Vec<u8>, CsrGraph) {
-    let csr = CsrGraph::build(graph);
+fn encode(rels: &BTreeMap<Link, Rel>, paths: &PathSet) -> (Vec<u8>, CsrGraph) {
+    let csr = CsrGraph::build(rels);
     let cones = cone::customer_cone_sizes_csr(&csr);
-    let rels: BTreeMap<Link, Rel> = graph.links().collect();
-    let ppdc = cone::ppdc_cones(paths, &rels);
+    let ppdc = cone::ppdc_cones(paths, rels);
     let mut w = ByteWriter::new();
     write_csr_graph(&mut w, &csr);
     write_cone_sizes(&mut w, &cones);
@@ -127,18 +127,16 @@ fn hybrid_ppdc_round_trips_both_row_forms() {
     // A 12-AS provider chain: AS2's cone (11 members) is dense at the
     // cutoff floor of 8, the tail cones are sparse — so one stream carries
     // both encodings and must round-trip byte-identically.
-    let mut g = AsGraph::new();
     let chain: Vec<Asn> = (1..=12).map(Asn).collect();
-    for w in chain.windows(2) {
-        g.add_rel(
-            Link::new(w[0], w[1]).expect("distinct"),
-            Rel::P2c { provider: w[0] },
-        )
-        .expect("fresh link");
-    }
+    let rels: BTreeMap<Link, Rel> = chain
+        .windows(2)
+        .map(|w| {
+            let link = Link::new(w[0], w[1]).expect("distinct");
+            (link, Rel::P2c { provider: w[0] })
+        })
+        .collect();
     let mut ps = PathSet::new();
     ps.push(chain[0], AsPath::new(chain));
-    let rels: BTreeMap<Link, Rel> = g.links().collect();
     let ppdc = cone::ppdc_cones(&ps, &rels);
     // Sizes witness the split: 11 >= cutoff (dense), 2 < cutoff (sparse).
     assert_eq!(ppdc.size(Asn(2)), Some(11));
@@ -161,13 +159,8 @@ fn hybrid_ppdc_round_trips_both_row_forms() {
 
 #[test]
 fn oversized_length_prefix_is_rejected_before_allocation() {
-    let mut g = AsGraph::new();
-    g.add_rel(
-        Link::new(Asn(1), Asn(2)).expect("distinct"),
-        Rel::P2c { provider: Asn(1) },
-    )
-    .expect("fresh link");
-    let csr = CsrGraph::build(&g);
+    let link = Link::new(Asn(1), Asn(2)).expect("distinct");
+    let csr = CsrGraph::build(&BTreeMap::from([(link, Rel::P2c { provider: Asn(1) })]));
     let mut w = ByteWriter::new();
     write_csr_graph(&mut w, &csr);
     let mut bytes = w.into_bytes();

@@ -1,6 +1,6 @@
 //! Property-based tests for the asgraph substrate.
 
-use asgraph::{cone, has_loop, AsGraph, AsPath, Asn, Link, PathSet, Rel};
+use asgraph::{has_loop, AsGraph, AsPath, Asn, ConeScratch, CsrGraph, Link, PathSet, Rel};
 use proptest::prelude::*;
 
 fn arb_asn() -> impl Strategy<Value = Asn> {
@@ -140,12 +140,14 @@ proptest! {
                 let _ = g.add_rel(link, Rel::P2c { provider: *p });
             }
         }
-        for asn in g.ases() {
-            let cone = cone::customer_cone(&g, asn);
-            prop_assert!(cone.contains(&asn));
+        let csr = CsrGraph::build(&g);
+        let mut scratch = ConeScratch::new();
+        for id in 0..csr.node_count() as u32 {
+            let cone = csr.customer_cone_ids(id, &mut scratch);
+            prop_assert!(cone.contains(&id));
             // Every direct customer is in the cone.
-            for c in g.customers(asn) {
-                prop_assert!(cone.contains(&c));
+            for c in csr.customers(id) {
+                prop_assert!(cone.contains(c));
             }
         }
     }

@@ -4,10 +4,11 @@
 //! all-bitset layout. The path store imports and sanitises paths in a
 //! constant number of allocations too, neither the simulation nor the
 //! community-label compiler allocates per route observation, the PPDC
-//! build allocates no bytes per hop, and neither the path statistics nor
-//! Gao's votes allocate per observed link.
+//! build allocates no bytes per hop, neither the path statistics nor
+//! Gao's votes allocate per observed link, and a cone scratch sizes itself
+//! once, on its first cone.
 
-use asgraph::{cone, io, AsPath, Link, PathSet, Rel};
+use asgraph::{cone, io, AsIndexer, AsPath, Asn, ConeScratch, CsrGraph, Link, PathSet, Rel};
 use asinfer::{Classifier, PreparedPaths};
 use bgpsim::{OriginRoutes, PropScratch, Propagator, SimGraph};
 use std::collections::BTreeMap;
@@ -47,6 +48,9 @@ const MIN_LINKS_PER_STATS_ALLOC: u64 = 4;
 /// votes in link-id arrays and repairs cycles over reused id arrays, so
 /// only its `BTreeMap` output and the P2C edge set grow with the links.
 const MIN_LINKS_PER_GAO_ALLOC: u64 = 2;
+/// Allocation ceiling of a fresh scratch's first cone: its visited array
+/// and its queue, each sized once for the whole graph.
+const MAX_FIRST_CONE_ALLOCS: u64 = 2;
 
 #[test]
 fn propagation_and_ppdc_stay_bounded_at_10k() {
@@ -228,4 +232,27 @@ fn path_stats_and_gao_allocate_less_than_once_per_link() {
         "Gao allocates {gao_allocs} times for {links} observed links \
          (at most one per {MIN_LINKS_PER_GAO_ALLOC}): it allocates per vote or per cycle edge"
     );
+}
+
+#[test]
+fn cone_scratch_sizes_itself_once() {
+    // A provider chain 1 → 2 → … → 1000: AS 1's cone is every AS, so the
+    // BFS queue ends up holding the whole graph.
+    const CHAIN: u32 = 1_000;
+    let indexer = AsIndexer::from_sorted((1..=CHAIN).map(Asn).collect());
+    let links = (1..CHAIN).map(|a| {
+        let link = Link::new(Asn(a), Asn(a + 1)).expect("distinct endpoints");
+        (link, Rel::P2c { provider: Asn(a) })
+    });
+    let csr = CsrGraph::from_links(indexer, links);
+    let mut scratch = ConeScratch::new();
+    let (size, first) = allocations_of(|| csr.customer_cone_size(0, &mut scratch));
+    assert_eq!(size, CHAIN as usize);
+    assert!(
+        first <= MAX_FIRST_CONE_ALLOCS,
+        "the first cone over {CHAIN} ASes allocates {first} times \
+         (ceiling {MAX_FIRST_CONE_ALLOCS}): the scratch grows its queue per cone"
+    );
+    let (_, next) = allocations_of(|| csr.customer_cone_size(0, &mut scratch));
+    assert_eq!(next, 0, "a warm scratch allocated");
 }

@@ -254,14 +254,15 @@ mod tests {
     fn collector_view_tags_every_transit_hop() {
         let topo = topogen::generate(&TopologyConfig::small(13));
         // Find a P2C chain t1 -> transit -> stub via the ground truth graph.
-        let g = topo.ground_truth_graph().unwrap();
-        let t1 = *topo.tier1.iter().next().unwrap();
-        let transit = g
+        let g = topo.ground_truth_graph();
+        let t1 = g.indexer().id(*topo.tier1.first().unwrap()).unwrap();
+        let transit = *g
             .customers(t1)
-            .into_iter()
-            .find(|c| !g.customers(*c).is_empty())
+            .iter()
+            .find(|&&c| !g.customers(c).is_empty())
             .expect("t1 has transit customer");
         let stub = g.customers(transit)[0];
+        let [t1, transit, stub] = [t1, transit, stub].map(|id| g.indexer().asn(id));
         let path = vec![t1, transit, stub];
         let comms: Vec<AnyCommunity> = collector_communities(&topo, &path).collect();
         // Both t1 and transit tag "learned from customer".
@@ -295,9 +296,9 @@ mod tests {
     #[test]
     fn prepended_paths_tag_once_per_as() {
         let topo = topogen::generate(&TopologyConfig::small(13));
-        let g = topo.ground_truth_graph().unwrap();
-        let t1 = *topo.tier1.iter().next().unwrap();
-        let transit = g.customers(t1)[0];
+        let g = topo.ground_truth_graph();
+        let t1 = *topo.tier1.first().unwrap();
+        let transit = g.indexer().asn(g.customers(g.indexer().id(t1).unwrap())[0]);
         let path = vec![t1, transit, transit, transit];
         assert_eq!(collector_communities(&topo, &path).count(), 1);
     }

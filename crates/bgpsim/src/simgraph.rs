@@ -1,7 +1,7 @@
 //! The topology as the propagator sees it: a [`CsrGraph`] of the base
 //! relationships plus the two facts Gao–Rexford routing needs beyond them.
 
-use asgraph::{AsIndexer, Asn, CsrGraph};
+use asgraph::{Asn, CsrGraph};
 use topogen::Topology;
 
 /// Dense view of a [`Topology`] for per-origin propagation.
@@ -17,15 +17,11 @@ pub struct SimGraph {
 }
 
 impl SimGraph {
-    /// Builds the view from a topology's *base* relationships in O(1)
-    /// allocations.
+    /// Builds the view over the topology's ground-truth graph (its *base*
+    /// relationships) in O(1) allocations.
     #[must_use]
     pub fn build(topology: &Topology) -> Self {
-        let indexer = AsIndexer::from_sorted(topology.ases.keys().copied().collect());
-        let csr = CsrGraph::from_links(
-            indexer,
-            topology.links.iter().map(|(link, gt)| (*link, gt.base)),
-        );
+        let csr = topology.ground_truth_graph();
         let id = |asn: Asn| csr.indexer().id(asn);
         let mut partial: Vec<(u32, u32)> = topology
             .links
@@ -114,6 +110,8 @@ impl SimGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use asgraph::{NeighborRole, Rel};
+    use std::collections::BTreeMap;
     use topogen::TopologyConfig;
 
     #[test]
@@ -121,18 +119,35 @@ mod tests {
         let topo = topogen::generate(&TopologyConfig::small(5));
         let g = SimGraph::build(&topo);
         assert_eq!(g.len(), topo.as_count());
-        // Every role of every AS equals the ground-truth view, in ASN order.
-        let graph = topo.ground_truth_graph().unwrap();
+        // Every role of every AS, read off the link map: links iterate in
+        // ascending order, so each list comes out in ASN order.
+        let mut expected: BTreeMap<Asn, [Vec<Asn>; 4]> = BTreeMap::new();
+        for (link, gt) in &topo.links {
+            let (a, b) = link.endpoints();
+            let (role_of_b, role_of_a) = match gt.base {
+                Rel::P2c { provider } if provider == a => {
+                    (NeighborRole::Customer, NeighborRole::Provider)
+                }
+                Rel::P2c { .. } => (NeighborRole::Provider, NeighborRole::Customer),
+                Rel::P2p => (NeighborRole::Peer, NeighborRole::Peer),
+                Rel::S2s => (NeighborRole::Sibling, NeighborRole::Sibling),
+            };
+            expected.entry(a).or_default()[role_of_b as usize].push(b);
+            expected.entry(b).or_default()[role_of_a as usize].push(a);
+        }
         let csr = g.csr();
         let asns = |ids: &[u32]| -> Vec<Asn> { ids.iter().map(|&n| g.asn(n)).collect() };
         for &asn in topo.ases.keys() {
             let i = g.node(asn).unwrap();
             assert_eq!(g.asn(i), asn);
-            assert_eq!(asns(csr.providers(i)), graph.providers(asn));
-            assert_eq!(asns(csr.customers(i)), graph.customers(asn));
-            assert_eq!(asns(csr.peers(i)), graph.peers(asn));
-            assert_eq!(asns(csr.siblings(i)), graph.siblings(asn));
+            let roles = expected.remove(&asn).unwrap_or_default();
+            let [providers, customers, peers, siblings] = roles;
+            assert_eq!(asns(csr.providers(i)), providers);
+            assert_eq!(asns(csr.customers(i)), customers);
+            assert_eq!(asns(csr.peers(i)), peers);
+            assert_eq!(asns(csr.siblings(i)), siblings);
         }
+        assert!(expected.is_empty(), "links to ASes outside the topology");
     }
 
     #[test]

@@ -244,9 +244,10 @@ impl LinkClassifier {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use asgraph::{cone, AsGraph, CsrGraph, Rel};
+    use asgraph::{cone, CsrGraph, Rel};
     use asregistry::iana::BlockAuthority;
     use asregistry::IanaAsnTable;
+    use std::collections::BTreeMap;
 
     fn region_map() -> RegionMap {
         let mut iana = IanaAsnTable::new();
@@ -260,26 +261,16 @@ mod tests {
     }
 
     fn classifier() -> LinkClassifier {
-        let mut g = AsGraph::new();
+        let l = |a: u32, b: u32| Link::new(Asn(a), Asn(b)).expect("distinct endpoints");
         // 1 (T1) provides to 10 (TR) provides to 100 (S); 500 is H.
-        g.add_rel(
-            Link::new(Asn(1), Asn(10)).expect("distinct endpoints"),
-            Rel::P2c { provider: Asn(1) },
-        )
-        .expect("fresh link accepts rel");
-        g.add_rel(
-            Link::new(Asn(10), Asn(100)).expect("distinct endpoints"),
-            Rel::P2c { provider: Asn(10) },
-        )
-        .expect("fresh link accepts rel");
-        g.add_rel(
-            Link::new(Asn(10), Asn(500)).expect("distinct endpoints"),
-            Rel::P2p,
-        )
-        .expect("fresh link accepts rel");
+        let rels = BTreeMap::from([
+            (l(1, 10), Rel::P2c { provider: Asn(1) }),
+            (l(10, 100), Rel::P2c { provider: Asn(10) }),
+            (l(10, 500), Rel::P2p),
+        ]);
         LinkClassifier::with_cone_sizes(
             region_map(),
-            Arc::new(cone::customer_cone_sizes_csr(&CsrGraph::build(&g))),
+            Arc::new(cone::customer_cone_sizes_csr(&CsrGraph::build(&rels))),
             [Asn(1)].into_iter().collect(),
             [Asn(500)].into_iter().collect(),
         )

@@ -112,11 +112,7 @@ impl Scenario {
         let _span = breval_obs::span!("scenario_run");
         let topology = topogen::generate(&config.topology);
         if cfg!(debug_assertions) {
-            match topology.ground_truth_graph() {
-                Ok(g) => sanitize::debug_assert_clean("generate", &sanitize::check_graph(&g)),
-                // breval-lint: allow(L009) -- debug-only abort: an invalid generated topology is unrecoverable
-                Err(e) => panic!("generated topology is not a valid graph: {e:?}"),
-            }
+            sanitize::debug_assert_clean("generate", &sanitize::check_ground_truth(&topology));
         }
         let snapshot = bgpsim::simulate(&topology);
         let paths = snapshot.paths.sanitized();
@@ -259,7 +255,7 @@ impl Scenario {
         let snap = self.snapshot_arc(classifier_name);
         Arc::clone(snap.csr.get_or_init(|| {
             Arc::new(match self.inferences.get(classifier_name) {
-                Some(inference) => snapshot::csr_of(&inference.rels),
+                Some(inference) => asgraph::CsrGraph::build(&inference.rels),
                 None => asgraph::CsrGraph::default(),
             })
         }))

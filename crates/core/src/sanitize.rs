@@ -7,7 +7,7 @@
 //! module states those invariants explicitly and checks them:
 //!
 //! * **graph well-formedness** — no self-loops, one relationship per link,
-//!   P2C providers are link endpoints, adjacency views match the link map;
+//!   P2C providers are link endpoints;
 //! * **P2C acyclicity** — no AS is (transitively) its own provider;
 //! * **path hygiene** — sanitized [`PathSet`]s contain no loops, reserved
 //!   ASNs, or paths detached from their vantage point;
@@ -26,7 +26,7 @@
 use crate::classes::{LinkClassifier, TopoClass};
 use crate::cleaning::CleanValidation;
 use crate::pipeline::Scenario;
-use asgraph::{check_valley_free, has_loop, AsGraph, Asn, Link, NeighborRole, PathSet, Rel};
+use asgraph::{check_valley_free, has_loop, Asn, Link, PathSet, Rel};
 use std::collections::{BTreeMap, BTreeSet};
 use topogen::Topology;
 
@@ -233,35 +233,16 @@ fn p2c_cycle_residue(p2c: &[(Asn, Asn)]) -> Vec<Asn> {
         .collect()
 }
 
-/// Checks a typed [`AsGraph`]: edge-list invariants plus consistency of the
-/// adjacency views with the link map (both directions of every link must
-/// report matching [`NeighborRole`]s).
+/// Checks the topology's ground truth: the edge-list invariants, provider
+/// acyclicity included, over its base relationships.
 #[must_use]
-pub fn check_graph(g: &AsGraph) -> Vec<Violation> {
-    let edges: Vec<(Asn, Asn, Rel)> = g.links().map(|(l, r)| (l.a(), l.b(), r)).collect();
-    let mut out = check_edge_list(&edges);
-    let mut bad_roles = 0usize;
-    for (link, rel) in g.links() {
-        let (a, b) = link.endpoints();
-        let expected = match rel {
-            Rel::P2c { provider } if provider == b => {
-                (NeighborRole::Provider, NeighborRole::Customer)
-            }
-            Rel::P2c { .. } => (NeighborRole::Customer, NeighborRole::Provider),
-            Rel::P2p => (NeighborRole::Peer, NeighborRole::Peer),
-            Rel::S2s => (NeighborRole::Sibling, NeighborRole::Sibling),
-        };
-        if g.role_of(a, b) != Some(expected.0) || g.role_of(b, a) != Some(expected.1) {
-            push_capped(
-                &mut out,
-                &mut bad_roles,
-                "adjacency_mismatch",
-                format!("link {link} ({rel}) disagrees with the adjacency view"),
-            );
-        }
-    }
-    flush_capped(&mut out, bad_roles, "adjacency_mismatch", "links");
-    out
+pub fn check_ground_truth(topo: &Topology) -> Vec<Violation> {
+    let edges: Vec<(Asn, Asn, Rel)> = topo
+        .links
+        .iter()
+        .map(|(l, gt)| (l.a(), l.b(), gt.base))
+        .collect();
+    check_edge_list(&edges)
 }
 
 /// Checks the hygiene invariants a sanitized [`PathSet`] must satisfy: no
@@ -313,16 +294,6 @@ pub fn check_pathset(ps: &PathSet) -> Vec<Violation> {
 pub fn check_valley(ps: &PathSet, topo: &Topology) -> (Vec<Violation>, BTreeMap<String, usize>) {
     let mut out = Vec::new();
     let mut stats: BTreeMap<String, usize> = BTreeMap::new();
-    let graph = match topo.ground_truth_graph() {
-        Ok(g) => g,
-        Err(e) => {
-            out.push(Violation {
-                check: "ground_truth_graph",
-                detail: format!("topology's link set is not a valid graph: {e:?}"),
-            });
-            return (out, stats);
-        }
-    };
     let complex: BTreeSet<Link> = topo.complex_links().into_iter().collect();
     let mut flagged = 0usize;
     for (_, hops) in ps.iter() {
@@ -331,7 +302,7 @@ pub fn check_valley(ps: &PathSet, topo: &Topology) -> (Vec<Violation>, BTreeMap<
             *stats.entry("valley_skipped_complex".into()).or_insert(0) += 1;
             continue;
         }
-        match check_valley_free(&graph, hops) {
+        match check_valley_free(|link| topo.gt_rel(link).map(|gt| gt.base), hops) {
             Ok(()) => *stats.entry("valley_free".into()).or_insert(0) += 1,
             Err(v) => {
                 push_capped(
@@ -443,16 +414,10 @@ pub fn sanitize_scenario(scenario: &Scenario) -> SanitizeReport {
     let mut report = SanitizeReport::default();
 
     // Ground-truth graph well-formedness + acyclicity.
-    match scenario.topology.ground_truth_graph() {
-        Ok(g) => {
-            report.violations.extend(check_graph(&g));
-            report.stat("ground_truth_links", g.link_count());
-        }
-        Err(e) => report.violations.push(Violation {
-            check: "ground_truth_graph",
-            detail: format!("{e:?}"),
-        }),
-    }
+    report
+        .violations
+        .extend(check_ground_truth(&scenario.topology));
+    report.stat("ground_truth_links", scenario.topology.link_count());
 
     // Sanitized path hygiene + valley-free sanity.
     report.violations.extend(check_pathset(&scenario.paths));
@@ -566,15 +531,6 @@ mod tests {
             (asn(1), asn(3), Rel::P2p),
         ];
         assert!(check_edge_list(&edges).is_empty());
-    }
-
-    #[test]
-    fn well_formed_graph_passes_check_graph() {
-        let mut g = AsGraph::new();
-        let l = |a: u32, b: u32| Link::new(Asn(a), Asn(b)).expect("distinct endpoints");
-        g.add_rel(l(1, 2), p2c(1)).expect("fresh link");
-        g.add_rel(l(2, 3), Rel::P2p).expect("fresh link");
-        assert!(check_graph(&g).is_empty());
     }
 
     #[test]

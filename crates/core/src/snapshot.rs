@@ -34,7 +34,7 @@
 use crate::metrics::{confusion, ScoredLink};
 use crate::pipeline::ScenarioConfig;
 use asgraph::io::{ByteReader, ByteWriter, IoError};
-use asgraph::{cone, AsIndexer, Asn, ConeSizes, CsrGraph, Link, PpdcCones, Rel, RelClass};
+use asgraph::{cone, Asn, ConeSizes, CsrGraph, Link, PpdcCones, Rel, RelClass};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::path::{Path, PathBuf};
@@ -466,21 +466,11 @@ fn read_scored(r: &mut ByteReader) -> Result<Vec<ScoredLink>, SnapshotError> {
     Ok(scored)
 }
 
-/// The CSR mirror of an inference's relationships over the ASes its links
-/// touch — the single place the analysis path builds a [`CsrGraph`].
-#[must_use]
-pub(crate) fn csr_of(rels: &BTreeMap<Link, Rel>) -> CsrGraph {
-    let indexer = AsIndexer::from_unsorted(rels.keys().flat_map(|l| [l.a(), l.b()]).collect());
-    let csr = CsrGraph::from_links(indexer, rels.iter().map(|(l, r)| (*l, *r)));
-    breval_obs::counter("csr_nodes_indexed", csr.node_count() as u64);
-    csr
-}
-
 /// Builds the eager snapshot parts for one inference: the CSR mirror of its
 /// relationships plus customer-cone sizes over it.
 #[must_use]
 pub fn build_snapshot(name: &str, rels: &BTreeMap<Link, Rel>) -> ScenarioSnapshot {
-    let csr = Arc::new(csr_of(rels));
+    let csr = Arc::new(CsrGraph::build(rels));
     let cones = Arc::new(cone::customer_cone_sizes_csr(&csr));
     ScenarioSnapshot::new(name, csr, cones)
 }

@@ -73,10 +73,7 @@ pub fn evolve(topology: &Topology, cfg: &ChurnConfig) -> (Topology, ChurnReport)
     let mut next = topology.clone();
     let mut report = ChurnReport::default();
 
-    let graph = match topology.ground_truth_graph() {
-        Ok(g) => g,
-        Err(_) => return (next, report),
-    };
+    let graph = topology.ground_truth_graph();
     let transits: Vec<Asn> = topology.ases_of_tier(TierClass::Transit);
 
     // Live provider→customer adjacency, updated as switches land, so that a
@@ -108,21 +105,23 @@ pub fn evolve(topology: &Topology, cfg: &ChurnConfig) -> (Topology, ChurnReport)
     };
 
     // ---- provider switches ---------------------------------------------------
-    let customers: Vec<Asn> = topology
-        .ases
-        .values()
-        .filter(|i| matches!(i.tier, TierClass::Transit | TierClass::Stub))
-        .map(|i| i.asn)
+    // Node ids follow ASN order, so the `n`-th AS of the topology is node `n`.
+    let customers: Vec<(u32, Asn)> = (0u32..)
+        .zip(topology.ases.values())
+        .filter(|(_, i)| matches!(i.tier, TierClass::Transit | TierClass::Stub))
+        .map(|(id, i)| (id, i.asn))
         .collect();
-    for &customer in &customers {
+    for &(id, customer) in &customers {
         if !rng.random_bool(cfg.provider_switch_prob) {
             continue;
         }
-        let providers = graph.providers(customer);
+        let providers = graph.providers(id);
         if providers.len() < 2 {
             continue; // single-homed customers keep their lifeline
         }
-        let old = providers[rng.random_range(0..providers.len())];
+        let old = graph
+            .indexer()
+            .asn(providers[rng.random_range(0..providers.len())]);
         // New provider: a transit in any region, not already a neighbor, and
         // not reachable through the customer's *current* cone (checked
         // against the live adjacency, keeping the hierarchy acyclic even
@@ -273,33 +272,14 @@ mod tests {
         let t0 = base();
         let (snapshots, _) = evolve_steps(&t0, &ChurnConfig::default(), 5);
         for (i, t) in snapshots.iter().enumerate() {
-            let g = t
-                .ground_truth_graph()
-                .unwrap_or_else(|e| panic!("snapshot {i}: conflicting links after churn: {e}"));
-            // DFS cycle check over provider→customer edges.
-            let mut state: std::collections::BTreeMap<Asn, u8> = Default::default();
-            fn visit(
-                g: &asgraph::AsGraph,
-                a: Asn,
-                state: &mut std::collections::BTreeMap<Asn, u8>,
-            ) -> bool {
-                match state.get(&a) {
-                    Some(1) => return false,
-                    Some(2) => return true,
-                    _ => {}
-                }
-                state.insert(a, 1);
-                for c in g.customers(a) {
-                    if !visit(g, c, state) {
-                        return false;
-                    }
-                }
-                state.insert(a, 2);
-                true
-            }
-            for asn in g.ases() {
-                assert!(visit(&g, asn, &mut state), "cycle after churn step {i}");
-            }
+            assert!(
+                t.links.iter().all(|(link, gt)| gt.base.is_valid_for(*link)),
+                "snapshot {i}: a provider is not on its link after churn"
+            );
+            assert!(
+                crate::provider_cycle_free(&t.ground_truth_graph()),
+                "cycle after churn step {i}"
+            );
         }
     }
 

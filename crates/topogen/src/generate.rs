@@ -1010,42 +1010,25 @@ mod tests {
 
     #[test]
     fn provider_hierarchy_is_acyclic() {
-        let t = small();
-        let graph = t.ground_truth_graph().unwrap();
-        // DFS over provider→customer edges looking for a cycle.
-        let mut state: BTreeMap<Asn, u8> = BTreeMap::new(); // 1=open, 2=done
-        fn visit(g: &asgraph::AsGraph, a: Asn, state: &mut BTreeMap<Asn, u8>) -> bool {
-            match state.get(&a) {
-                Some(1) => return false, // cycle
-                Some(2) => return true,
-                _ => {}
-            }
-            state.insert(a, 1);
-            for c in g.customers(a) {
-                if !visit(g, c, state) {
-                    return false;
-                }
-            }
-            state.insert(a, 2);
-            true
-        }
-        for asn in graph.ases() {
-            assert!(visit(&graph, asn, &mut state), "provider cycle detected");
-        }
+        let graph = small().ground_truth_graph();
+        assert!(
+            crate::provider_cycle_free(&graph),
+            "provider cycle detected"
+        );
     }
 
     #[test]
     fn every_as_is_connected_upward() {
         let t = small();
-        let graph = t.ground_truth_graph().unwrap();
+        let graph = t.ground_truth_graph();
         // Every non-Tier-1 AS must have at least one provider or peer
-        // (reachability precondition for propagation).
-        for (asn, info) in &t.ases {
+        // (reachability precondition for propagation). Ids follow `ases`.
+        for (id, (asn, info)) in (0u32..).zip(&t.ases) {
             if info.tier == TierClass::Tier1 {
                 continue;
             }
             assert!(
-                !graph.providers(*asn).is_empty() || !graph.peers(*asn).is_empty(),
+                !graph.providers(id).is_empty() || !graph.peers(id).is_empty(),
                 "{asn} has no upstream"
             );
         }
@@ -1198,7 +1181,10 @@ mod tests {
         let t = generate(&cfg);
         assert_eq!(t.as_count(), cfg.total_ases());
         assert!(t.link_count() > t.as_count());
-        let graph = t.ground_truth_graph().expect("scaled topology is valid");
-        let _ = graph;
+        assert!(
+            t.links.iter().all(|(link, gt)| gt.base.is_valid_for(*link)),
+            "a provider is not on its link"
+        );
+        assert!(crate::provider_cycle_free(&t.ground_truth_graph()));
     }
 }

@@ -35,3 +35,25 @@ pub use churn::{evolve, evolve_steps, ChurnConfig, ChurnReport};
 pub use config::TopologyConfig;
 pub use generate::generate;
 pub use model::{debug_digest, AsInfo, CollectorPeer, Ixp, SpecialRole, TierClass, Topology};
+
+#[cfg(test)]
+/// `true` if no AS of `graph` is its own transitive provider: a DFS over
+/// the customer rows.
+pub(crate) fn provider_cycle_free(graph: &asgraph::CsrGraph) -> bool {
+    // 0 = unseen, 1 = on the DFS path, 2 = finished.
+    fn visit(g: &asgraph::CsrGraph, id: u32, state: &mut [u8]) -> bool {
+        match state[id as usize] {
+            1 => return false,
+            2 => return true,
+            _ => {}
+        }
+        state[id as usize] = 1;
+        if !g.customers(id).iter().all(|&c| visit(g, c, state)) {
+            return false;
+        }
+        state[id as usize] = 2;
+        true
+    }
+    let mut state = vec![0; graph.node_count()];
+    (0..graph.node_count() as u32).all(|id| visit(graph, id, &mut state))
+}

@@ -1,6 +1,6 @@
 //! The generated topology model.
 
-use asgraph::{AsGraph, Asn, GtRel, Link};
+use asgraph::{AsIndexer, Asn, CsrGraph, GtRel, Link};
 use asregistry::{
     delegation::{DelegationFile, DelegationRecord, DelegationStatus},
     org::{As2Org, OrgId},
@@ -148,10 +148,13 @@ impl Topology {
         self.links.get(&link)
     }
 
-    /// Builds the plain [`AsGraph`] over the *base* relationships (hybrid
-    /// minority labels and partial-transit flags dropped).
-    pub fn ground_truth_graph(&self) -> Result<AsGraph, asgraph::GraphError> {
-        AsGraph::from_rels(self.links.iter().map(|(l, r)| (*l, r.base)))
+    /// The [`CsrGraph`] of the *base* relationships (hybrid minority labels
+    /// and partial-transit flags dropped) over every AS of the topology:
+    /// node ids follow ASN order, so an AS's id is its position in `ases`.
+    #[must_use]
+    pub fn ground_truth_graph(&self) -> CsrGraph {
+        let indexer = AsIndexer::from_sorted(self.ases.keys().copied().collect());
+        CsrGraph::from_links(indexer, self.links.iter().map(|(l, r)| (*l, r.base)))
     }
 
     /// All links whose ground truth is complex (partial transit or hybrid).

@@ -1,9 +1,37 @@
 //! Property tests: generator invariants hold across the configuration space,
 //! not just at the defaults.
 
-use asgraph::RelClass;
+use asgraph::{CsrGraph, RelClass};
 use proptest::prelude::*;
-use topogen::{generate, ChurnConfig, TopologyConfig};
+use topogen::{generate, ChurnConfig, Topology, TopologyConfig};
+
+/// `true` if every P2C provider of `topo` is an endpoint of its link.
+fn providers_on_links(topo: &Topology) -> bool {
+    topo.links
+        .iter()
+        .all(|(link, gt)| gt.base.is_valid_for(*link))
+}
+
+/// `true` if no AS of `graph` is its own transitive provider: a DFS over
+/// the customer rows.
+fn provider_cycle_free(graph: &CsrGraph) -> bool {
+    // 0 = unseen, 1 = on the DFS path, 2 = finished.
+    fn visit(g: &CsrGraph, id: u32, state: &mut [u8]) -> bool {
+        match state[id as usize] {
+            1 => return false,
+            2 => return true,
+            _ => {}
+        }
+        state[id as usize] = 1;
+        if !g.customers(id).iter().all(|&c| visit(g, c, state)) {
+            return false;
+        }
+        state[id as usize] = 2;
+        true
+    }
+    let mut state = vec![0; graph.node_count()];
+    (0..graph.node_count() as u32).all(|id| visit(graph, id, &mut state))
+}
 
 fn arb_config() -> impl Strategy<Value = TopologyConfig> {
     (
@@ -48,41 +76,21 @@ proptest! {
         prop_assert_eq!(topo.tier1.len(), cfg.n_tier1);
         prop_assert_eq!(topo.hypergiants.len(), cfg.n_hypergiant);
 
-        // Relationship labels are structurally valid and build a graph.
-        let graph = topo.ground_truth_graph().expect("conflict-free links");
+        // Relationship labels are structurally valid.
+        prop_assert!(providers_on_links(&topo), "a provider is not on its link");
 
         // Acyclic provider hierarchy.
-        let mut state: std::collections::BTreeMap<asgraph::Asn, u8> = Default::default();
-        fn visit(
-            g: &asgraph::AsGraph,
-            a: asgraph::Asn,
-            state: &mut std::collections::BTreeMap<asgraph::Asn, u8>,
-        ) -> bool {
-            match state.get(&a) {
-                Some(1) => return false,
-                Some(2) => return true,
-                _ => {}
-            }
-            state.insert(a, 1);
-            for c in g.customers(a) {
-                if !visit(g, c, state) {
-                    return false;
-                }
-            }
-            state.insert(a, 2);
-            true
-        }
-        for asn in graph.ases() {
-            prop_assert!(visit(&graph, asn, &mut state), "provider cycle");
-        }
+        let graph = topo.ground_truth_graph();
+        prop_assert!(provider_cycle_free(&graph), "provider cycle");
 
-        // Everyone except Tier-1s has an upstream (provider or peer).
-        for (asn, info) in &topo.ases {
+        // Everyone except Tier-1s has an upstream (provider or peer). Node
+        // ids follow `ases`.
+        for (id, (asn, info)) in (0u32..).zip(&topo.ases) {
             if info.tier == topogen::TierClass::Tier1 {
                 continue;
             }
             prop_assert!(
-                !graph.providers(*asn).is_empty() || !graph.peers(*asn).is_empty(),
+                !graph.providers(id).is_empty() || !graph.peers(id).is_empty(),
                 "{asn} stranded"
             );
         }
@@ -137,29 +145,7 @@ proptest! {
                 partial_flip_prob: 0.1,
             },
         );
-        let graph = evolved.ground_truth_graph().expect("conflict-free after churn");
-        let mut state: std::collections::BTreeMap<asgraph::Asn, u8> = Default::default();
-        fn visit(
-            g: &asgraph::AsGraph,
-            a: asgraph::Asn,
-            state: &mut std::collections::BTreeMap<asgraph::Asn, u8>,
-        ) -> bool {
-            match state.get(&a) {
-                Some(1) => return false,
-                Some(2) => return true,
-                _ => {}
-            }
-            state.insert(a, 1);
-            for c in g.customers(a) {
-                if !visit(g, c, state) {
-                    return false;
-                }
-            }
-            state.insert(a, 2);
-            true
-        }
-        for asn in graph.ases() {
-            prop_assert!(visit(&graph, asn, &mut state), "cycle after churn");
-        }
+        prop_assert!(providers_on_links(&evolved), "a provider is not on its link after churn");
+        prop_assert!(provider_cycle_free(&evolved.ground_truth_graph()), "cycle after churn");
     }
 }

@@ -171,12 +171,11 @@ impl AutNum {
 #[must_use]
 pub fn generate_autnums(topology: &Topology, cfg: &ValDataConfig) -> Vec<AutNum> {
     let mut rng = ChaCha8Rng::seed_from_u64(cfg.seed ^ 0x5250_534C);
-    let graph = match topology.ground_truth_graph() {
-        Ok(g) => g,
-        Err(_) => return Vec::new(),
-    };
+    let graph = topology.ground_truth_graph();
+    let asn_of = |&n: &u32| graph.indexer().asn(n);
     let mut out = Vec::new();
-    for info in topology.ases.values() {
+    // Node ids follow ASN order, so the `n`-th AS of the topology is node `n`.
+    for (id, info) in (0u32..).zip(topology.ases.values()) {
         if !info.publishes_communities || !rng.random_bool(cfg.rpsl_coverage) {
             continue;
         }
@@ -195,13 +194,13 @@ pub fn generate_autnums(topology: &Topology, cfg: &ValDataConfig) -> Vec<AutNum>
             };
             policies.push(PolicyLine { neighbor, rel });
         };
-        for p in graph.providers(asn) {
+        for p in graph.providers(id).iter().map(asn_of) {
             push(p, Rel::P2c { provider: p }, &mut rng);
         }
-        for c in graph.customers(asn) {
+        for c in graph.customers(id).iter().map(asn_of) {
             push(c, Rel::P2c { provider: asn }, &mut rng);
         }
-        for p in graph.peers(asn) {
+        for p in graph.peers(id).iter().map(asn_of) {
             push(p, Rel::P2p, &mut rng);
         }
         if policies.is_empty() {

@@ -1,8 +1,8 @@
 //! The domain sanitizer must catch deliberately corrupted relationship data
 //! while passing well-formed ground truth.
 
-use asgraph::{Asn, Rel};
-use breval_core::sanitize::{check_edge_list, check_graph};
+use asgraph::{Asn, GtRel, Rel};
+use breval_core::sanitize::{check_edge_list, check_ground_truth};
 
 fn p2c(p: u32) -> Rel {
     Rel::P2c { provider: Asn(p) }
@@ -37,13 +37,21 @@ fn seeded_self_loop_and_p2c_cycle_are_both_detected() {
 fn generated_ground_truth_passes_clean() {
     // The real pipeline's ground truth must sail through the same checks.
     let config = topogen::TopologyConfig::small(7);
-    let topology = topogen::generate(&config);
-    let graph = topology
-        .ground_truth_graph()
-        .expect("generated topology is a valid graph");
-    let violations = check_graph(&graph);
+    let mut topology = topogen::generate(&config);
+    let violations = check_ground_truth(&topology);
     assert!(
         violations.is_empty(),
         "generated ground truth must be clean: {violations:?}"
     );
+    // One label naming a provider off its link must not slip through.
+    let (&link, _) = topology.links.iter().next().expect("links generated");
+    let off_link = Rel::P2c {
+        provider: Asn(u32::MAX),
+    };
+    topology.links.insert(link, GtRel::simple(off_link));
+    let checks: Vec<&str> = check_ground_truth(&topology)
+        .iter()
+        .map(|v| v.check)
+        .collect();
+    assert_eq!(checks, ["provider_not_on_link"]);
 }
