@@ -1,6 +1,7 @@
 //! Memory bounds of the scale path on a 10k-AS topology: the sim graph is
 //! built in a constant number of allocations, propagation reuses its buffers
-//! across origins, and hybrid PPDC rows never cost more than the flat
+//! across origins, scoped to the vantage points or not (and the scoped one
+//! gives them the same paths), and hybrid PPDC rows never cost more than the flat
 //! all-bitset layout. The path store imports and sanitises paths in a
 //! constant number of allocations too, neither the simulation nor the
 //! community-label compiler allocates per route observation, the PPDC
@@ -10,7 +11,7 @@
 
 use asgraph::{cone, io, AsIndexer, AsPath, Asn, ConeScratch, CsrGraph, Link, PathSet, Rel};
 use asinfer::{Classifier, PreparedPaths};
-use bgpsim::{OriginRoutes, PropScratch, Propagator, SimGraph};
+use bgpsim::{OriginRoutes, PropScratch, Propagator, Scope, SimGraph};
 use std::collections::BTreeMap;
 
 #[global_allocator]
@@ -73,32 +74,47 @@ fn propagation_and_ppdc_stay_bounded_at_10k() {
         .filter_map(|cp| g.node(cp.asn).map(|node| (cp.asn, node)))
         .collect();
 
-    let prop = Propagator::new(&g);
+    let scope = Scope::new(&g, vps.iter().map(|&(_, node)| node));
+    let full = Propagator::new(&g);
+    let scoped = Propagator::with_scope(&scope);
     let mut routes = OriginRoutes::reusable();
+    let mut scoped_routes = OriginRoutes::reusable();
     let mut scratch = PropScratch::new();
+    let mut scoped_scratch = PropScratch::new();
     let mut paths = PathSet::new();
-    let mut steady_allocs = 0;
+    let (mut steady_allocs, mut scoped_steady_allocs) = (0, 0);
     for (i, &origin) in origins.iter().enumerate() {
-        // Only the propagation itself is counted; path extraction below
-        // allocates by design.
+        // Only the propagations themselves are counted; path extraction
+        // below allocates by design.
         let before = counting_alloc::thread_allocation_count();
-        prop.propagate_into(origin, None, &mut routes, &mut scratch);
+        full.propagate_into(origin, None, &mut routes, &mut scratch);
+        let between = counting_alloc::thread_allocation_count();
+        scoped.propagate_into(origin, None, &mut scoped_routes, &mut scoped_scratch);
         if i > 0 {
-            steady_allocs += counting_alloc::thread_allocation_count() - before;
+            steady_allocs += between - before;
+            scoped_steady_allocs += counting_alloc::thread_allocation_count() - between;
         }
         assert!(routes.reached() > 0, "origin {origin} reached nothing");
         for &(vp, node) in &vps {
-            if let Some(hops) = routes.path(node, &g) {
+            let hops = routes.path(node, &g);
+            assert_eq!(
+                scoped_routes.path(node, &g),
+                hops,
+                "origin {origin}: the VP-scoped propagator gives VP {vp} another path"
+            );
+            if let Some(hops) = hops {
                 paths.push(vp, AsPath::new(hops));
             }
         }
     }
-    let per_origin = steady_allocs / (ORIGINS as u64 - 1);
-    assert!(
-        per_origin <= MAX_STEADY_ALLOCS_PER_ORIGIN,
-        "steady-state propagation allocates {per_origin} times per origin \
-         (ceiling {MAX_STEADY_ALLOCS_PER_ORIGIN}): buffer reuse is broken"
-    );
+    for (what, allocs) in [("full", steady_allocs), ("VP-scoped", scoped_steady_allocs)] {
+        let per_origin = allocs / (ORIGINS as u64 - 1);
+        assert!(
+            per_origin <= MAX_STEADY_ALLOCS_PER_ORIGIN,
+            "steady-state {what} propagation allocates {per_origin} times per origin \
+             (ceiling {MAX_STEADY_ALLOCS_PER_ORIGIN}): buffer reuse is broken"
+        );
+    }
 
     let before = counting_alloc::thread_allocation_count();
     let clean = paths.sanitized();

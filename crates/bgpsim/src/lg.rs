@@ -2,7 +2,7 @@
 //! where customer-set action communities are still visible.
 
 use crate::communities::{rib_communities, AnyCommunity};
-use crate::propagate::{Propagator, RouteClass};
+use crate::propagate::{Propagator, RouteClass, Scope};
 use crate::simgraph::SimGraph;
 use asgraph::Asn;
 use serde::{Deserialize, Serialize};
@@ -24,7 +24,8 @@ pub struct LgRoute {
 }
 
 /// An on-demand looking glass over a topology: queries re-run a single-origin
-/// propagation, so no global RIB state is stored.
+/// propagation narrowed to the queried AS's [`Scope`], so no global RIB state
+/// is stored.
 pub struct LookingGlass<'t> {
     topology: &'t Topology,
     graph: SimGraph,
@@ -52,7 +53,8 @@ impl<'t> LookingGlass<'t> {
     pub fn query(&self, at: Asn, origin: Asn) -> Option<LgRoute> {
         let at_node = self.graph.node(at)?;
         let origin_node = self.graph.node(origin)?;
-        let routes = Propagator::new(&self.graph).propagate(origin_node);
+        let scope = Scope::new(&self.graph, [at_node]);
+        let routes = Propagator::with_scope(&scope).propagate(origin_node);
         let path = routes.path(at_node, &self.graph)?;
         let class = routes.class(at_node)?;
         let communities = rib_communities(self.topology, &path);

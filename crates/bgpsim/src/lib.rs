@@ -23,6 +23,12 @@
 //! store the inference algorithms consume (path *i* belongs to observation
 //! *i*). It exports to real MRT `TABLE_DUMP_V2` bytes via `bgpwire`. A
 //! [`LookingGlass`] answers per-AS RIB queries for the case study.
+//!
+//! Both read only a few ASes' routes, so neither floods provider routes over
+//! the whole graph: a [`Scope`] closes the ASes read (the vantage points, or
+//! the queried AS) under "provider of" and "sibling of", and a
+//! [`Propagator::with_scope`] computes exact routes there and only there.
+//! [`Propagator::new`] computes every AS's route.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -36,6 +42,6 @@ pub mod snapshot;
 
 pub use collector::{establish_sessions, EstablishedSession};
 pub use lg::{LgRoute, LookingGlass};
-pub use propagate::{OriginRoutes, PropScratch, Propagator, RouteClass};
+pub use propagate::{OriginRoutes, PropScratch, Propagator, RouteClass, Scope};
 pub use simgraph::SimGraph;
 pub use snapshot::{simulate, simulate_with_graph, RibSnapshot, RouteObservation};

@@ -12,6 +12,11 @@
 //! 3. **down**: every route holder exports to customers (and siblings),
 //!    provider-class routes flooding the customer cones.
 //!
+//! A [`Scope`] narrows phase 3 to the nodes whose routes the caller reads
+//! (the vantage points, say) and their provider/sibling ancestors, the only
+//! nodes from which a provider route can reach them. Phases 1 and 2 stay
+//! whole-graph: a customer or peer route can come from anywhere below.
+//!
 //! Route selection: class (customer < peer < provider), then path length,
 //! then lowest next-hop ASN — the standard simulation tie-break.
 
@@ -35,6 +40,12 @@ const NO_PARENT: u32 = u32::MAX;
 
 /// Routing outcome of one origin's announcement: per-node best route as a
 /// parent-pointer forest.
+///
+/// After a propagation by [`Propagator::new`] every node's route is exact.
+/// After one by [`Propagator::with_scope`] the routes are exact only at the
+/// scope's nodes. Outside the scope, customer- and peer-class routes are
+/// still exact (phases 1 and 2 run whole-graph), but no node holds a
+/// provider-class route, so [`OriginRoutes::reached`] undercounts.
 #[derive(Debug, Clone)]
 pub struct OriginRoutes {
     origin: u32,
@@ -200,15 +211,19 @@ impl BucketQueue {
     }
 }
 
-/// Reusable per-worker propagation scratch: the bucket queue and the
-/// settled-node stamps survive across origins, so steady-state propagation
-/// performs no per-origin allocation. The settled set uses the epoch trick
-/// (cf. `ConeScratch` in `asgraph`): bumping the epoch invalidates the whole
-/// array in O(1) instead of an O(n) clear per Dijkstra pass.
+/// Reusable per-worker propagation scratch: the bucket queue, the
+/// settled-node stamps and the list of phase 1's route holders survive
+/// across origins, so steady-state propagation performs no per-origin
+/// allocation. The settled set uses the epoch trick (cf. `ConeScratch` in
+/// `asgraph`): bumping the epoch invalidates the whole array in O(1)
+/// instead of an O(n) clear per Dijkstra pass.
 pub struct PropScratch {
     q: BucketQueue,
     done: Vec<u32>,
     epoch: u32,
+    /// The nodes phase 1 settled with an unscoped route, which phase 2
+    /// exports to their peers; it reads them sorted, not all n nodes.
+    climbed: Vec<u32>,
 }
 
 impl PropScratch {
@@ -219,6 +234,7 @@ impl PropScratch {
             q: BucketQueue::new(),
             done: Vec::new(),
             epoch: 0,
+            climbed: Vec::new(),
         }
     }
 
@@ -250,17 +266,129 @@ impl Default for PropScratch {
     }
 }
 
+/// The nodes whose routes a propagation must get right, closed under
+/// "provider of" and "sibling of", with each one's customer and sibling
+/// edges that stay inside the set.
+///
+/// Phase 3 moves provider-class routes down customer and sibling edges, so
+/// a node's provider route comes from a provider or a sibling, which the
+/// closure keeps in the scope. A node outside the scope therefore never
+/// hands a scope node a route, and phase 3 may skip it. (Not to be
+/// confused with a partial-transit *scoped route*, [`OriginRoutes::scoped`].)
+#[derive(Debug, Clone)]
+pub struct Scope<'g> {
+    g: &'g SimGraph,
+    /// The scope's nodes, ascending.
+    nodes: Vec<u32>,
+    /// `down[start[v]..start[v + 1]]` are `v`'s customers inside the scope,
+    /// then its siblings, in CSR order; the row is empty outside the scope.
+    start: Vec<u32>,
+    down: Vec<u32>,
+}
+
+impl<'g> Scope<'g> {
+    /// The scope of `targets`: the targets, their providers and siblings,
+    /// theirs, and so on. Panics if a target is not a node of `g`.
+    #[must_use]
+    pub fn new(g: &'g SimGraph, targets: impl IntoIterator<Item = u32>) -> Self {
+        let csr = g.csr();
+        let mut member = vec![false; g.len()];
+        let mut stack: Vec<u32> = targets.into_iter().collect();
+        while let Some(node) = stack.pop() {
+            if !std::mem::replace(&mut member[node as usize], true) {
+                stack.extend(csr.providers(node).iter().chain(csr.siblings(node)));
+            }
+        }
+        let mut nodes = Vec::new();
+        let mut start = Vec::with_capacity(g.len() + 1);
+        let mut down = Vec::new();
+        start.push(0);
+        for v in 0..g.len() as u32 {
+            if member[v as usize] {
+                nodes.push(v);
+                let customers = csr.customers(v).iter().copied();
+                down.extend(customers.filter(|&c| member[c as usize]));
+                down.extend_from_slice(csr.siblings(v));
+            }
+            start.push(down.len() as u32);
+        }
+        Scope {
+            g,
+            nodes,
+            start,
+            down,
+        }
+    }
+
+    /// The scope's nodes, ascending.
+    #[must_use]
+    pub fn nodes(&self) -> &[u32] {
+        &self.nodes
+    }
+
+    /// Number of nodes in the scope.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.nodes.len()
+    }
+
+    /// `true` if the scope has no nodes (no targets were given).
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.nodes.is_empty()
+    }
+
+    /// `node`'s customers inside the scope, then its siblings.
+    fn down(&self, node: u32) -> &[u32] {
+        let i = node as usize;
+        &self.down[self.start[i] as usize..self.start[i + 1] as usize]
+    }
+}
+
 /// The propagation engine; borrow once, run per origin.
 #[derive(Debug, Clone, Copy)]
 pub struct Propagator<'g> {
     g: &'g SimGraph,
+    /// `None`: every node is in scope, and phase 3 reads the CSR rows.
+    scope: Option<&'g Scope<'g>>,
 }
 
 impl<'g> Propagator<'g> {
-    /// Creates an engine over `g`.
+    /// Creates an engine over `g` that computes every node's route.
     #[must_use]
     pub fn new(g: &'g SimGraph) -> Self {
-        Propagator { g }
+        Propagator { g, scope: None }
+    }
+
+    /// Creates an engine over the scope's graph that computes the routes
+    /// of the scope's nodes only: after a propagation, [`OriginRoutes`] is
+    /// exact at the scope's nodes, ties included, and nowhere else (see
+    /// there). Phases 1 and 2 still run over the whole graph; phase 3
+    /// pushes and relaxes only inside the scope.
+    #[must_use]
+    pub fn with_scope(scope: &'g Scope<'g>) -> Self {
+        Propagator {
+            g: scope.g,
+            scope: Some(scope),
+        }
+    }
+
+    /// The nodes phase 3 starts from, ascending: every node, or the scope's.
+    fn seeds(&self) -> impl Iterator<Item = u32> + 'g {
+        let (all, listed) = match self.scope {
+            None => (0..self.g.len() as u32, &[][..]),
+            Some(scope) => (0..0, scope.nodes()),
+        };
+        all.chain(listed.iter().copied())
+    }
+
+    /// The edges phase 3 relaxes from `node`, as two slices in CSR order:
+    /// its customers and its siblings, or its in-scope row.
+    fn down_edges(&self, node: u32) -> (&'g [u32], &'g [u32]) {
+        match self.scope {
+            None => (self.g.csr().customers(node), self.g.csr().siblings(node)),
+            Some(scope) => (scope.down(node), &[]),
+        }
     }
 
     /// Runs full propagation of `origin`'s announcement into fresh buffers.
@@ -272,10 +400,10 @@ impl<'g> Propagator<'g> {
     }
 
     /// Propagates `origin`'s announcement, filling `r` in place and using
-    /// `s` for the queue and settled set. When `allowed_provider` is `Some`,
-    /// the origin announces to that provider only (per-prefix traffic
-    /// engineering); peers, siblings and everything downstream are
-    /// unaffected — only the origin's own provider announcements are scoped.
+    /// `s` for the queue and settled set. When `allowed_provider` is `Some`
+    /// (per-prefix traffic engineering), the origin announces to that
+    /// provider, to its siblings and to its customers, but not to its other
+    /// providers or to its peers. The ASes that hear it re-export as usual.
     ///
     /// A worker that reuses one `(OriginRoutes, PropScratch)` pair across a
     /// whole origin stream allocates nothing per origin once the buffers have
@@ -309,6 +437,7 @@ impl<'g> Propagator<'g> {
         r.len[origin as usize] = 0;
         r.parent[origin as usize] = NO_PARENT;
         s.begin_pass(n);
+        s.climbed.clear();
         s.q.push(Candidate {
             node: origin,
             len: 0,
@@ -324,6 +453,7 @@ impl<'g> Propagator<'g> {
             if r.scoped[i] {
                 continue; // scoped routes never propagate upward
             }
+            s.climbed.push(c.node);
             let prepend = g.prepends(c.node);
             let weight: u16 = if prepend { 3 } else { 1 };
             for &provider in csr.providers(c.node) {
@@ -378,15 +508,12 @@ impl<'g> Propagator<'g> {
         }
 
         // ---- Phase 2: one peer hop -------------------------------------------
-        // Holders of unscoped customer-class routes export to peers, in
-        // ascending node order. A TE-pinned announcement is scoped to the
-        // chosen provider: the origin itself does not announce it to its
-        // peers.
-        for u in 0..n as u32 {
-            let holds = r.class[u as usize] == 0
-                && !r.scoped[u as usize]
-                && !(u == origin && allowed_provider.is_some());
-            if !holds {
+        // Holders of unscoped customer-class routes, which phase 1 settled,
+        // export to peers in ascending node order. A TE-pinned origin does
+        // not announce to its peers.
+        s.climbed.sort_unstable();
+        for &u in &s.climbed {
+            if u == origin && allowed_provider.is_some() {
                 continue;
             }
             let prepend = g.prepends(u);
@@ -415,8 +542,12 @@ impl<'g> Propagator<'g> {
         }
 
         // ---- Phase 3: flood down customer cones -------------------------------
+        // Only the scope's nodes are pushed and relaxed. A scope node's
+        // candidates come from its providers and siblings, which are in the
+        // scope, and the scope's entries keep their relative order in every
+        // bucket, so even an exact `tie_pref` tie resolves as in a full run.
         s.begin_pass(n);
-        for i in 0..n as u32 {
+        for i in self.seeds() {
             if r.class[i as usize] != CLASS_NONE {
                 s.q.push(Candidate {
                     node: i,
@@ -433,7 +564,8 @@ impl<'g> Propagator<'g> {
             }
             s.mark_done(i);
             let cand_len = c.len.saturating_add(1);
-            for &next in csr.customers(c.node).iter().chain(csr.siblings(c.node)) {
+            let (customers, siblings) = self.down_edges(c.node);
+            for &next in customers.iter().chain(siblings) {
                 let ni = next as usize;
                 // Adopt only if no better-class route exists.
                 let adopt = match r.class[ni] {
@@ -514,6 +646,42 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn te_pinned_origin_announces_to_its_siblings_not_its_peers() {
+        let (_, g) = small_world();
+        let engine = Propagator::new(&g);
+        let csr = g.csr();
+        let mut routes = OriginRoutes::reusable();
+        let mut scratch = PropScratch::new();
+        let heard_from_origin = |r: &OriginRoutes, class: RouteClass, node: u32| {
+            r.class(node) == Some(class) && r.parent[node as usize] == r.origin()
+        };
+        let a_peer_heard = |r: &OriginRoutes| {
+            (0..g.len() as u32).any(|node| heard_from_origin(r, RouteClass::Peer, node))
+        };
+        let every_sibling_heard = |r: &OriginRoutes| {
+            let siblings = csr.siblings(r.origin());
+            siblings
+                .iter()
+                .all(|&sib| heard_from_origin(r, RouteClass::Customer, sib))
+        };
+        let mut peers_hear_unpinned = 0;
+        for origin in 0..g.len() as u32 {
+            if csr.providers(origin).is_empty() || csr.peers(origin).is_empty() {
+                continue;
+            }
+            engine.propagate_into(origin, None, &mut routes, &mut scratch);
+            peers_hear_unpinned += usize::from(a_peer_heard(&routes));
+            for &allowed in csr.providers(origin) {
+                engine.propagate_into(origin, Some(allowed), &mut routes, &mut scratch);
+                let pinned = format!("origin {origin} pinned to provider {allowed}");
+                assert!(!a_peer_heard(&routes), "{pinned} announced to a peer");
+                assert!(every_sibling_heard(&routes), "{pinned} skipped a sibling");
+            }
+        }
+        assert!(peers_hear_unpinned > 0, "no unpinned origin reached a peer");
     }
 
     #[test]

@@ -1,8 +1,9 @@
-//! Full-mesh simulation: propagate every origin, record what each vantage
-//! point exports to the collector, and serialise to real MRT bytes.
+//! Full-mesh simulation: propagate every origin toward the vantage points,
+//! record what each one exports to the collector, and serialise to real MRT
+//! bytes.
 
 use crate::communities::{collector_communities, AnyCommunity};
-use crate::propagate::{OriginRoutes, PropScratch, Propagator, RouteClass};
+use crate::propagate::{OriginRoutes, PropScratch, Propagator, RouteClass, Scope};
 use crate::simgraph::SimGraph;
 use asgraph::{Asn, PathSet, RawHops};
 use bgpwire::{
@@ -59,12 +60,15 @@ const ORIGIN_CHUNK: usize = 2048;
 ///
 /// Per-origin propagation cost is wildly skewed (Tier-1s reach everywhere,
 /// stubs almost nowhere), so origins are distributed over a work-stealing
-/// queue (`breval-par`), `ORIGIN_CHUNK` at a time. Each worker
-/// reuses one [`Propagator`], a `(OriginRoutes, PropScratch)` buffer pair
-/// and one hop buffer, so steady-state propagation allocates only each
-/// origin's observation list and path store, which are appended to the
-/// RIB in origin order. The result is byte-identical at any thread count
-/// (`tests/byteident.rs` pins its digest).
+/// queue (`breval-par`), `ORIGIN_CHUNK` at a time. Only the vantage
+/// points' routes are read, so every propagation is narrowed to the
+/// [`Scope`] of the collector peers, built once per run and borrowed by
+/// every worker. Each worker reuses one [`Propagator`], a
+/// `(OriginRoutes, PropScratch)` buffer pair and one hop buffer, so
+/// steady-state propagation allocates only each origin's observation list
+/// and path store, which are appended to the RIB in origin order. The
+/// result is byte-identical at any thread count (`tests/byteident.rs` pins
+/// its digest).
 #[must_use]
 pub fn simulate_with_graph(topology: &Topology, graph: &SimGraph) -> RibSnapshot {
     let _span = breval_obs::span!("simulate");
@@ -73,6 +77,8 @@ pub fn simulate_with_graph(topology: &Topology, graph: &SimGraph) -> RibSnapshot
         .iter()
         .filter_map(|cp| graph.node(cp.asn).map(|n| (n, *cp)))
         .collect();
+    let scope = Scope::new(graph, vps.iter().map(|(node, _)| *node));
+    breval_obs::counter("simulate_scope_nodes", scope.len() as u64);
 
     // Sub-span around the parallel fan-out so the trace/manifest separate
     // the per-origin export from the sequential graph/VP setup above.
@@ -89,7 +95,7 @@ pub fn simulate_with_graph(topology: &Topology, graph: &SimGraph) -> RibSnapshot
             end - start,
             || {
                 (
-                    Propagator::new(graph),
+                    Propagator::with_scope(&scope),
                     OriginRoutes::reusable(),
                     PropScratch::new(),
                     Vec::new(),

@@ -97,6 +97,14 @@ fn small_scenario_manifest_covers_all_stages() {
         manifest.counters["route_observations"],
         scenario.snapshot.observations.len() as u64
     );
+    // Phase 3 of the simulation walks the VPs' scope: some of the graph,
+    // never more than all of it.
+    let scope_nodes = manifest.counters["simulate_scope_nodes"];
+    assert!(
+        scope_nodes > 0 && scope_nodes <= manifest.counters["topology_ases"],
+        "scope of {scope_nodes} nodes in a topology of {} ASes",
+        manifest.counters["topology_ases"]
+    );
 
     let ppdc = manifest
         .stages
