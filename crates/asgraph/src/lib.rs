@@ -25,7 +25,6 @@
 //!
 //! The crate is dependency-light (only `serde`) and purely computational.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod asn;

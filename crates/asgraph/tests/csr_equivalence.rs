@@ -10,7 +10,12 @@ use asgraph::{
     cone, AsGraph, AsPath, Asn, ConeScratch, CsrGraph, Link, NeighborRole, PathSet, Rel,
 };
 use proptest::prelude::*;
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
+#[expect(
+    clippy::disallowed_types,
+    reason = "a hash-based oracle checks the ordered code it was replaced by"
+)]
+use std::collections::{HashMap, HashSet};
 
 /// Reference adjacency: every AS with a link, and its neighbours per
 /// [`NeighborRole`] (at `role as usize`), read off the link map. Links
@@ -52,6 +57,10 @@ fn customer_cone(view: &RoleView, asn: Asn) -> BTreeSet<Asn> {
 
 /// Reference path statistics: the `HashMap<_, HashSet<_>>` folds
 /// `PathSet::stats` made before it kept dense ids.
+#[expect(
+    clippy::disallowed_types,
+    reason = "a hash-based oracle checks the ordered code it was replaced by"
+)]
 struct StatsOracle {
     /// Distinct path neighbours per AS on some link.
     neighbors: HashMap<Asn, HashSet<Asn>>,
@@ -61,6 +70,10 @@ struct StatsOracle {
     link_vps: HashMap<Link, HashSet<Asn>>,
 }
 
+#[expect(
+    clippy::disallowed_types,
+    reason = "a hash-based oracle checks the ordered code it was replaced by"
+)]
 fn path_stats_hash(paths: &PathSet) -> StatsOracle {
     let mut neighbors: HashMap<Asn, HashSet<Asn>> = HashMap::new();
     let mut transit: HashMap<Asn, HashSet<Asn>> = HashMap::new();
@@ -87,6 +100,10 @@ fn path_stats_hash(paths: &PathSet) -> StatsOracle {
 }
 
 /// Reference customer-cone sizes: one fresh `BTreeSet` BFS per AS.
+#[expect(
+    clippy::disallowed_types,
+    reason = "a hash-based oracle checks the ordered code it was replaced by"
+)]
 fn customer_cone_sizes_btree(graph: &AsGraph) -> HashMap<Asn, usize> {
     let view = role_view(graph);
     view.keys()
@@ -95,6 +112,10 @@ fn customer_cone_sizes_btree(graph: &AsGraph) -> HashMap<Asn, usize> {
 }
 
 /// Reference PPDC cones: per-AS `HashSet` cones in a `HashMap`.
+#[expect(
+    clippy::disallowed_types,
+    reason = "a hash-based oracle checks the ordered code it was replaced by"
+)]
 fn ppdc_cones_hash(paths: &PathSet, rels: &BTreeMap<Link, Rel>) -> HashMap<Asn, HashSet<Asn>> {
     let mut cones: HashMap<Asn, HashSet<Asn>> = HashMap::new();
     for (_, c) in paths.iter() {
@@ -364,6 +385,7 @@ proptest! {
     fn path_stats_match_hash_baseline(ps in arb_pathset()) {
         let stats = ps.stats();
         let oracle = path_stats_hash(&ps);
+        #[expect(clippy::disallowed_types, reason = "a hash-based oracle checks the ordered code it was replaced by")]
         let degree = |sets: &HashMap<Asn, HashSet<Asn>>, asn: Asn| sets.get(&asn).map_or(0, HashSet::len);
         let mut ases: Vec<Asn> = oracle.neighbors.keys().copied().collect();
         ases.sort();

@@ -28,8 +28,10 @@ fn arb_prepended_path() -> impl Strategy<Value = Vec<Asn>> {
 
 /// The path set's former layout, whose derived `Debug` the store reproduces.
 mod former {
-    // The fields are read only through the derived `Debug`.
-    #![allow(dead_code)]
+    #![allow(
+        dead_code,
+        reason = "the fields are read only through the derived `Debug`"
+    )]
 
     use asgraph::{AsPath, Asn};
 

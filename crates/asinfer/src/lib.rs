@@ -30,7 +30,6 @@
 //! path. A provider that never re-exports a customer's routes upward (partial
 //! transit, §6.1) starves this rule of evidence, and the link defaults to P2P.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod asrank;

@@ -9,11 +9,20 @@ use asinfer::{
     ProbLink, TopoScope, Unari,
 };
 use proptest::prelude::*;
-use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeSet, VecDeque};
+#[expect(
+    clippy::disallowed_types,
+    reason = "a hash-based oracle checks the ordered code it was replaced by"
+)]
+use std::collections::{HashMap, HashSet};
 
 /// Reference features: `compute_features` as it ran before it moved to the
 /// statistics' dense ids, with neighbour sets, clique distances and
 /// triplet support in hash containers keyed by ASN or `Link`.
+#[expect(
+    clippy::disallowed_types,
+    reason = "a hash-based oracle checks the ordered code it was replaced by"
+)]
 fn compute_features_hash(
     paths: &PathSet,
     stats: &PathStats,
@@ -145,6 +154,10 @@ fn break_provider_cycles_hash(
 
 /// Kahn's algorithm over the provider→customer edges: the ASes left on
 /// cycles (empty for a DAG).
+#[expect(
+    clippy::disallowed_types,
+    reason = "a hash-based oracle checks the ordered code it was replaced by"
+)]
 fn p2c_residue_hash(edges: &BTreeSet<(Asn, Asn)>) -> BTreeSet<Asn> {
     let mut indegree: HashMap<Asn, usize> = HashMap::new();
     let mut customers: HashMap<Asn, Vec<Asn>> = HashMap::new();
@@ -173,6 +186,10 @@ fn p2c_residue_hash(edges: &BTreeSet<(Asn, Asn)>) -> BTreeSet<Asn> {
 
 /// One provider cycle in the residue: from the smallest residue AS, step to
 /// the smallest in-residue provider until a node repeats.
+#[expect(
+    clippy::disallowed_types,
+    reason = "a hash-based oracle checks the ordered code it was replaced by"
+)]
 fn find_cycle_hash(edges: &BTreeSet<(Asn, Asn)>, residue: &BTreeSet<Asn>) -> Vec<(Asn, Asn)> {
     let mut providers_of: HashMap<Asn, Asn> = HashMap::new();
     for &(p, c) in edges {

@@ -11,7 +11,6 @@
 //! plus the CAIDA-style AS-to-Organisation dataset used in §4.2 to identify
 //! sibling relationships.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod delegation;

@@ -2,8 +2,6 @@
 //! world. `experiments --help` prints the command line ([`USAGE`]); every
 //! argument is checked before the scenario runs.
 
-#![forbid(unsafe_code)]
-
 use breval_core::casestudy::run_case_study;
 use breval_core::pipeline::HeatmapMetric;
 use breval_core::report;
@@ -98,6 +96,11 @@ fn write_json<T: serde::Serialize>(out: &std::path::Path, name: &str, value: &T)
     breval_bench::write_result(out, &format!("{name}.json"), &json).expect("write json");
 }
 
+#[expect(
+    clippy::print_stdout,
+    clippy::print_stderr,
+    reason = "the binary prints its usage and report to stdout and its progress to stderr"
+)]
 fn main() {
     let args = match parse_args(std::env::args().skip(1)) {
         Ok(Some(args)) => args,

@@ -1,6 +1,5 @@
 //! Shared plumbing for the `experiments` binary.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use std::path::Path;

@@ -30,7 +30,6 @@
 //! [`Propagator::with_scope`] computes exact routes there and only there.
 //! [`Propagator::new`] computes every AS's route.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod collector;

@@ -284,28 +284,26 @@ impl PathAttribute {
         buf.copy_to_slice(&mut value);
         let attr = match tc {
             type_code::ORIGIN => {
-                if value.len() != 1 {
+                let [origin] = value[..] else {
                     return Err(WireError::BadAttribute {
                         type_code: tc,
                         reason: "ORIGIN must be 1 byte",
                     });
-                }
-                // breval-lint: allow(L009) -- value.len() == 1 validated above
-                PathAttribute::Origin(value[0])
+                };
+                PathAttribute::Origin(origin)
             }
             type_code::AS_PATH => PathAttribute::AsPath(decode_segments(&value, enc)?),
             type_code::AS4_PATH => {
                 PathAttribute::As4Path(decode_segments(&value, AsnEncoding::FourByte)?)
             }
             type_code::NEXT_HOP | type_code::MED | type_code::LOCAL_PREF => {
-                if value.len() != 4 {
+                let Ok(bytes) = <[u8; 4]>::try_from(value.as_slice()) else {
                     return Err(WireError::BadAttribute {
                         type_code: tc,
                         reason: "expected 4-byte value",
                     });
-                }
-                // breval-lint: allow(L009) -- value.len() == 4 validated above; indices 0..=3 are in bounds
-                let v = u32::from_be_bytes([value[0], value[1], value[2], value[3]]);
+                };
+                let v = u32::from_be_bytes(bytes);
                 match tc {
                     type_code::NEXT_HOP => PathAttribute::NextHop(v),
                     type_code::MED => PathAttribute::Med(v),

@@ -21,7 +21,6 @@
 //! All decoders are panic-free on arbitrary input (property-tested) and return
 //! structured [`WireError`]s.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod attrs;

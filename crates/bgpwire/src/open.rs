@@ -64,16 +64,13 @@ impl Capability {
             1 if value.len() == 4 => Ok(Capability::MultiprotocolIpv4Unicast),
             2 if value.is_empty() => Ok(Capability::RouteRefresh),
             65 => {
-                if value.len() != 4 {
+                let Ok(bytes) = <[u8; 4]>::try_from(value) else {
                     return Err(WireError::BadAttribute {
                         type_code: 65,
                         reason: "4-octet AS capability must be 4 bytes",
                     });
-                }
-                Ok(Capability::FourByteAsn(Asn(u32::from_be_bytes([
-                    // breval-lint: allow(L009) -- value.len() == 4 validated above; indices 0..=3 are in bounds
-                    value[0], value[1], value[2], value[3],
-                ]))))
+                };
+                Ok(Capability::FourByteAsn(Asn(u32::from_be_bytes(bytes))))
             }
             _ => Ok(Capability::Unknown {
                 code,
@@ -305,18 +302,16 @@ impl NotificationMessage {
     /// Decodes one NOTIFICATION from the front of `buf`.
     pub fn decode<B: Buf>(buf: &mut B) -> Result<Self, WireError> {
         let body = read_message(buf, MSG_TYPE_NOTIFICATION)?;
-        if body.len() < 2 {
+        let [code, subcode, ref data @ ..] = body[..] else {
             return Err(WireError::Truncated {
                 context: "NOTIFICATION body",
                 expected: 2 - body.len(),
             });
-        }
+        };
         Ok(NotificationMessage {
-            // breval-lint: allow(L009) -- body.len() >= 2 enforced by the Truncated early return above
-            code: body[0],
-            // breval-lint: allow(L009) -- body.len() >= 2 enforced by the Truncated early return above
-            subcode: body[1],
-            data: body[2..].to_vec(),
+            code,
+            subcode,
+            data: data.to_vec(),
         })
     }
 }

@@ -10,6 +10,10 @@ use bgpwire::{
 };
 use proptest::prelude::*;
 
+#[expect(
+    clippy::unwrap_used,
+    reason = "a strategy helper outside #[test]: every drawn length is at most 32"
+)]
 fn arb_prefix() -> impl Strategy<Value = Ipv4Prefix> {
     (any::<u32>(), 0u8..=32).prop_map(|(addr, len)| Ipv4Prefix::new(addr, len).unwrap())
 }

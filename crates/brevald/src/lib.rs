@@ -29,7 +29,6 @@
 //! the `brevald` binary wires it to stdin/stdout with warm start from the
 //! binary snapshot format and off-thread `reload`.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod engine;

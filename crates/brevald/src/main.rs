@@ -12,7 +12,10 @@
 //! path. Queries arrive on stdin, one per line; responses leave on stdout
 //! (see `brevald::server` for the grammar). Diagnostics go to stderr.
 
-#![forbid(unsafe_code)]
+#![expect(
+    clippy::print_stderr,
+    reason = "the server writes its diagnostics to stderr; stdout carries replies"
+)]
 
 use breval_core::pipeline::{Scenario, ScenarioConfig};
 use brevald::server::Server;

@@ -221,7 +221,7 @@ impl LinkClassifier {
             10 => "T1°",
             11 => "T1-TR",
             15 => "TR°",
-            // breval-lint: allow(L009) -- pair codes are built from the enum match above; other values impossible
+            // breval-lint: allow(L009) -- codes come from topo_pair_id, whose min * 4 + max over four classes yields only the ten codes above
             _ => unreachable!("invalid topo pair code {code}"),
         }
     }

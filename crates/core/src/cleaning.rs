@@ -151,31 +151,25 @@ pub fn clean(set: &ValidationSet, org: &As2Org, cfg: &CleaningConfig) -> CleanVa
             report.s2s_label_dropped += 1;
         }
         distinct.retain(|r| r.class() != RelClass::S2s);
-        let chosen = match distinct.len() {
-            0 => {
+        let chosen = match distinct[..] {
+            [] => {
                 report.s2s_only_dropped += 1;
                 None
             }
-            // breval-lint: allow(L009) -- the len() == 1 match arm guarantees one element
-            1 => Some(distinct[0]),
-            _ => {
+            [only] => Some(only),
+            [first, ..] => {
                 report.ambiguous_found += 1;
                 match cfg.ambiguous {
                     AmbiguousPolicy::Ignore => {
                         report.ambiguous_dropped += 1;
                         None
                     }
-                    AmbiguousPolicy::P2pIfFirstP2p => {
-                        // breval-lint: allow(L009) -- the wildcard arm runs only when distinct.len() >= 2
-                        Some(if distinct[0].class() == RelClass::P2p {
-                            Rel::P2p
-                        } else {
-                            // breval-lint: allow(L009) -- the wildcard arm runs only when distinct.len() >= 2
-                            first_p2c(&distinct).unwrap_or(distinct[0])
-                        })
-                    }
-                    // breval-lint: allow(L009) -- the wildcard arm runs only when distinct.len() >= 2
-                    AmbiguousPolicy::AlwaysP2c => Some(first_p2c(&distinct).unwrap_or(distinct[0])),
+                    AmbiguousPolicy::P2pIfFirstP2p => Some(if first.class() == RelClass::P2p {
+                        Rel::P2p
+                    } else {
+                        first_p2c(&distinct).unwrap_or(first)
+                    }),
+                    AmbiguousPolicy::AlwaysP2c => Some(first_p2c(&distinct).unwrap_or(first)),
                 }
             }
         };

@@ -30,7 +30,6 @@
 //! * [`pipeline`] — one-call scenario driver wiring all substrate crates.
 //! * [`report`] — text/CSV renderers for every table and figure.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod casestudy;

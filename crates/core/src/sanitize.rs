@@ -471,8 +471,8 @@ pub fn sanitize_scenario(scenario: &Scenario) -> SanitizeReport {
 /// release builds, so production throughput is unaffected.
 pub fn debug_assert_clean(stage: &str, violations: &[Violation]) {
     if cfg!(debug_assertions) && !violations.is_empty() {
-        // breval-lint: allow(L009) -- debug-build sanitizer abort by design; compiled out in release
         let list: Vec<String> = violations.iter().map(ToString::to_string).collect();
+        // breval-lint: allow(L009) -- debug-build sanitizer abort by design; compiled out in release
         panic!(
             "sanitize failed at stage `{stage}` with {} violation(s):\n{}",
             violations.len(),

@@ -6,14 +6,23 @@ use asgraph::{AsPath, Asn, Link, PathSet, PathStats, Rel, RelClass};
 use breval_core::cleaning::{clean, AmbiguousPolicy, CleaningConfig};
 use breval_core::hardlinks::{classify_hard_links, HardLinkConfig, HardLinkFlags};
 use breval_core::heatmap::{Heatmap, HeatmapConfig};
-use breval_core::metrics::{confusion, ConfusionMatrix, ScoredLink};
+use breval_core::metrics::{confusion, ConfusionMatrix, EvalTable, ScoredLink};
 use proptest::prelude::*;
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet};
+#[expect(
+    clippy::disallowed_types,
+    reason = "a hash-based oracle checks the ordered code it was replaced by"
+)]
+use std::collections::{HashMap, HashSet};
 use valdata::{LabelSource, ValidationSet};
 
 /// Reference hard links: `classify_hard_links` as it ran before it moved
 /// to the statistics' dense ids, with the VPs re-collected from the paths
 /// and clique-pair sightings and down votes in hash containers.
+#[expect(
+    clippy::disallowed_types,
+    reason = "a hash-based oracle checks the ordered code it was replaced by"
+)]
 fn classify_hard_links_hash(
     paths: &PathSet,
     stats: &PathStats,
@@ -102,6 +111,10 @@ fn arb_rel() -> impl Strategy<Value = Rel> {
     ]
 }
 
+#[expect(
+    clippy::unwrap_used,
+    reason = "a strategy helper outside #[test]: the drawn endpoints are distinct by construction"
+)]
 fn arb_scored(n: usize) -> impl Strategy<Value = Vec<ScoredLink>> {
     prop::collection::vec(
         (
@@ -168,6 +181,72 @@ proptest! {
         }
         if m.tp > 0 && m.tn > 0 {
             prop_assert!((m.mcc() - 1.0).abs() < 1e-12);
+        }
+    }
+
+    /// Flipping the inferred label of k distinct links (P2P to P2C and back)
+    /// moves exactly k counts in each confusion matrix: a validated-positive
+    /// link moves between tp and fn, a validated-negative one between fp
+    /// and tn, and the total stays.
+    #[test]
+    fn label_flips_move_exactly_k_counts(
+        scored in arb_scored(60),
+        picks in prop::collection::btree_set(0usize..60, 0..20),
+    ) {
+        let flip: BTreeSet<usize> = picks.into_iter().filter(|&i| i < scored.len()).collect();
+        let flipped: Vec<ScoredLink> = scored
+            .iter()
+            .enumerate()
+            .map(|(i, s)| {
+                let inferred = match s.inferred {
+                    _ if !flip.contains(&i) => s.inferred,
+                    Rel::P2p => Rel::P2c { provider: s.link.a() },
+                    _ => Rel::P2p,
+                };
+                ScoredLink { inferred, ..*s }
+            })
+            .collect();
+        for positive in [RelClass::P2p, RelClass::P2c] {
+            // (validated positive, inferred positive) → flipped links there.
+            let mut moved: BTreeMap<(bool, bool), usize> = BTreeMap::new();
+            for s in flip.iter().map(|&i| scored[i]) {
+                let cell = (s.validation.class() == positive, s.inferred.class() == positive);
+                *moved.entry(cell).or_default() += 1;
+            }
+            let n = |val: bool, inf: bool| moved.get(&(val, inf)).copied().unwrap_or(0);
+            prop_assert_eq!(moved.values().sum::<usize>(), flip.len());
+            let (before, after) = (confusion(&scored, positive), confusion(&flipped, positive));
+            prop_assert_eq!(after.tp + n(true, true), before.tp + n(true, false));
+            prop_assert_eq!(after.fn_ + n(true, false), before.fn_ + n(true, true));
+            prop_assert_eq!(after.fp + n(false, true), before.fp + n(false, false));
+            prop_assert_eq!(after.tn + n(false, false), before.tn + n(false, true));
+            prop_assert_eq!(after.total(), before.total());
+        }
+    }
+
+    /// `EvalTable::build(.., m)` keeps exactly the rows of `build(.., 0)`
+    /// whose class has at least m links, each unchanged, and the same total.
+    #[test]
+    fn min_class_links_keeps_exactly_the_large_classes(scored in arb_scored(60)) {
+        let class_of = |l: Link| Some((l.a().0 % 5).to_string());
+        let mut sizes: BTreeMap<String, usize> = BTreeMap::new();
+        for class in scored.iter().filter_map(|s| class_of(s.link)) {
+            *sizes.entry(class).or_default() += 1;
+        }
+        let rows = |table: &EvalTable, min: usize| -> Vec<String> {
+            table
+                .rows
+                .iter()
+                .filter(|(class, _)| sizes.get(*class).copied().unwrap_or(0) >= min)
+                .map(|(class, row)| format!("{class}: {row:?}"))
+                .collect()
+        };
+        let full = EvalTable::build("c", &scored, class_of, 0);
+        prop_assert!(full.rows.keys().eq(sizes.keys()), "every class gets a row at m = 0");
+        for m in 0..=scored.len() + 1 {
+            let table = EvalTable::build("c", &scored, class_of, m);
+            prop_assert_eq!(rows(&table, 0), rows(&full, m), "min_class_links {}", m);
+            prop_assert_eq!(format!("{:?}", table.total), format!("{:?}", full.total));
         }
     }
 

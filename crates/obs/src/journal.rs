@@ -14,10 +14,11 @@
 //! `Vec::push`. No event is ever written when the journal is off, so the
 //! aggregate-only configuration keeps its old cost.
 //!
-//! Timestamps exist only inside this crate (lint L004): other crates read
-//! time through [`clock_ns`], which returns nanoseconds since the process
-//! epoch and a constant `0` when observability is off — callers therefore
-//! cannot observe wall-clock without opting into observability.
+//! Timestamps exist only inside this crate (clippy `disallowed_types`,
+//! rule L004): other crates read time through [`clock_ns`], which returns
+//! nanoseconds since the process epoch and a constant `0` when
+//! observability is off — callers therefore cannot observe wall-clock
+//! without opting into observability.
 //!
 //! # Drain model
 //!
@@ -31,6 +32,10 @@
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, OnceLock};
+#[expect(
+    clippy::disallowed_types,
+    reason = "breval-obs owns the workspace's only clock"
+)]
 use std::time::Instant;
 
 use parking_lot::Mutex;
@@ -75,6 +80,10 @@ pub fn set_journal_enabled(on: bool) {
 }
 
 /// The process time origin for all journal timestamps.
+#[expect(
+    clippy::disallowed_types,
+    reason = "breval-obs owns the workspace's only clock"
+)]
 fn epoch() -> Instant {
     static EPOCH: OnceLock<Instant> = OnceLock::new();
     *EPOCH.get_or_init(Instant::now)
@@ -83,9 +92,10 @@ fn epoch() -> Instant {
 /// Nanoseconds since the process epoch, or `0` when observability is off.
 ///
 /// This is the one sanctioned monotonic-clock reader for crates outside
-/// `crates/obs` (lint L004 bans `std::time` elsewhere): `breval-par` times
-/// `parallel_map` items through it. The zero-when-disabled contract means
-/// no code path can smuggle timing into outputs without `BREVAL_OBS` set.
+/// `crates/obs` (clippy disallows `std::time` elsewhere, rule L004):
+/// `breval-par` times `parallel_map` items through it. The
+/// zero-when-disabled contract means no code path can smuggle timing into
+/// outputs without `BREVAL_OBS` set.
 #[must_use]
 pub fn clock_ns() -> u64 {
     if !enabled() {

@@ -51,8 +51,6 @@
 //! their boundaries whenever observability is on, so per-stage allocation
 //! attribution works with or without the journal.
 
-#![forbid(unsafe_code)]
-
 pub mod journal;
 pub mod labels;
 
@@ -64,6 +62,10 @@ pub use labels::{LabelRegistry, REGISTRY_TEXT};
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU8, Ordering};
+#[expect(
+    clippy::disallowed_types,
+    reason = "breval-obs owns the workspace's only clock"
+)]
 use std::time::Instant;
 
 use parking_lot::Mutex;
@@ -243,6 +245,10 @@ pub fn bucket_upper(i: usize) -> u64 {
 
 /// Live state of an open span: its path, start time, and the calling
 /// thread's absolute allocation counters at entry.
+#[expect(
+    clippy::disallowed_types,
+    reason = "breval-obs owns the workspace's only clock"
+)]
 struct SpanActive {
     path: String,
     start: Instant,
@@ -251,6 +257,10 @@ struct SpanActive {
 }
 
 impl SpanActive {
+    #[expect(
+        clippy::disallowed_types,
+        reason = "breval-obs owns the workspace's only clock"
+    )]
     fn open(path: String) -> Self {
         let allocs0 = counting_alloc::thread_allocation_count();
         let bytes0 = counting_alloc::thread_allocated_bytes();
@@ -428,7 +438,8 @@ pub fn adopt_context(parent: Option<&str>) -> ContextGuard {
 /// Total wall time recorded so far for the span path `path`, in
 /// milliseconds (0 if the path was never recorded). Reading a delta of this
 /// around a pipeline phase is the sanctioned way for binaries to report
-/// wall-clock without touching `std::time` directly (lint L004).
+/// wall-clock without touching `std::time` directly (clippy
+/// `disallowed_types`, rule L004).
 #[must_use]
 pub fn span_wall_ms(path: &str) -> f64 {
     REGISTRY
@@ -713,6 +724,11 @@ impl RunManifest {
 /// enabled, captures a manifest, writes it to `results/run_manifest.json`
 /// (relative to the working directory), and prints the stage table to
 /// stderr. No-op when observability is off.
+#[expect(
+    clippy::print_stderr,
+    reason = "opt-in diagnostics sink (BREVAL_OBS=1): stderr keeps stdout machine-readable, \
+              and a failed manifest write must warn, not kill an experiment run"
+)]
 pub fn write_run_manifest(label: &str, seed: u64) {
     if !enabled() {
         return;
@@ -721,12 +737,9 @@ pub fn write_run_manifest(label: &str, seed: u64) {
     let path = std::path::Path::new("results").join("run_manifest.json");
     match manifest.write_json(&path) {
         Ok(()) => {
-            // breval-lint: allow(L005) -- opt-in diagnostics sink (BREVAL_OBS=1); stderr keeps stdout machine-readable
             eprintln!("{}", manifest.render_table());
-            // breval-lint: allow(L005) -- opt-in diagnostics sink (BREVAL_OBS=1); stderr keeps stdout machine-readable
             eprintln!("run manifest written to {}", path.display());
         }
-        // breval-lint: allow(L005) -- best-effort warning; manifest write failure must not kill an experiment run
         Err(e) => eprintln!("obs: failed to write {}: {e}", path.display()),
     }
 }

@@ -69,9 +69,7 @@
 //! park/unpark deltas. All of it is behind the `BREVAL_OBS` switch; a
 //! disabled run takes the exact pre-instrumentation path. Timing uses
 //! `breval_obs::clock_ns` — the sanctioned clock reader — so this crate
-//! still contains no `std::time` (lint L004).
-
-#![forbid(unsafe_code)]
+//! still contains no `std::time` (clippy `disallowed_types`, rule L004).
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -431,8 +429,8 @@ where
         // the stage that ran this parallel call.
         let (parks1, unparks1, _) = scoped_threadpool::pool_health();
         breval_obs::counter("pool_items_total", n as u64);
-        // breval-lint: allow(L009) -- workers >= 2 past the inline early return, so bucket 0 exists
-        breval_obs::counter("pool_items_caller", lock(&buckets[0]).len() as u64);
+        let caller_items = buckets.first().map_or(0, |b| lock(b).len());
+        breval_obs::counter("pool_items_caller", caller_items as u64);
         breval_obs::counter("pool_jobs_submitted", (workers - 1) as u64);
         breval_obs::counter(
             "pool_steal_attempts",

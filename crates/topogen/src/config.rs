@@ -25,7 +25,9 @@ pub struct TopologyConfig {
     pub seed: u64,
 
     // ---- population sizes -------------------------------------------------
-    /// Number of Tier-1 (clique) ASes. The first 12 use well-known ASNs.
+    /// Number of Tier-1 (clique) ASes, at least 1: the first plays the
+    /// Cogent-like carrier of the §6.1 case study. The first 12 use
+    /// well-known ASNs.
     pub n_tier1: usize,
     /// Number of transit ASes below the clique.
     pub n_transit: usize,

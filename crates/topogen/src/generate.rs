@@ -232,13 +232,8 @@ impl<'c> Builder<'c> {
     /// post-pass once customer counts are known: community documentation is
     /// a big-carrier habit.
     fn publish_probability(&self, region: RirRegion, tier: TierClass, customers: usize) -> f64 {
-        if tier == TierClass::Tier1 {
-            return self.cfg.publish_prob_tier1.clamp(0.0, 1.0);
-        }
-        let base = per_region(&self.cfg.publish_prob_region, region);
         let mult = match tier {
-            // breval-lint: allow(L009) -- Tier1 is early-returned above; exhaustive-match invariant
-            TierClass::Tier1 => unreachable!("handled above"),
+            TierClass::Tier1 => return self.cfg.publish_prob_tier1.clamp(0.0, 1.0),
             TierClass::Transit => {
                 if customers >= self.cfg.publish_large_customer_threshold {
                     self.cfg.publish_mult_large_transit
@@ -249,7 +244,7 @@ impl<'c> Builder<'c> {
             TierClass::Stub => self.cfg.publish_mult_stub,
             TierClass::Hypergiant => self.cfg.publish_mult_hypergiant,
         };
-        (base * mult).clamp(0.0, 1.0)
+        (per_region(&self.cfg.publish_prob_region, region) * mult).clamp(0.0, 1.0)
     }
 
     /// Creates an AS. `fixed_asn` pins a well-known number; otherwise the
@@ -412,8 +407,10 @@ impl<'c> Builder<'c> {
             };
             self.tier1.push(asn);
         }
-        // breval-lint: allow(L009) -- the Tier-1 seeding loop requires n_tier1 >= 1 by config contract
-        self.cogent = self.tier1[0];
+        self.cogent = *self
+            .tier1
+            .first()
+            .expect("TopologyConfig::n_tier1 is at least 1");
         let clique = self.tier1.clone();
         self.emit_clique(&clique);
     }
@@ -780,8 +777,10 @@ impl<'c> Builder<'c> {
                 break;
             }
             // Merge organisations: everyone takes the first member's org.
-            // breval-lint: allow(L009) -- group.len() >= 2 enforced by the break above
-            let org = self.ases.get(&group[0]).map(|i| i.org.clone());
+            let org = group
+                .first()
+                .and_then(|asn| self.ases.get(asn))
+                .map(|i| i.org.clone());
             if let Some(org) = org {
                 for asn in &group[1..] {
                     if let Some(info) = self.ases.get_mut(asn) {

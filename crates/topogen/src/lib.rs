@@ -21,7 +21,6 @@
 //! The output [`Topology`] also emits registry artefacts (IANA table, RIR
 //! delegation files, AS2Org) in their real text formats via `asregistry`.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod alloc;

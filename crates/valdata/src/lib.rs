@@ -23,7 +23,6 @@
 //! * sibling-link labels (dropped later via AS2Org, not here),
 //! * occasional stale/wrong dictionary interpretations.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod compile;

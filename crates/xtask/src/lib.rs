@@ -3,12 +3,16 @@
 //! A zero-dependency maintenance crate, run as
 //! `cargo run -p xtask -- <lint|deepcheck|sanitize|obsreport>`:
 //!
-//! * **token lints** ([`lexer`], [`rules`], [`lint`]) — a token-level Rust
-//!   scanner enforcing the project rules L001–L008 (panic discipline,
-//!   `#![forbid(unsafe_code)]`, registered observability labels, clock
-//!   usage, print discipline, workspace-mediated dependencies, pinned CI
-//!   actions, no hash containers outside tests), with an auditable waiver
-//!   pragma: `// breval-lint: allow(L001) -- <reason, mandatory>`;
+//! * **project lints** ([`tokens`], [`rules`], [`lint`]) — the rules no
+//!   compiler lint covers, over the token stream and the manifests:
+//!   invariant-naming `.expect()` messages (L001), manifests that inherit
+//!   the workspace lint table (L002), registered observability labels
+//!   (L003), workspace-mediated dependencies (L006) and pinned CI actions
+//!   (L007), with an auditable waiver pragma:
+//!   `// breval-lint: allow(L001) -- <reason, mandatory>` (L000). The
+//!   workspace lint table in the root `Cargo.toml` and `clippy.toml` leave
+//!   `unsafe`, `.unwrap()`, library printing, hash containers and the wall
+//!   clock to rustc and clippy;
 //! * **flow rules** ([`ast`], [`resolve`], [`callgraph`], [`rules_flow`]) —
 //!   `deepcheck` parses items, resolves symbols workspace-wide, builds a
 //!   cross-crate call graph, and enforces L009–L011 (entry-reachable panic
@@ -21,13 +25,11 @@
 //! * **observability reporting** ([`obsreport`]) — a self-time-sorted flame
 //!   summary and pool-utilisation table rendered from a run manifest.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod ast;
 pub mod callgraph;
 pub mod json;
-pub mod lexer;
 pub mod lint;
 pub mod obsreport;
 pub mod report;

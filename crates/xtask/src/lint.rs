@@ -1,8 +1,8 @@
 //! Workspace walker: applies the rules in [`crate::rules`] to every Rust
 //! source, crate manifest, and CI workflow definition in the repository.
 
-use crate::lexer;
 use crate::rules::{self, FileContext, FileKind, Violation};
+use crate::tokens;
 use breval_obs::LabelRegistry;
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -41,8 +41,8 @@ pub fn workspace_sources(root: &Path) -> Vec<PathBuf> {
     out
 }
 
-/// All crate manifests checked by L006: `crates/*/Cargo.toml` plus the root
-/// package manifest.
+/// All crate manifests checked by L002 and L006: `crates/*/Cargo.toml` plus
+/// the root package manifest.
 #[must_use]
 pub fn workspace_manifests(root: &Path) -> Vec<PathBuf> {
     let mut out = vec![root.join("Cargo.toml")];
@@ -63,17 +63,17 @@ pub fn workspace_workflows(root: &Path) -> Vec<PathBuf> {
     out
 }
 
-/// `true` if `path` is the root file of a crate target (lib, main, or a
-/// `src/bin/` binary) and must therefore carry `#![forbid(unsafe_code)]`.
-fn is_crate_root(rel: &Path) -> bool {
-    let p = rel.to_string_lossy().replace('\\', "/");
-    p.ends_with("src/lib.rs") || p.ends_with("src/main.rs") || p.contains("/src/bin/")
+/// The manifest rules: the workspace lint table (L002) and workspace-mediated
+/// dependencies (L006).
+fn check_manifest(rel: &Path, content: &str) -> Vec<Violation> {
+    let mut out = rules::check_l002(rel, content);
+    out.extend(rules::check_l006(rel, content));
+    out
 }
 
 /// Lints one source file (already read) against all source-level rules.
 #[must_use]
 pub fn lint_source(rel: &Path, content: &str, registry: &LabelRegistry) -> Vec<Violation> {
-    let scanned = lexer::scan(content);
     let ctx = FileContext {
         path: rel,
         kind: FileKind::classify(rel),
@@ -83,11 +83,7 @@ pub fn lint_source(rel: &Path, content: &str, registry: &LabelRegistry) -> Vec<V
             .contains("crates/obs/"),
         registry,
     };
-    let mut out = rules::check_source(&ctx, &scanned);
-    if is_crate_root(rel) {
-        out.extend(rules::check_l002(rel, &scanned));
-    }
-    out
+    rules::check_source(&ctx, &tokens::scan(content))
 }
 
 /// Lints the whole workspace rooted at `root`; returns all violations sorted
@@ -99,8 +95,7 @@ pub fn lint_workspace(root: &Path) -> std::io::Result<Vec<Violation>> {
     for path in workspace_sources(root) {
         let rel = path.strip_prefix(root).unwrap_or(&path).to_path_buf();
         let content = fs::read_to_string(&path)?;
-        let scanned = lexer::scan(&content);
-        rules::collect_emitted_labels(&scanned, &mut emitted);
+        rules::collect_emitted_labels(&tokens::scan(&content), &mut emitted);
         out.extend(lint_source(&rel, &content, &registry));
     }
     // Stale direction of L003: every exact registry entry must have a live
@@ -117,7 +112,7 @@ pub fn lint_workspace(root: &Path) -> std::io::Result<Vec<Violation>> {
     for path in workspace_manifests(root) {
         let rel = path.strip_prefix(root).unwrap_or(&path).to_path_buf();
         let content = fs::read_to_string(&path)?;
-        out.extend(rules::check_l006(&rel, &content));
+        out.extend(check_manifest(&rel, &content));
     }
     for path in workspace_workflows(root) {
         let rel = path.strip_prefix(root).unwrap_or(&path).to_path_buf();
@@ -151,38 +146,10 @@ pub fn lint_paths(root: &Path, paths: &[PathBuf]) -> std::io::Result<Vec<Violati
         }
         let content = fs::read_to_string(&abs)?;
         match abs.extension().and_then(|e| e.to_str()) {
-            Some("toml") => out.extend(rules::check_l006(&rel, &content)),
+            Some("toml") => out.extend(check_manifest(&rel, &content)),
             Some("yml" | "yaml") => out.extend(rules::check_l007(&rel, &content)),
             _ => out.extend(lint_source(&rel, &content, &registry)),
         }
     }
     Ok(out)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn crate_root_detection() {
-        assert!(is_crate_root(Path::new("crates/core/src/lib.rs")));
-        assert!(is_crate_root(Path::new("src/lib.rs")));
-        assert!(is_crate_root(Path::new(
-            "crates/bench/src/bin/experiments.rs"
-        )));
-        assert!(!is_crate_root(Path::new("crates/core/src/classes.rs")));
-    }
-
-    #[test]
-    fn lint_source_applies_l002_only_to_roots() {
-        let reg = LabelRegistry::default();
-        let v = lint_source(Path::new("crates/foo/src/lib.rs"), "pub fn f() {}\n", &reg);
-        assert!(v.iter().any(|x| x.rule == "L002"));
-        let v = lint_source(
-            Path::new("crates/foo/src/other.rs"),
-            "pub fn f() {}\n",
-            &reg,
-        );
-        assert!(v.iter().all(|x| x.rule != "L002"));
-    }
 }

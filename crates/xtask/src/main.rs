@@ -1,9 +1,10 @@
 //! Command-line driver:
 //! `cargo run -p xtask -- <lint|deepcheck|sanitize|obsreport>`.
 //!
-//! * `lint [--format json] [files…]` — run the L001–L008 project lints over
-//!   the whole workspace (default) or an explicit file list; exit 1 on any
-//!   violation.
+//! * `lint [--format json] [files…]` — run the project lints no compiler
+//!   lint covers (L000–L003, L006, L007; see `xtask::rules`) over the whole
+//!   workspace (default) or an explicit file list; exit 1 on any violation.
+//!   rustc and clippy enforce the rest from the workspace lint table.
 //! * `deepcheck [--format json]` — run the flow-aware L009–L011 rules over
 //!   the workspace call graph (see `xtask::rules_flow`); exit 1 on any
 //!   violation.
@@ -15,7 +16,11 @@
 //!   `results/run_manifest.json` under the workspace root) as a
 //!   self-time-sorted flame summary plus a pool-utilisation table.
 
-#![forbid(unsafe_code)]
+#![expect(
+    clippy::print_stdout,
+    clippy::print_stderr,
+    reason = "the binary prints its reports to stdout and its errors to stderr"
+)]
 
 use breval_core::pipeline::{Scenario, ScenarioConfig};
 use breval_obs::LabelRegistry;

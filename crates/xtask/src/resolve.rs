@@ -284,7 +284,10 @@ impl Workspace {
         Ok(())
     }
 
-    #[allow(clippy::too_many_arguments)]
+    #[allow(
+        clippy::too_many_arguments,
+        reason = "the crawl state of one recursive walk, threaded through unchanged"
+    )]
     fn collect_fns(
         &mut self,
         items: &[Item],
@@ -367,7 +370,10 @@ impl Workspace {
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
+    #[allow(
+        clippy::too_many_arguments,
+        reason = "the crawl state of one recursive walk, threaded through unchanged"
+    )]
     fn push_fn(
         &mut self,
         f: &FnDecl,

@@ -19,17 +19,14 @@
 //!
 //! All three respect the standard waiver pragma
 //! (`// breval-lint: allow(L0xx) -- reason`), resolved through
-//! [`crate::lexer::scan`] exactly like the token-level rules. The
-//! determinism rule L008 needs no call graph: it is a token rule in
-//! [`crate::rules`].
+//! [`crate::tokens::scan`] exactly like the token-level rules.
 
 use std::collections::BTreeMap;
 
 use crate::callgraph::{extract_calls, CallGraph};
-use crate::lexer;
 use crate::resolve::Workspace;
 use crate::rules::Violation;
-use crate::tokens::{Tok, TokKind};
+use crate::tokens::{self, Scanned, Tok, TokKind};
 
 /// Registry roles parsed from `deepcheck.txt`.
 #[derive(Debug, Default)]
@@ -529,7 +526,10 @@ fn closures_in(src: &str, toks: &[Tok], start: usize, end: usize) -> Vec<(usize,
     out
 }
 
-#[allow(clippy::too_many_arguments)] // internal plumbing for one call site
+#[allow(
+    clippy::too_many_arguments,
+    reason = "internal plumbing for one call site"
+)]
 fn check_closure(
     ws: &Workspace,
     graph: &CallGraph,
@@ -648,10 +648,12 @@ fn is_lock_recv(src: &str, toks: &[Tok], dot: usize) -> bool {
 /// Drops violations suppressed by `breval-lint: allow(...)` pragmas in
 /// their file. Registry-file findings are never waivable.
 fn apply_waivers(ws: &Workspace, violations: Vec<Violation>) -> Vec<Violation> {
-    let mut scanned: BTreeMap<String, lexer::ScannedFile> = BTreeMap::new();
+    let mut scanned: BTreeMap<String, Scanned> = BTreeMap::new();
     for file in &ws.files {
         let rel = file.rel.to_string_lossy().replace('\\', "/");
-        scanned.entry(rel).or_insert_with(|| lexer::scan(&file.src));
+        scanned
+            .entry(rel)
+            .or_insert_with(|| tokens::scan(&file.src));
     }
     violations
         .into_iter()
@@ -659,7 +661,7 @@ fn apply_waivers(ws: &Workspace, violations: Vec<Violation>) -> Vec<Violation> {
             let Some(sf) = scanned.get(&v.file) else {
                 return true;
             };
-            !sf.waived(v.line.saturating_sub(1), v.rule)
+            !u32::try_from(v.line).is_ok_and(|line| sf.waived(line, v.rule))
         })
         .collect()
 }

@@ -1,18 +1,23 @@
-//! Full-fidelity Rust token stream with byte spans.
+//! Full-fidelity Rust token stream with byte spans, and the per-file view
+//! the project rules read from it.
 //!
-//! The per-line scanner in [`crate::lexer`] is what the token-level rules
-//! (L001–L007) want: blanked code, per-line. The semantic layer
-//! ([`crate::ast`], [`crate::callgraph`]) instead needs a *flat token
-//! stream* over the whole file, where every token knows its exact byte span
-//! in the original source — that is what makes nested block comments, raw
-//! strings with `##` repetition, and multi-line literals load-bearing
-//! rather than approximated: the AST parser never guesses where a literal
-//! ends, it asks the token.
+//! Both analysis layers lex with [`tokenize`]. The token rules
+//! ([`crate::rules`]) read a [`Scanned`] file: its significant tokens,
+//! which of them sit in `#[cfg(test)]` items, and the waiver pragmas in its
+//! line comments. The semantic layer ([`crate::ast`], [`crate::callgraph`])
+//! parses items from the same stream, and `deepcheck` resolves its waivers
+//! through [`scan`] too. Every token knows its exact byte span in the
+//! original source, which is what makes nested block comments, raw strings
+//! with `##` repetition, and multi-line literals load-bearing rather than
+//! approximated: a rule never guesses where a literal ends, it asks the
+//! token.
 //!
 //! Invariant (proptested over every workspace source file): tokens are
 //! strictly ordered, non-overlapping, and the bytes *between* consecutive
 //! tokens are pure whitespace — so re-emitting `src[tok.start..tok.end]`
 //! plus the original gaps reproduces the file byte-identically.
+
+use std::collections::BTreeSet;
 
 /// What kind of lexeme a token is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -360,7 +365,11 @@ fn scan_quoted(chars: &[(usize, char)], open: usize, quote: char) -> (usize, u32
     let mut newlines = 0u32;
     while j < n {
         match at(j) {
-            Some('\\') => j += 2,
+            Some('\\') => {
+                // A `\` line continuation still ends a source line.
+                newlines += u32::from(at(j + 1) == Some('\n'));
+                j += 2;
+            }
             Some('\n') => {
                 newlines += 1;
                 j += 1;
@@ -370,6 +379,169 @@ fn scan_quoted(chars: &[(usize, char)], open: usize, quote: char) -> (usize, u32
         }
     }
     (n, newlines)
+}
+
+/// One source file as the token rules read it: the significant
+/// (comment-free) tokens, which of them sit in test-only code, and the
+/// waiver pragmas `// breval-lint: allow(L001,L003) -- <reason>` found in
+/// its line comments.
+#[derive(Debug)]
+pub struct Scanned<'a> {
+    /// The source the tokens index into.
+    pub src: &'a str,
+    /// Significant tokens, in source order.
+    pub toks: Vec<Tok>,
+    /// `in_test[k]`: `toks[k]` lies in an item under `#[cfg(test)]`.
+    pub in_test: Vec<bool>,
+    /// `(line, error)` for each `breval-lint:` pragma that does not parse.
+    pub malformed: Vec<(u32, String)>,
+    /// `(line, rule)` for each rule a pragma waives on that 1-based line.
+    waived: BTreeSet<(u32, String)>,
+}
+
+impl<'a> Scanned<'a> {
+    /// `true` if a pragma waives `rule` on the 1-based `line`.
+    #[must_use]
+    pub fn waived(&self, line: u32, rule: &str) -> bool {
+        self.waived.contains(&(line, rule.to_owned()))
+    }
+
+    /// The text of `toks[k]`, or `""` past the end.
+    #[must_use]
+    pub fn text(&self, k: usize) -> &'a str {
+        self.toks.get(k).map_or("", |t| t.text(self.src))
+    }
+
+    /// The body of the string literal at `toks[k]` (quotes, `b`/`r`
+    /// prefix and raw `#`s removed); `None` if `toks[k]` is not one.
+    #[must_use]
+    pub fn str_at(&self, k: usize) -> Option<&'a str> {
+        let tok = self.toks.get(k).filter(|t| t.kind == TokKind::Str)?;
+        let quoted = tok
+            .text(self.src)
+            .trim_start_matches(['b', 'r'])
+            .trim_matches('#');
+        let body = quoted.strip_prefix('"')?;
+        Some(body.strip_suffix('"').unwrap_or(body))
+    }
+}
+
+/// Lexes `src` once and derives what the token rules read: test-only
+/// regions and waiver pragmas. A pragma waives its own line when code
+/// shares it, and otherwise the next line that has code.
+#[must_use]
+pub fn scan(src: &str) -> Scanned<'_> {
+    let (comments, toks): (Vec<Tok>, Vec<Tok>) = tokenize(src)
+        .into_iter()
+        .partition(|t| t.kind == TokKind::Comment);
+    let code_lines: BTreeSet<u32> = toks.iter().map(|t| t.line).collect();
+    let mut waived = BTreeSet::new();
+    let mut malformed = Vec::new();
+    for comment in &comments {
+        let Some(tail) = pragma_tail(comment.text(src)) else {
+            continue;
+        };
+        match parse_pragma(tail) {
+            Ok(rules) => {
+                if let Some(&line) = code_lines.range(comment.line..).next() {
+                    waived.extend(rules.into_iter().map(|r| (line, r)));
+                }
+            }
+            Err(e) => malformed.push((comment.line, e)),
+        }
+    }
+    let in_test = test_regions(src, &toks);
+    Scanned {
+        src,
+        toks,
+        in_test,
+        malformed,
+        waived,
+    }
+}
+
+/// Marks the tokens of each item under `#[cfg(test)]`: from the attribute
+/// through the brace that closes the item's body, or through its `;` when
+/// it has none (a `use`, a tuple struct).
+fn test_regions(src: &str, toks: &[Tok]) -> Vec<bool> {
+    const CFG_TEST: [&str; 7] = ["#", "[", "cfg", "(", "test", ")", "]"];
+    let mut in_test = vec![false; toks.len()];
+    let mut k = 0;
+    while k < toks.len() {
+        let is_attr = toks.len() - k >= CFG_TEST.len()
+            && CFG_TEST
+                .iter()
+                .zip(&toks[k..])
+                .all(|(want, t)| t.text(src) == *want);
+        if !is_attr {
+            k += 1;
+            continue;
+        }
+        let mut end = toks.len();
+        let mut depth = 0i32;
+        for (j, t) in toks.iter().enumerate().skip(k + CFG_TEST.len()) {
+            match t.text(src) {
+                "(" | "[" | "{" => depth += 1,
+                ")" | "]" => depth -= 1,
+                "}" => {
+                    depth -= 1;
+                    if depth <= 0 {
+                        end = j + 1;
+                        break;
+                    }
+                }
+                ";" if depth == 0 => {
+                    end = j + 1;
+                    break;
+                }
+                _ => {}
+            }
+        }
+        in_test[k..end].fill(true);
+        k = end;
+    }
+    in_test
+}
+
+/// The text after `breval-lint:` when a line comment is a pragma. The
+/// marker must open the comment, so prose that merely mentions the syntax
+/// is never one; doc comments (`///`, `//!`) are documentation.
+fn pragma_tail(comment: &str) -> Option<&str> {
+    let body = comment.strip_prefix("//")?;
+    if body.starts_with(['/', '!']) {
+        return None;
+    }
+    body.trim_start().strip_prefix("breval-lint:")
+}
+
+/// Parses a pragma tail, `allow(L001,L003) -- reason text`, into the rule
+/// ids it waives. The reason is mandatory.
+fn parse_pragma(tail: &str) -> Result<Vec<String>, String> {
+    let tail = tail.trim();
+    let Some(rest) = tail.strip_prefix("allow(") else {
+        return Err(format!("expected `allow(<rules>)`, got `{tail}`"));
+    };
+    let Some((list, after)) = rest.split_once(')') else {
+        return Err("unclosed `allow(` in pragma".to_owned());
+    };
+    let rules: Vec<String> = list
+        .split(',')
+        .map(|r| r.trim().to_owned())
+        .filter(|r| !r.is_empty())
+        .collect();
+    let is_rule_id = |r: &String| {
+        r.len() == 4 && r.starts_with('L') && r[1..].chars().all(|c| c.is_ascii_digit())
+    };
+    if rules.is_empty() || !rules.iter().all(is_rule_id) {
+        return Err(format!("bad rule list `{list}`"));
+    }
+    let Some(reason) = after.trim().strip_prefix("--") else {
+        return Err("waiver is missing a `-- <reason>` justification".to_owned());
+    };
+    if reason.trim().len() < 10 {
+        return Err("waiver reason must be a real justification (≥ 10 chars)".to_owned());
+    }
+    Ok(rules)
 }
 
 /// Checks the re-emission invariant: tokens ordered, non-overlapping, and
@@ -449,10 +621,11 @@ mod tests {
 
     #[test]
     fn ident_ending_in_r_is_not_a_raw_string() {
-        let src = "let x = var \"s\"; let y = r\"real raw\";";
+        let src = "let x = var \"s\"; let y = r\"real raw\"; let z = var\"t\";";
         let v = texts(src);
         assert!(v.contains(&(TokKind::Ident, "var")));
         assert!(v.contains(&(TokKind::Str, "\"s\"")));
+        assert!(v.contains(&(TokKind::Str, "\"t\"")));
         assert!(v.contains(&(TokKind::Str, "r\"real raw\"")));
     }
 
@@ -496,5 +669,82 @@ mod tests {
             .find(|t| t.text(src) == "g")
             .expect("fn g tokenized");
         assert_eq!(g.line, 5, "line counting must survive multi-line literals");
+    }
+
+    #[test]
+    fn string_continuations_keep_line_numbers() {
+        // Regression: a `\` line continuation inside a string used to drop
+        // its newline from the count, shifting every later line by one.
+        let src = "let s = \"one \\\n    two\";\nlet t = 1;\n";
+        let toks = tokenize(src);
+        let t = toks.iter().find(|t| t.text(src) == "t").expect("`t` lexed");
+        assert_eq!(t.line, 3);
+        let sc = scan(src);
+        assert_eq!(sc.str_at(3), Some("one \\\n    two"));
+    }
+
+    #[test]
+    fn scan_reads_string_bodies_of_every_flavour() {
+        let src = "f(\"plain\", r##\"a \"# b\"##, br#\"x\"#, \"\", 1);";
+        let sc = scan(src);
+        let bodies: Vec<_> = (0..sc.toks.len()).filter_map(|k| sc.str_at(k)).collect();
+        assert_eq!(bodies, ["plain", "a \"# b", "x", ""]);
+        assert_eq!(sc.str_at(0), None, "`f` is not a string");
+    }
+
+    #[test]
+    fn scan_drops_comments_nested_or_multiline() {
+        let sc = scan("/* x /* y\n z */ still y.expect(&m) */ let w = 2;\nlet v = 3;\n");
+        assert_eq!(sc.text(0), "let");
+        assert_eq!(sc.toks[0].line, 2);
+        assert!((0..sc.toks.len()).all(|k| sc.text(k) != "expect"));
+    }
+
+    #[test]
+    fn cfg_test_region_closes_with_its_brace_or_semicolon() {
+        let src = "fn real() {}\n#[cfg(test)]\nmod tests {\n    fn helper() {}\n}\nfn after() {}\n\
+                   #[cfg(test)]\nfn sized(a: [u8; 4]) { body(); }\nfn mid() {}\n\
+                   #[cfg(test)]\nuse std::fmt;\nfn last() {}\n";
+        let sc = scan(src);
+        let in_test = |name: &str| (0..sc.toks.len()).any(|k| sc.text(k) == name && sc.in_test[k]);
+        for inside in ["tests", "helper", "sized", "body", "fmt"] {
+            assert!(in_test(inside), "{inside} lies in a test item");
+        }
+        for outside in ["real", "after", "mid", "last"] {
+            assert!(!in_test(outside), "{outside} lies outside every test item");
+        }
+    }
+
+    #[test]
+    fn pragma_waives_its_line_or_carries_to_the_next_code_line() {
+        let src = "// breval-lint: allow(L001, L003) -- intentionally partial fixture\n\n\
+                   x.expect(&m);\ny.expect(&m); // breval-lint: allow(L009) -- trailing waiver reason\n";
+        let sc = scan(src);
+        assert!(sc.waived(3, "L001") && sc.waived(3, "L003"));
+        assert!(!sc.waived(3, "L005") && !sc.waived(1, "L001"));
+        assert!(sc.waived(4, "L009") && !sc.waived(3, "L009"));
+        assert!(sc.malformed.is_empty(), "{:?}", sc.malformed);
+    }
+
+    #[test]
+    fn pragma_without_reason_is_malformed_and_waives_nothing() {
+        for src in [
+            "x.expect(&m); // breval-lint: allow(L001)\n",
+            "x.expect(&m); // breval-lint: allow(L001) -- short\n",
+            "x.expect(&m); // breval-lint: allow(X1) -- a long enough reason\n",
+            "x.expect(&m); // breval-lint: deny(L001) -- a long enough reason\n",
+        ] {
+            let sc = scan(src);
+            assert_eq!(sc.malformed.len(), 1, "{src}");
+            assert!(!sc.waived(1, "L001"), "{src}");
+        }
+        // Doc comments and prose that mention the syntax are not pragmas.
+        for src in [
+            "/// breval-lint: allow(L001)\nfn f() {}\n",
+            "// see the breval-lint: allow(L001) syntax\nfn f() {}\n",
+        ] {
+            let sc = scan(src);
+            assert!(sc.malformed.is_empty() && !sc.waived(2, "L001"), "{src}");
+        }
     }
 }

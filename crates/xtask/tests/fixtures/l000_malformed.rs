@@ -2,5 +2,5 @@
 // rule it tried to waive still fires.
 pub fn no_reason(v: Option<u32>) -> u32 {
     // breval-lint: allow(L001)
-    v.unwrap()
+    v.expect("")
 }

@@ -1,6 +1,5 @@
 // L001 fixture (clean): Result propagation, invariant-carrying expects,
 // and unwrap confined to a `#[cfg(test)]` module.
-#![forbid(unsafe_code)]
 pub fn parse_port(s: &str) -> Result<u16, std::num::ParseIntError> {
     s.rsplit(':')
         .next()

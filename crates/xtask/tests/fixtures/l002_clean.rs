@@ -1,6 +1,4 @@
-// L002 fixture (clean): the crate root forbids unsafe code.
-#![forbid(unsafe_code)]
-
-pub fn answer() -> u32 {
-    42
+// L002 fixture (clean): safe code only.
+pub fn first_byte(bytes: &[u8]) -> u8 {
+    bytes.first().copied().unwrap_or(0)
 }

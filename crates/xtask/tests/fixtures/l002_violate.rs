@@ -1,4 +1,4 @@
-// L002 fixture: a crate root without `#![forbid(unsafe_code)]`.
-pub fn answer() -> u32 {
-    42
+// L002 fixture: `unsafe` code, which the workspace lint table forbids.
+pub fn first_byte(bytes: &[u8]) -> u8 {
+    unsafe { *bytes.as_ptr() }
 }

@@ -1,5 +1,4 @@
 // L003 fixture (clean): registered labels only.
-#![forbid(unsafe_code)]
 pub fn do_work() {
     let _span = breval_obs::span!("generate");
     breval_obs::counter("topology_ases", 1);

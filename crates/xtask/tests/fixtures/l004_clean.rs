@@ -1,6 +1,5 @@
 // L004 fixture (clean): timing goes through the observability layer, which
 // owns the only clock in the workspace.
-#![forbid(unsafe_code)]
 pub fn timed() {
     let _span = breval_obs::span!("generate");
 }

@@ -1,5 +1,4 @@
 // L005 fixture (clean): libraries return data; only binaries print.
-#![forbid(unsafe_code)]
 pub fn report(n: usize) -> String {
     format!("processed {n} items")
 }

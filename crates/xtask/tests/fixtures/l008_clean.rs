@@ -1,7 +1,7 @@
 // L008 fixture (clean): a HashMap or HashSet is named only where it cannot
 // reach an output: in comments like this one, in string literals, and in a
 // test module, where a hash_map-based oracle may check the ordered code.
-#![forbid(unsafe_code)]
+// clippy has no test exemption for disallowed types, so the module says why.
 use std::collections::BTreeMap;
 
 /// Counts each key in a `BTreeMap`, which iterates in key order.
@@ -18,6 +18,10 @@ pub fn advice() -> &'static str {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_types,
+    reason = "a hash-based oracle checks the ordered code"
+)]
 mod tests {
     use std::collections::hash_map::HashMap;
 

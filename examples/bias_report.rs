@@ -11,6 +11,11 @@ use breval::analysis::pipeline::HeatmapMetric;
 use breval::analysis::report;
 use breval::analysis::{Scenario, ScenarioConfig};
 
+#[expect(
+    clippy::print_stdout,
+    clippy::print_stderr,
+    reason = "an example prints its report to stdout and its progress to stderr"
+)]
 fn main() {
     let full = std::env::args().any(|a| a == "--full");
     let config = if full {

@@ -10,6 +10,11 @@
 use breval::analysis::report;
 use breval::analysis::{Scenario, ScenarioConfig};
 
+#[expect(
+    clippy::print_stdout,
+    clippy::print_stderr,
+    reason = "an example prints its report to stdout and its progress to stderr"
+)]
 fn main() {
     let full = std::env::args().any(|a| a == "--full");
     let mut config = if full {

@@ -12,6 +12,10 @@ use breval::bgpsim::snapshot::pathset_from_mrt;
 use breval::bgpwire::{AsnEncoding, Community, Ipv4Prefix, UpdateMessage};
 use breval::topogen::{self, TopologyConfig};
 
+#[expect(
+    clippy::print_stdout,
+    reason = "an example prints its report to stdout"
+)]
 fn main() {
     // --- single UPDATE message over a 16-bit session --------------------------
     let prefix: Ipv4Prefix = "203.0.113.0/24".parse().expect("valid prefix");
@@ -29,9 +33,16 @@ fn main() {
     let decoded = UpdateMessage::decode(&mut slice, AsnEncoding::TwoByte).expect("decodes");
     println!(
         "  legacy AS_PATH view: {:?}",
-        decoded.as_path_legacy().unwrap()
+        decoded
+            .as_path_legacy()
+            .expect("the announcement carries an AS_PATH")
     );
-    println!("  AS4-reconstructed:   {:?}", decoded.as_path().unwrap());
+    println!(
+        "  AS4-reconstructed:   {:?}",
+        decoded
+            .as_path()
+            .expect("the announcement carries an AS_PATH")
+    );
 
     // --- full RIB dump --------------------------------------------------------
     let topology = topogen::generate(&TopologyConfig::small(7));

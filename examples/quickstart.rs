@@ -9,6 +9,10 @@ use breval::asgraph::RelClass;
 use breval::asinfer::{AsRank, Classifier};
 use breval::topogen::{self, TopologyConfig};
 
+#[expect(
+    clippy::print_stdout,
+    reason = "an example prints its report to stdout"
+)]
 fn main() {
     // 1. A seeded, Internet-like topology with ground-truth relationships.
     let config = TopologyConfig::small(42);

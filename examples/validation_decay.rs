@@ -10,6 +10,11 @@
 use breval::analysis::timeline::{render_timeline, run_timeline, TimelineConfig};
 use breval::topogen::{self, ChurnConfig, TopologyConfig};
 
+#[expect(
+    clippy::print_stdout,
+    clippy::print_stderr,
+    reason = "an example prints its report to stdout and its progress to stderr"
+)]
 fn main() {
     let steps = std::env::args()
         .skip_while(|a| a != "--steps")

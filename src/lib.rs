@@ -30,7 +30,6 @@
 //! assert!(fig2.iter().any(|row| row.class == "S-TR"));
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub use asgraph;
