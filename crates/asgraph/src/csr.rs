@@ -15,8 +15,10 @@
 //! ASN order), so CSR iteration reproduces the BTree iteration order
 //! bit-for-bit.
 
+use crate::asn::Asn;
 use crate::index::AsIndexer;
 use crate::link::Link;
+use crate::paths::RecentPairs;
 use crate::rel::Rel;
 use serde::{Deserialize, Serialize};
 
@@ -31,6 +33,28 @@ pub enum NeighborRole {
     Peer,
     /// Same-organisation sibling.
     Sibling,
+}
+
+impl NeighborRole {
+    /// Every role, in the order of [`CsrGraph`]'s segments.
+    pub const ALL: [NeighborRole; 4] = [
+        NeighborRole::Provider,
+        NeighborRole::Customer,
+        NeighborRole::Peer,
+        NeighborRole::Sibling,
+    ];
+
+    /// The role the other endpoint of a link labelled `rel` plays relative
+    /// to its endpoint `asn`.
+    #[must_use]
+    pub fn seen_from(asn: Asn, rel: Rel) -> NeighborRole {
+        match rel {
+            Rel::P2c { provider } if provider == asn => NeighborRole::Customer,
+            Rel::P2c { .. } => NeighborRole::Provider,
+            Rel::P2p => NeighborRole::Peer,
+            Rel::S2s => NeighborRole::Sibling,
+        }
+    }
 }
 
 /// One role's adjacency in compressed-sparse-row form. Fields are
@@ -173,6 +197,22 @@ impl CsrGraph {
         self.roles[NeighborRole::Sibling as usize].neighbors(id)
     }
 
+    /// The role `neighbor` plays relative to node `id`, or `None` if no
+    /// link joins them: one binary search per role segment of `id`;
+    /// allocation-free.
+    ///
+    /// # Panics
+    /// If `id` is out of range for the indexer.
+    #[must_use]
+    pub fn role_of(&self, id: u32, neighbor: u32) -> Option<NeighborRole> {
+        NeighborRole::ALL.into_iter().find(|&role| {
+            self.roles[role as usize]
+                .neighbors(id)
+                .binary_search(&neighbor)
+                .is_ok()
+        })
+    }
+
     /// Size of the customer cone of `id` (self included), computed by an
     /// allocation-free BFS over the customer CSR: `scratch` is reused across
     /// calls, so after the first cone on a graph of this size no allocation
@@ -212,6 +252,45 @@ impl CsrGraph {
     }
 }
 
+/// Finds the roles of hop pairs in one [`CsrGraph`], answering pairs seen
+/// recently from a memo instead of up to four binary searches. Paths
+/// repeat their hop pairs heavily, so most pairs are answered with one
+/// load.
+pub struct NeighborRoles<'a> {
+    graph: &'a CsrGraph,
+    /// The answer per pair: a role as its index in [`NeighborRole::ALL`],
+    /// or [`NO_ROLE`].
+    recent: RecentPairs,
+}
+
+/// The memo's answer for a pair that no link joins.
+const NO_ROLE: u32 = NeighborRole::ALL.len() as u32;
+
+impl<'a> NeighborRoles<'a> {
+    /// A lookup into the roles of `graph`.
+    #[must_use]
+    pub fn new(graph: &'a CsrGraph) -> Self {
+        NeighborRoles {
+            graph,
+            recent: RecentPairs::new(),
+        }
+    }
+
+    /// [`CsrGraph::role_of`]`(id, neighbor)`; allocation-free.
+    ///
+    /// # Panics
+    /// If `id` is out of range for the graph's indexer.
+    pub fn role_of(&mut self, id: u32, neighbor: u32) -> Option<NeighborRole> {
+        let graph = self.graph;
+        let code = self.recent.get_or(id, neighbor, || {
+            graph
+                .role_of(id, neighbor)
+                .map_or(NO_ROLE, |role| role as u32)
+        });
+        NeighborRole::ALL.get(code as usize).copied()
+    }
+}
+
 /// Calls `edge(role, node, neighbor)` for both directions of every link
 /// whose endpoints are both in `indexer`, in link order; `neighbor` plays
 /// `role` relative to `node`.
@@ -224,16 +303,8 @@ fn for_each_edge(
         let (Some(a), Some(b)) = (indexer.id(link.a()), indexer.id(link.b())) else {
             continue;
         };
-        let (role_of_b, role_of_a) = match rel {
-            Rel::P2c { provider } if provider == link.a() => {
-                (NeighborRole::Customer, NeighborRole::Provider)
-            }
-            Rel::P2c { .. } => (NeighborRole::Provider, NeighborRole::Customer),
-            Rel::P2p => (NeighborRole::Peer, NeighborRole::Peer),
-            Rel::S2s => (NeighborRole::Sibling, NeighborRole::Sibling),
-        };
-        edge(role_of_b, a, b);
-        edge(role_of_a, b, a);
+        edge(NeighborRole::seen_from(link.a(), rel), a, b);
+        edge(NeighborRole::seen_from(link.b(), rel), b, a);
     }
 }
 
@@ -290,7 +361,6 @@ impl ConeScratch {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::asn::Asn;
     use std::collections::BTreeMap;
 
     fn l(a: u32, b: u32) -> Link {
@@ -326,6 +396,24 @@ mod tests {
         assert_eq!(asns(csr.peers(id(2))), vec![Asn(5)]);
         assert_eq!(asns(csr.siblings(id(2))), vec![Asn(6)]);
         assert!(csr.customers(id(3)).is_empty());
+        for (link, rel) in &g {
+            let (a, b) = (id(link.a().0), id(link.b().0));
+            assert_eq!(
+                csr.role_of(a, b),
+                Some(NeighborRole::seen_from(link.a(), *rel))
+            );
+            assert_eq!(
+                csr.role_of(b, a),
+                Some(NeighborRole::seen_from(link.b(), *rel))
+            );
+        }
+        assert_eq!(csr.role_of(id(3), id(4)), None);
+        let mut roles = NeighborRoles::new(&csr);
+        for _ in 0..2 {
+            for (a, b) in [(2, 1), (2, 3), (2, 5), (2, 6), (1, 2), (3, 4), (4, 3)] {
+                assert_eq!(roles.role_of(id(a), id(b)), csr.role_of(id(a), id(b)));
+            }
+        }
     }
 
     #[test]

@@ -160,7 +160,7 @@ impl<T: Copy> RecentAsns<T> {
 /// and the PPDC walk all translate paths through it.
 pub struct HopIds<'a> {
     indexer: &'a AsIndexer,
-    recent: RecentAsns<u32>,
+    recent: RecentAsns<Option<u32>>,
     ids: Vec<u32>,
 }
 
@@ -193,12 +193,14 @@ impl<'a> HopIds<'a> {
     /// # Panics
     /// If `hop` is not interned.
     pub fn hop_id(&mut self, hop: Asn) -> u32 {
+        self.get(hop)
+            .expect("path hop is interned: the indexer must come from the same paths")
+    }
+
+    /// The id of one hop, or `None` if it is not interned; allocation-free.
+    pub fn get(&mut self, hop: Asn) -> Option<u32> {
         let indexer = self.indexer;
-        self.recent.get_or(hop, |asn| {
-            indexer
-                .id(asn)
-                .expect("path hop is interned: the indexer must come from the same paths")
-        })
+        self.recent.get_or(hop, |asn| indexer.id(asn))
     }
 }
 
@@ -248,6 +250,10 @@ mod tests {
         let path = [asns[4], asns[1], asns[4], asns[0]];
         assert_eq!(hop_ids.translate(&path), &[4, 1, 4, 0]);
         assert_eq!(hop_ids.translate(&asns[2..3]), &[2]);
+        // A miss is remembered as a miss, in the slot a hit used.
+        let outside = Asn(7 * RECENT_ASN_SLOTS as u32 + 3);
+        assert_eq!((hop_ids.get(outside), hop_ids.get(outside)), (None, None));
+        assert_eq!(hop_ids.get(asns[2]), Some(2));
     }
 
     #[test]

@@ -21,7 +21,9 @@
 //!   bitsets, class partition, path statistics) and every neighbour query
 //!   run over flat arrays and only convert back to [`Asn`] at serialization
 //!   boundaries.
-//!   [`HopIds`] and [`LinkIds`] read path hops and hop pairs as those ids.
+//!   [`HopIds`] and [`LinkIds`] read path hops and hop pairs as those ids,
+//!   and [`NeighborRoles`] reads the role of a hop pair's second hop in a
+//!   graph's rows.
 //!
 //! The crate is dependency-light (only `serde`) and purely computational.
 
@@ -42,7 +44,7 @@ pub mod valley;
 
 pub use asn::Asn;
 pub use cone::{ConeSizes, PpdcCones, PpdcStorageStats};
-pub use csr::{ConeScratch, CsrGraph, NeighborRole};
+pub use csr::{ConeScratch, CsrGraph, NeighborRole, NeighborRoles};
 pub use error::GraphError;
 pub use graph::AsGraph;
 pub use index::{AsIndexer, HopIds};

@@ -14,6 +14,7 @@ use crate::link::Link;
 use std::collections::BTreeSet;
 use std::fmt;
 use std::ops::Range;
+use std::sync::Arc;
 
 /// A raw AS path as observed in a BGP update / RIB entry, nearest AS first
 /// (index 0 is the collector-adjacent AS, the last element is the origin).
@@ -185,6 +186,36 @@ impl PathSet {
     #[must_use]
     pub fn sanitized(&self) -> PathSet {
         let _span = breval_obs::span!("sanitize");
+        let out = self.kept_copy();
+        count_sanitized(self.len(), out.len());
+        out
+    }
+
+    /// The paths [`PathSet::sanitized`] keeps, as a shared store: `paths`
+    /// itself when every path passes, so nothing is copied, else a new
+    /// store with the kept paths. Checking that every path passes reads
+    /// each path once and allocates nothing.
+    #[must_use]
+    pub fn sanitized_shared(paths: &Arc<PathSet>) -> Arc<PathSet> {
+        let _span = breval_obs::span!("sanitize");
+        let out = if paths.spans().all(|(_, span)| paths.keeps(&span)) {
+            Arc::clone(paths)
+        } else {
+            Arc::new(paths.kept_copy())
+        };
+        count_sanitized(paths.len(), out.len());
+        out
+    }
+
+    /// The sanitisation rule: the path at `span` has no loop and no
+    /// reserved ASN.
+    fn keeps(&self, span: &Range<usize>) -> bool {
+        let hops = &self.hops[span.clone()];
+        !has_loop(hops) && !hops.iter().any(|a| a.is_reserved())
+    }
+
+    /// A copy of the paths that pass [`PathSet::keeps`].
+    fn kept_copy(&self) -> PathSet {
         let mut out = PathSet {
             hops: Vec::with_capacity(self.hops.len()),
             ends: Vec::with_capacity(self.ends.len()),
@@ -192,13 +223,10 @@ impl PathSet {
             prepends: Vec::with_capacity(self.prepends.len()),
         };
         for (vp, span) in self.spans() {
-            let hops = &self.hops[span.clone()];
-            if !has_loop(hops) && !hops.iter().any(|a| a.is_reserved()) {
+            if self.keeps(&span) {
                 out.push_span(self, vp, span);
             }
         }
-        breval_obs::counter("paths_sanitized_dropped", (self.len() - out.len()) as u64);
-        breval_obs::counter("paths_sanitized_kept", out.len() as u64);
         out
     }
 
@@ -312,6 +340,12 @@ impl PathSet {
     }
 }
 
+/// Counts what a sanitisation of `total` paths kept and dropped.
+fn count_sanitized(total: usize, kept: usize) {
+    breval_obs::counter("paths_sanitized_dropped", (total - kept) as u64);
+    breval_obs::counter("paths_sanitized_kept", kept as u64);
+}
+
 /// Hop pairs [`PathSet::stats`] collects before its first dedup.
 const PAIR_BATCH: usize = 1 << 16;
 
@@ -324,19 +358,19 @@ const PAIR_SLOT_BITS: u32 = 14;
 /// about 98 % of them hit a memo of 2^14 slots, where a lookup would
 /// binary-search a row. Unlike `index::RecentAsns`, which slots an ASN by
 /// its low bits, a pair needs the hash: its low bits are one endpoint's.
-struct RecentPairs {
+pub(crate) struct RecentPairs {
     slots: Vec<(u64, u32)>,
 }
 
 impl RecentPairs {
-    fn new() -> Self {
+    pub(crate) fn new() -> Self {
         RecentPairs {
             slots: vec![(u64::MAX, 0); 1 << PAIR_SLOT_BITS],
         }
     }
 
     /// The remembered answer for `(a, b)`, or `answer()`, remembered.
-    fn get_or(&mut self, a: u32, b: u32, answer: impl FnOnce() -> u32) -> u32 {
+    pub(crate) fn get_or(&mut self, a: u32, b: u32, answer: impl FnOnce() -> u32) -> u32 {
         let key = (u64::from(a) << 32) | u64::from(b);
         let slot = key.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> (64 - PAIR_SLOT_BITS);
         let slot = &mut self.slots[slot as usize];
@@ -747,6 +781,24 @@ mod tests {
         expected.push(Asn(1), path(&[1, 2, 2, 3]));
         expected.push(Asn(7), path(&[7, 7, 8, 9, 9, 9]));
         assert_eq!(format!("{clean:?}"), format!("{expected:?}"));
+    }
+
+    #[test]
+    fn sanitized_shared_shares_a_clean_store_and_copies_otherwise() {
+        let mut clean = PathSet::new();
+        clean.push(Asn(1), path(&[1, 2, 2, 3]));
+        clean.push(Asn(7), path(&[7, 8]));
+        let clean = Arc::new(clean);
+        assert!(Arc::ptr_eq(&PathSet::sanitized_shared(&clean), &clean));
+        for bad in [&[1, 2, 1][..], &[1, 23456, 3], &[1, 64512, 3]] {
+            let mut dirty = (*clean).clone();
+            dirty.push(Asn(1), path(bad));
+            let dirty = Arc::new(dirty);
+            let shared = PathSet::sanitized_shared(&dirty);
+            assert!(!Arc::ptr_eq(&shared, &dirty));
+            assert_eq!(format!("{shared:?}"), format!("{:?}", dirty.sanitized()));
+            assert_eq!(format!("{shared:?}"), format!("{clean:?}"));
+        }
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //! ASes with 4-byte ASNs cannot put their ASN into a classic RFC 1997
 //! community, so they tag with RFC 8092 large communities instead.
 
-use asgraph::{Asn, Rel};
+use asgraph::{Asn, NeighborRole};
 use bgpwire::{Community, LargeCommunity};
 use serde::{Deserialize, Serialize};
 use topogen::{TierClass, Topology};
@@ -30,6 +30,25 @@ pub enum IngressRel {
     Peer,
     /// Learned from a provider.
     Provider,
+}
+
+impl IngressRel {
+    /// The ingress class an AS records for a route learned from a neighbor
+    /// that plays `role` relative to it.
+    ///
+    /// Sibling-learned routes are tagged *as customer routes*: operator
+    /// community schemes rarely have a dedicated sibling value, so the
+    /// org's internal ASes get the customer tag — which is precisely how
+    /// sibling links end up inside community-derived validation data with a
+    /// P2C label (the 210 entries the paper's §4.2 removes via AS2Org).
+    #[must_use]
+    pub fn from_role(role: NeighborRole) -> Self {
+        match role {
+            NeighborRole::Customer | NeighborRole::Sibling => IngressRel::Customer,
+            NeighborRole::Provider => IngressRel::Provider,
+            NeighborRole::Peer => IngressRel::Peer,
+        }
+    }
 }
 
 /// A community dictionary: how one AS encodes ingress relationships.
@@ -165,22 +184,12 @@ pub fn tags_communities(topology: &Topology, asn: Asn) -> bool {
 }
 
 /// The ingress class `x` records for a route learned from `neighbor`,
-/// according to ground truth.
-///
-/// Sibling-learned routes are tagged *as customer routes*: operator community
-/// schemes rarely have a dedicated sibling value, so the org's internal ASes
-/// get the customer tag — which is precisely how sibling links end up inside
-/// community-derived validation data with a P2C label (the 210 entries the
-/// paper's §4.2 removes via AS2Org).
+/// according to ground truth ([`IngressRel::from_role`]).
 #[must_use]
 pub fn ingress_rel(topology: &Topology, x: Asn, neighbor: Asn) -> Option<IngressRel> {
     let link = asgraph::Link::new(x, neighbor)?;
-    match topology.gt_rel(link)?.base {
-        Rel::P2c { provider } if provider == x => Some(IngressRel::Customer),
-        Rel::P2c { .. } => Some(IngressRel::Provider),
-        Rel::P2p => Some(IngressRel::Peer),
-        Rel::S2s => Some(IngressRel::Customer),
-    }
+    let rel = topology.gt_rel(link)?.base;
+    Some(IngressRel::from_role(NeighborRole::seen_from(x, rel)))
 }
 
 /// Computes the communities visible on `path` (receiver-first, origin-last)

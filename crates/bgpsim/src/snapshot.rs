@@ -11,6 +11,7 @@ use bgpwire::{
     mrt, Community, LargeCommunity, WireError,
 };
 use std::fmt;
+use std::sync::Arc;
 use topogen::Topology;
 
 /// Snapshot timestamp: 2018-04-01 00:00:00 UTC (the paper's snapshot month).
@@ -36,8 +37,9 @@ pub struct RibSnapshot {
     /// All observations, ordered by (origin, vp).
     pub observations: Vec<RouteObservation>,
     /// Path `i` is observation `i`'s best path at its VP: VP first, origin
-    /// last, prepending kept in the store's side list.
-    pub paths: PathSet,
+    /// last, prepending kept in the store's side list. Shared, so the
+    /// sanitized paths of a scenario can be this very store.
+    pub paths: Arc<PathSet>,
     /// The collector peer sessions (copied from the topology).
     pub collector_peers: Vec<topogen::CollectorPeer>,
 }
@@ -83,11 +85,7 @@ pub fn simulate_with_graph(topology: &Topology, graph: &SimGraph) -> RibSnapshot
     // Sub-span around the parallel fan-out so the trace/manifest separate
     // the per-origin export from the sequential graph/VP setup above.
     let _export = breval_obs::span!("simulate_export");
-    let mut rib = RibSnapshot {
-        observations: Vec::new(),
-        paths: PathSet::new(),
-        collector_peers: topology.collector_peers.clone(),
-    };
+    let (mut all_observations, mut all_paths) = (Vec::new(), PathSet::new());
     let mut start = 0usize;
     while start < graph.len() {
         let end = (start + ORIGIN_CHUNK).min(graph.len());
@@ -156,13 +154,17 @@ pub fn simulate_with_graph(topology: &Topology, graph: &SimGraph) -> RibSnapshot
             },
         );
         for (observations, paths) in per_origin {
-            rib.observations.extend(observations);
-            rib.paths.append(&paths);
+            all_observations.extend(observations);
+            all_paths.append(&paths);
         }
         start = end;
     }
-    breval_obs::counter("route_observations", rib.observations.len() as u64);
-    rib
+    breval_obs::counter("route_observations", all_observations.len() as u64);
+    RibSnapshot {
+        observations: all_observations,
+        paths: Arc::new(all_paths),
+        collector_peers: topology.collector_peers.clone(),
+    }
 }
 
 impl RibSnapshot {
@@ -202,7 +204,7 @@ impl RibSnapshot {
             }
             ps
         } else {
-            self.paths.clone()
+            PathSet::clone(&self.paths)
         };
         breval_obs::counter("paths_exported", ps.len() as u64);
         ps

@@ -15,7 +15,7 @@ use bgpsim::{
     SimGraph,
 };
 use proptest::prelude::*;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 use topogen::{generate, Topology, TopologyConfig};
 
 /// Seeds of the `small` worlds the properties draw from.
@@ -77,11 +77,7 @@ fn target_nodes(targets: &Targets, topo: &Topology, g: &SimGraph) -> Vec<u32> {
 fn full_rib(topo: &Topology, g: &SimGraph) -> RibSnapshot {
     let engine = Propagator::new(g);
     let (mut routes, mut scratch) = (OriginRoutes::reusable(), PropScratch::new());
-    let mut rib = RibSnapshot {
-        observations: Vec::new(),
-        paths: PathSet::new(),
-        collector_peers: topo.collector_peers.clone(),
-    };
+    let (mut observations, mut paths) = (Vec::new(), PathSet::new());
     for origin in 0..g.len() as u32 {
         let asn = g.asn(origin);
         let info = topo.info(asn).expect("every node is an AS of the topology");
@@ -112,18 +108,22 @@ fn full_rib(topo: &Topology, g: &SimGraph) -> RibSnapshot {
                 }
                 let path = routes.path(vp, g).expect("a routed VP has a path");
                 for prefix in &prefixes {
-                    rib.observations.push(RouteObservation {
+                    observations.push(RouteObservation {
                         vp: cp.asn,
                         origin: asn,
                         prefix: *prefix,
                         class,
                     });
-                    rib.paths.push_hops(cp.asn, path.iter().copied());
+                    paths.push_hops(cp.asn, path.iter().copied());
                 }
             }
         }
     }
-    rib
+    RibSnapshot {
+        observations,
+        paths: Arc::new(paths),
+        collector_peers: topo.collector_peers.clone(),
+    }
 }
 
 proptest! {

@@ -83,8 +83,11 @@ pub struct Scenario {
     pub topology: Topology,
     /// The collector snapshot.
     pub snapshot: RibSnapshot,
-    /// Observed paths (modern `AS4_PATH`-reconstructed view).
-    pub paths: PathSet,
+    /// Observed paths (modern `AS4_PATH`-reconstructed view), sanitized:
+    /// the RIB's own store (`snapshot.paths`) when sanitizing keeps every
+    /// path, as it does for every simulated RIB, else a copy of the kept
+    /// ones.
+    pub paths: Arc<PathSet>,
     /// Path-derived statistics.
     pub stats: PathStats,
     /// All observed links — the paper's "inferred links".
@@ -115,7 +118,7 @@ impl Scenario {
             sanitize::debug_assert_clean("generate", &sanitize::check_ground_truth(&topology));
         }
         let snapshot = bgpsim::simulate(&topology);
-        let paths = snapshot.paths.sanitized();
+        let paths = PathSet::sanitized_shared(&snapshot.paths);
         if cfg!(debug_assertions) {
             sanitize::debug_assert_clean("sanitized_paths", &sanitize::check_pathset(&paths));
         }
@@ -560,6 +563,19 @@ mod tests {
         for sl in scored.iter().take(50) {
             assert!(s.validation.labels.contains_key(&sl.link));
         }
+    }
+
+    #[test]
+    fn sanitized_paths_share_the_ribs_store() {
+        let s = Scenario::run(ScenarioConfig::small(2018));
+        // Every simulated path is loop-free and free of reserved ASNs, so
+        // sanitizing keeps the RIB's store itself; it must still read as
+        // the copy would.
+        assert!(Arc::ptr_eq(&s.paths, &s.snapshot.paths));
+        assert_eq!(
+            format!("{:?}", s.paths),
+            format!("{:?}", s.snapshot.paths.sanitized())
+        );
     }
 
     #[test]

@@ -5,15 +5,21 @@
 //! belongs to a *publishing* AS using that AS's documented scheme, locate the
 //! tagging AS on the path, and label the link towards the neighbor it learned
 //! the route from.
+//!
+//! The decoder reads the RIB's path store in place and works on the ids of
+//! the topology's ground-truth graph: one table of per-AS bits says which
+//! hops tag a decodable community, and the tagger's rows of the graph give
+//! the ingress class the tag encodes. Only hop pairs whose first hop tags
+//! decodably go further, to a label over the path's ASNs.
 
 use crate::config::ValDataConfig;
 use crate::set::{LabelSource, ValidationSet};
-use asgraph::{Asn, Link, Rel};
-use bgpsim::communities::{collector_communities, scheme_of, AnyCommunity, IngressRel};
-use bgpsim::RibSnapshot;
+use asgraph::{Asn, CsrGraph, HopIds, Link, NeighborRoles, Rel};
+use bgpsim::communities::{scheme_of, tags_communities, IngressRel};
+use bgpsim::{RibSnapshot, RouteObservation};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use topogen::Topology;
 
 /// Deterministic per-item coin flip (order-independent).
@@ -34,149 +40,243 @@ fn det_hash(seed: u64, a: u64, b: u64) -> u64 {
 /// at any thread count while the chunk count stays bounded at scale.
 const OBS_CHUNK: usize = 256;
 
+/// Decode bit: the AS tags informational communities and publishes its
+/// dictionary, so its tags decode.
+const TAGS_DECODABLY: u8 = 1;
+/// Decode bit: the AS's published dictionary is stale — its 'peer' value
+/// decodes as customer (the operator updated the scheme, not the
+/// documentation).
+const STALE_DICTIONARY: u8 = 1 << 1;
+/// Decode bit: the AS is an endpoint of a hybrid link, so its labels may
+/// carry the minority PoP's relationship.
+const ON_HYBRID_LINK: u8 = 1 << 2;
+
 /// Shared read-only inputs of the per-observation decoding loop.
-struct DecodeContext<'a> {
+struct Decoder<'a> {
     topology: &'a Topology,
     cfg: &'a ValDataConfig,
-    publishers: BTreeSet<Asn>,
-    stale_dicts: BTreeSet<Asn>,
-    two_byte_vps: BTreeSet<Asn>,
+    /// The decode bits of each AS, by its id in the ground-truth graph.
+    bits: Vec<u8>,
+    /// The vantage points whose collector sessions are 16-bit only, sorted.
+    two_byte_vps: Vec<Asn>,
 }
 
-/// Decodes one observation's communities into `(link, rel)` labels, in the
-/// order the sequential loop would have produced them. `hops` is the
-/// observation's prepend-compressed path.
-fn decode_observation(
-    ctx: &DecodeContext<'_>,
-    obs: &bgpsim::RouteObservation,
-    hops: &[Asn],
-    out: &mut Vec<(Link, Rel)>,
-) {
-    // The decoding pipeline sees the path as extracted from MRT data:
-    // modern view normally, legacy view (AS_TRANS substituted) for
-    // 16-bit collector sessions when the legacy pipeline is active. The
-    // legacy view maps each hop where it is read: a tagger is never
-    // AS_TRANS, so the hop after it in the mapped, re-compressed path is
-    // the mapped hop after it in `hops`.
-    let legacy = ctx.cfg.legacy_pipeline && ctx.two_byte_vps.contains(&obs.vp);
-    let view = |a: Asn| if legacy { a.to_two_byte() } else { a };
-
-    // Communities travel on the wire unaffected by the AS_PATH encoding.
-    for community in collector_communities(ctx.topology, hops) {
-        let tagger = Asn(community.asn_part());
-        if !ctx.publishers.contains(&tagger) {
-            // 16-bit alias check: a classic community's AS part could
-            // belong to a *publishing* 16-bit AS even though the tagger
-            // was someone else — we only decode documented values, so
-            // nothing happens here unless the value also matches, which
-            // the per-AS schemes make rare.
-            continue;
-        }
-        let scheme = scheme_of(tagger);
-        let value = match community {
-            AnyCommunity::Classic(c) => u32::from(c.value),
-            AnyCommunity::Large(lc) => lc.local2,
+impl<'a> Decoder<'a> {
+    fn new(
+        topology: &'a Topology,
+        graph: &CsrGraph,
+        snapshot: &RibSnapshot,
+        cfg: &'a ValDataConfig,
+    ) -> Self {
+        let indexer = graph.indexer();
+        let mut bits = vec![0u8; graph.node_count()];
+        let mut set = |asn: Asn, bit: u8| {
+            if let Some(id) = indexer.id(asn) {
+                bits[id as usize] |= bit;
+            }
         };
-        let Ok(value16) = u16::try_from(value) else {
-            continue;
-        };
-        // The 3356:666 ambiguity (§3.2): value 666 doubles as the
-        // informal blackhole convention. A conservative pipeline skips
-        // it even when the dictionary defines it.
-        if ctx.cfg.skip_666_as_blackhole && value16 == 666 {
-            continue;
-        }
-        let Some(mut ingress) = scheme.decode(value16) else {
-            continue;
-        };
-        // Stale documentation: peer value documented as customer.
-        if ctx.stale_dicts.contains(&tagger) && ingress == IngressRel::Peer {
-            ingress = IngressRel::Customer;
-        }
-        // Locate the tagger on the (pipeline-visible) path and find the
-        // neighbor it learned the route from.
-        let Some(pos) = hops.iter().position(|&h| view(h) == tagger) else {
-            continue; // tagger hidden behind AS_TRANS in the legacy view
-        };
-        let Some(neighbor) = hops.get(pos + 1).map(|&h| view(h)) else {
-            continue;
-        };
-        let Some(link) = Link::new(tagger, neighbor) else {
-            continue;
-        };
-        let mut rel = match ingress {
-            IngressRel::Customer => Rel::P2c { provider: tagger },
-            IngressRel::Peer => Rel::P2p,
-            IngressRel::Provider => Rel::P2c { provider: neighbor },
-        };
-        // Hybrid links: a share of observations reflects the minority
-        // PoP's relationship, producing genuinely ambiguous multi-label
-        // entries. Deterministic per (link, vp, origin) — which PoP a
-        // route crosses varies per prefix.
-        if let Some(gt) = ctx.topology.gt_rel(link) {
-            if let Some(alt) = gt.hybrid_alt {
-                let flip = det_hash(
-                    ctx.cfg.seed ^ 0x4879,
-                    u64::from(link.a().0) << 32 | u64::from(link.b().0),
-                    u64::from(obs.vp.0) << 32 | u64::from(obs.origin.0),
-                ) % 10_000
-                    < (ctx.cfg.hybrid_minority_share * 10_000.0) as u64;
-                if flip {
-                    rel = alt;
-                }
+        for info in topology.ases.values() {
+            if !info.publishes_communities {
+                continue;
+            }
+            if tags_communities(topology, info.asn) {
+                set(info.asn, TAGS_DECODABLY);
+            }
+            if det_hash(cfg.seed ^ 0x5741, u64::from(info.asn.0), 0) % 10_000
+                < (cfg.stale_dict_prob * 10_000.0) as u64
+            {
+                set(info.asn, STALE_DICTIONARY);
             }
         }
-        out.push((link, rel));
+        for (link, _) in topology
+            .links
+            .iter()
+            .filter(|(_, gt)| gt.hybrid_alt.is_some())
+        {
+            set(link.a(), ON_HYBRID_LINK);
+            set(link.b(), ON_HYBRID_LINK);
+        }
+        let mut two_byte_vps: Vec<Asn> = snapshot
+            .collector_peers
+            .iter()
+            .filter(|cp| cp.two_byte_only)
+            .map(|cp| cp.asn)
+            .collect();
+        two_byte_vps.sort_unstable();
+        Decoder {
+            topology,
+            cfg,
+            bits,
+            two_byte_vps,
+        }
+    }
+
+    /// Decodes one observation's communities into `(link, rel)` labels, in
+    /// path order, passing each to `emit`. `hops` is the observation's
+    /// prepend-compressed path; prepending needs no restoring, since a
+    /// repeated hop pairs only with itself, and that is no link.
+    fn decode_observation(
+        &self,
+        ids: &mut GraphIds<'_>,
+        obs: &RouteObservation,
+        hops: &[Asn],
+        mut emit: impl FnMut(Link, Rel),
+    ) {
+        let mut legacy = None;
+        for pair in hops.windows(2) {
+            let &[tagger, next] = pair else {
+                continue;
+            };
+            // `tagger` learned the route from `next` and tags it with its
+            // ingress class; the community's AS part is `tagger` itself
+            // (classic communities carry only 2-byte ASNs, which fit).
+            let Some(x) = ids.hops.get(tagger) else {
+                continue; // outside the topology: tags nothing
+            };
+            let bits = self.bits[x as usize];
+            if bits & TAGS_DECODABLY == 0 {
+                continue;
+            }
+            let Some(role) = ids.hops.get(next).and_then(|n| ids.roles.role_of(x, n)) else {
+                continue;
+            };
+            // The published dictionary is the tagger's scheme, so the tag
+            // decodes to the class it encodes.
+            let mut ingress = IngressRel::from_role(role);
+            // The 3356:666 ambiguity (§3.2): value 666 doubles as the
+            // informal blackhole convention. A conservative pipeline skips
+            // it even when the dictionary defines it.
+            if self.cfg.skip_666_as_blackhole && scheme_of(tagger).value(ingress) == 666 {
+                continue;
+            }
+            if bits & STALE_DICTIONARY != 0 && ingress == IngressRel::Peer {
+                ingress = IngressRel::Customer;
+            }
+            // The decoding pipeline sees the path as extracted from MRT
+            // data: modern view normally, legacy view (AS_TRANS
+            // substituted) for 16-bit collector sessions when the legacy
+            // pipeline is active. The legacy view maps each hop where it is
+            // read: a tagger is never AS_TRANS, so the hop after it in the
+            // mapped, re-compressed path is the mapped hop after it in
+            // `hops`.
+            let legacy = *legacy.get_or_insert_with(|| {
+                self.cfg.legacy_pipeline && self.two_byte_vps.binary_search(&obs.vp).is_ok()
+            });
+            let view = |a: Asn| if legacy { a.to_two_byte() } else { a };
+            // Locate the tagger on the (pipeline-visible) path and find the
+            // neighbor it learned the route from.
+            let Some(pos) = hops.iter().position(|&h| view(h) == tagger) else {
+                continue; // tagger hidden behind AS_TRANS in the legacy view
+            };
+            let Some(neighbor) = hops.get(pos + 1).map(|&h| view(h)) else {
+                continue;
+            };
+            let Some(link) = Link::new(tagger, neighbor) else {
+                continue;
+            };
+            let mut rel = match ingress {
+                IngressRel::Customer => Rel::P2c { provider: tagger },
+                IngressRel::Peer => Rel::P2p,
+                IngressRel::Provider => Rel::P2c { provider: neighbor },
+            };
+            // Hybrid links: a share of observations reflects the minority
+            // PoP's relationship, producing genuinely ambiguous multi-label
+            // entries. Deterministic per (link, vp, origin) — which PoP a
+            // route crosses varies per prefix.
+            if bits & ON_HYBRID_LINK != 0 {
+                if let Some(alt) = self.topology.gt_rel(link).and_then(|gt| gt.hybrid_alt) {
+                    let flip = det_hash(
+                        self.cfg.seed ^ 0x4879,
+                        u64::from(link.a().0) << 32 | u64::from(link.b().0),
+                        u64::from(obs.vp.0) << 32 | u64::from(obs.origin.0),
+                    ) % 10_000
+                        < (self.cfg.hybrid_minority_share * 10_000.0) as u64;
+                    if flip {
+                        rel = alt;
+                    }
+                }
+            }
+            emit(link, rel);
+        }
+    }
+}
+
+/// One worker's lookups into the ground-truth graph, reused across its
+/// chunks: hops to ids, and the role of a hop pair's second hop in the
+/// first hop's rows.
+struct GraphIds<'g> {
+    hops: HopIds<'g>,
+    roles: NeighborRoles<'g>,
+}
+
+/// log2 of the slots of a [`LabelFilter`].
+const FILTER_BITS: u32 = 12;
+
+/// The labels one chunk has emitted, direct-mapped by a hash of the label:
+/// a label its slot holds is a repeat. An evicted label is emitted again,
+/// which costs one more [`ValidationSet::add`] and changes nothing, so the
+/// filter never drops a label's first occurrence in its chunk.
+struct LabelFilter {
+    slots: Vec<Option<(Link, Rel)>>,
+}
+
+impl LabelFilter {
+    fn new() -> Self {
+        LabelFilter {
+            slots: vec![None; 1 << FILTER_BITS],
+        }
+    }
+
+    fn clear(&mut self) {
+        self.slots.fill(None);
+    }
+
+    /// `false` if `(link, rel)` is remembered, else remembers it.
+    fn insert(&mut self, link: Link, rel: Rel) -> bool {
+        let code = match rel {
+            Rel::P2c { provider } if provider == link.a() => 1,
+            Rel::P2c { .. } => 2,
+            Rel::P2p => 3,
+            Rel::S2s => 4,
+        };
+        let key = (u64::from(link.a().0) << 32 | u64::from(link.b().0)).wrapping_add(code);
+        let slot = key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - FILTER_BITS);
+        let label = Some((link, rel));
+        let held = &mut self.slots[slot as usize];
+        let first = *held != label;
+        *held = label;
+        first
     }
 }
 
 /// Compiles community-based validation labels from a RIB snapshot.
 ///
 /// The per-observation decoding is sharded across the worker pool in
-/// fixed-size chunks; merging the chunk label lists in chunk order makes
-/// the resulting set byte-identical to a sequential pass at any thread
-/// count (the set's per-link record order follows insertion order).
+/// fixed-size chunks. Each chunk emits each label once, at its first
+/// occurrence in the chunk; merging the chunk label lists in chunk order
+/// makes the resulting set byte-identical to a sequential pass at any
+/// thread count (the set's per-link record order follows insertion order).
 #[must_use]
 pub fn compile_communities(
     topology: &Topology,
     snapshot: &RibSnapshot,
     cfg: &ValDataConfig,
 ) -> ValidationSet {
+    compile_on_graph(topology, &topology.ground_truth_graph(), snapshot, cfg)
+}
+
+/// [`compile_communities`] over `graph`, the topology's
+/// [`Topology::ground_truth_graph`].
+pub(crate) fn compile_on_graph(
+    topology: &Topology,
+    graph: &CsrGraph,
+    snapshot: &RibSnapshot,
+    cfg: &ValDataConfig,
+) -> ValidationSet {
     let mut set = ValidationSet::new();
     let mut rng = ChaCha8Rng::seed_from_u64(cfg.seed);
 
-    // Publishers and their (possibly stale) dictionaries.
-    let publishers: BTreeSet<Asn> = topology
-        .ases
-        .values()
-        .filter(|i| i.publishes_communities)
-        .map(|i| i.asn)
-        .collect();
-    // Stale dictionaries: the published 'peer' meaning actually decodes as
-    // customer (operator updated the scheme but not the documentation).
-    let stale_dicts: BTreeSet<Asn> = publishers
-        .iter()
-        .copied()
-        .filter(|p| {
-            det_hash(cfg.seed ^ 0x5741, u64::from(p.0), 0) % 10_000
-                < (cfg.stale_dict_prob * 10_000.0) as u64
-        })
-        .collect();
-
-    let two_byte_vps: BTreeSet<Asn> = snapshot
-        .collector_peers
-        .iter()
-        .filter(|cp| cp.two_byte_only)
-        .map(|cp| cp.asn)
-        .collect();
-
-    let ctx = DecodeContext {
-        topology,
-        cfg,
-        publishers,
-        stale_dicts,
-        two_byte_vps,
-    };
+    let decoder = Decoder::new(topology, graph, snapshot, cfg);
     let (observations, paths) = (&snapshot.observations, &snapshot.paths);
     let obs_chunk = breval_par::input_scaled_chunk(observations.len(), OBS_CHUNK);
     let chunks = observations.len().div_ceil(obs_chunk);
@@ -184,17 +284,35 @@ pub fn compile_communities(
         // Sub-span around the parallel chunk decode: the trace separates
         // it from the sequential leak/label bookkeeping in this function.
         let _decode = breval_obs::span!("compile_observations");
-        let chunk_labels = breval_par::parallel_map(chunks, |c| {
-            let lo = c * obs_chunk;
-            let hi = (lo + obs_chunk).min(observations.len());
-            let mut out = Vec::new();
-            for i in lo..hi {
-                if let (Some(obs), Some((_, hops))) = (observations.get(i), paths.get(i)) {
-                    decode_observation(&ctx, obs, hops, &mut out);
+        let chunk_labels = breval_par::parallel_map_init(
+            chunks,
+            || {
+                let ids = GraphIds {
+                    hops: HopIds::new(graph.indexer()),
+                    roles: NeighborRoles::new(graph),
+                };
+                (ids, LabelFilter::new())
+            },
+            |(ids, seen), c| {
+                // A filter carried over from another chunk could drop a
+                // first occurrence, depending on which chunks this worker
+                // ran before.
+                seen.clear();
+                let lo = c * obs_chunk;
+                let hi = (lo + obs_chunk).min(observations.len());
+                let mut out = Vec::new();
+                for i in lo..hi {
+                    if let (Some(obs), Some((_, hops))) = (observations.get(i), paths.get(i)) {
+                        decoder.decode_observation(ids, obs, hops, |link, rel| {
+                            if seen.insert(link, rel) {
+                                out.push((link, rel));
+                            }
+                        });
+                    }
                 }
-            }
-            out
-        });
+                out
+            },
+        );
         for labels in chunk_labels {
             for (link, rel) in labels {
                 set.add(link, rel, LabelSource::Communities);
@@ -204,10 +322,15 @@ pub fn compile_communities(
 
     // Private-ASN route leaks: labels whose neighbor is a reserved ASN.
     // Stays sequential: the injection consumes the RNG stream in order.
-    let publisher_vec: Vec<Asn> = ctx.publishers.iter().copied().collect();
+    let publishers: Vec<Asn> = topology
+        .ases
+        .values()
+        .filter(|i| i.publishes_communities)
+        .map(|i| i.asn)
+        .collect();
     let mut injected = 0usize;
-    while injected < cfg.reserved_leak_count && !publisher_vec.is_empty() {
-        let tagger = publisher_vec[rng.random_range(0..publisher_vec.len())];
+    while injected < cfg.reserved_leak_count && !publishers.is_empty() {
+        let tagger = publishers[rng.random_range(0..publishers.len())];
         let private = Asn(64_512 + rng.random_range(0..1_000u32));
         if let Some(link) = Link::new(tagger, private) {
             set.add(

@@ -8,7 +8,10 @@
 //!    informational communities on collector-visible routes using the
 //!    *published* dictionaries only. Coverage bias emerges causally: an AS
 //!    that does not document its communities (most LACNIC ASes, most stubs)
-//!    contributes no labels.
+//!    contributes no labels. The decoder reads the RIB's path store in
+//!    place, on the node ids of the topology's ground-truth graph, and
+//!    decodes a hop pair only when its first hop tags a decodable
+//!    community.
 //! 2. **RPSL / WHOIS** ([`rpsl`]) — `aut-num` routing-policy objects in real
 //!    RPSL syntax, with configurable staleness (records lag the topology).
 //! 3. **Direct reports** ([`report`]) — a small unbiased ground-truth sample
@@ -36,7 +39,9 @@ pub use config::ValDataConfig;
 pub use report::direct_reports;
 pub use set::{LabelRecord, LabelSource, ValidationSet};
 
-/// Compiles the full validation set from all three sources.
+/// Compiles the full validation set from all three sources. The
+/// topology's ground-truth graph is built once, for the community decoder
+/// and the RPSL objects both.
 #[must_use]
 pub fn compile_all(
     topology: &topogen::Topology,
@@ -44,8 +49,9 @@ pub fn compile_all(
     cfg: &ValDataConfig,
 ) -> ValidationSet {
     let _span = breval_obs::span!("compile_validation");
-    let mut set = compile_communities(topology, snapshot, cfg);
-    let rpsl_objects = rpsl::generate_autnums(topology, cfg);
+    let graph = topology.ground_truth_graph();
+    let mut set = compile::compile_on_graph(topology, &graph, snapshot, cfg);
+    let rpsl_objects = rpsl::generate_autnums(topology, &graph, cfg);
     set.merge(rpsl::labels_from_autnums(&rpsl_objects, cfg));
     set.merge(direct_reports(topology, cfg));
     breval_obs::counter("validation_labels_compiled", set.len() as u64);

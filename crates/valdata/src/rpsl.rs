@@ -12,7 +12,7 @@
 
 use crate::config::ValDataConfig;
 use crate::set::{LabelSource, ValidationSet};
-use asgraph::{Asn, Link, Rel};
+use asgraph::{Asn, CsrGraph, Link, Rel};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use std::fmt::Write as _;
@@ -167,11 +167,11 @@ impl AutNum {
 }
 
 /// Generates `aut-num` objects for a share of publishing ASes, with
-/// configurable staleness.
+/// configurable staleness. `graph` is the topology's
+/// [`Topology::ground_truth_graph`], which lists each AS's neighbors.
 #[must_use]
-pub fn generate_autnums(topology: &Topology, cfg: &ValDataConfig) -> Vec<AutNum> {
+pub fn generate_autnums(topology: &Topology, graph: &CsrGraph, cfg: &ValDataConfig) -> Vec<AutNum> {
     let mut rng = ChaCha8Rng::seed_from_u64(cfg.seed ^ 0x5250_534C);
-    let graph = topology.ground_truth_graph();
     let asn_of = |&n: &u32| graph.indexer().asn(n);
     let mut out = Vec::new();
     // Node ids follow ASN order, so the `n`-th AS of the topology is node `n`.
@@ -286,7 +286,7 @@ mod tests {
             rpsl_coverage: 1.0,
             ..ValDataConfig::default()
         };
-        let objects = generate_autnums(&topo, &cfg);
+        let objects = generate_autnums(&topo, &topo.ground_truth_graph(), &cfg);
         assert!(!objects.is_empty());
         let labels = labels_from_autnums(&objects, &cfg);
         let mut total = 0;
@@ -314,7 +314,10 @@ mod tests {
             rpsl_coverage: 1.0,
             ..ValDataConfig::default()
         };
-        let labels = labels_from_autnums(&generate_autnums(&topo, &cfg), &cfg);
+        let labels = labels_from_autnums(
+            &generate_autnums(&topo, &topo.ground_truth_graph(), &cfg),
+            &cfg,
+        );
         let mut wrong = 0;
         for (link, records) in &labels.entries {
             let Some(gt) = topo.gt_rel(*link) else {
@@ -329,7 +332,10 @@ mod tests {
     fn objects_round_trip_through_text() {
         let topo = topogen::generate(&TopologyConfig::small(41));
         let cfg = ValDataConfig::default();
-        for obj in generate_autnums(&topo, &cfg).iter().take(50) {
+        for obj in generate_autnums(&topo, &topo.ground_truth_graph(), &cfg)
+            .iter()
+            .take(50)
+        {
             let parsed = AutNum::parse(&obj.to_rpsl()).unwrap();
             assert_eq!(&parsed, obj);
         }

@@ -11,8 +11,10 @@ const AUTNUMS_SMALL_7: u64 = 0x3a3d_8dca_a2b1_69e5;
 
 #[test]
 fn rpsl_autnums_small_seed_7_are_byte_identical() {
+    let topology = generate(&TopologyConfig::small(7));
     let objects = rpsl::generate_autnums(
-        &generate(&TopologyConfig::small(7)),
+        &topology,
+        &topology.ground_truth_graph(),
         &ValDataConfig::default(),
     );
     let lines: usize = objects.iter().map(|o| o.policies.len()).sum();

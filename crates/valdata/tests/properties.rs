@@ -95,15 +95,16 @@ proptest! {
             let j = (s as usize) % (i + 1);
             rows.swap(i, j);
         }
-        let mut shuffled = bgpsim::RibSnapshot {
-            observations: Vec::new(),
-            paths: asgraph::PathSet::new(),
+        let (mut observations, mut paths) = (Vec::new(), asgraph::PathSet::new());
+        for (obs, path) in rows {
+            observations.push(obs);
+            paths.push_hops(obs.vp, path);
+        }
+        let shuffled = bgpsim::RibSnapshot {
+            observations,
+            paths: std::sync::Arc::new(paths),
             collector_peers: snap.collector_peers.clone(),
         };
-        for (obs, path) in rows {
-            shuffled.observations.push(obs);
-            shuffled.paths.push_hops(obs.vp, path);
-        }
         let b = valdata::compile_communities(&topo, &shuffled, &cfg);
         // Record order *within* a link legitimately follows observation
         // order (the §4.2 "first label" policies depend on it); the
