@@ -98,8 +98,8 @@ impl ConeSizes {
 /// Customer-cone sizes for every AS of a prebuilt [`CsrGraph`] (self
 /// included).
 ///
-/// Fans the per-AS BFS walks out over the work-stealing pool with one
-/// reusable [`ConeScratch`] per worker, so the steady state allocates
+/// Fans the per-AS BFS walks out over `breval_par`'s threads with one
+/// reusable [`ConeScratch`] per thread, so the steady state allocates
 /// nothing. Results are identical at any thread count. Pipeline code shares
 /// one graph through the scenario snapshot (`Scenario::cone_sizes_arc`)
 /// instead of rebuilding it per call.

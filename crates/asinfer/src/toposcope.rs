@@ -57,8 +57,8 @@ impl Classifier for TopoScope {
     }
 
     /// Ensemble inference over already-sanitized paths: VP grouping,
-    /// per-group base inference (work-stealing parallel — group path sets
-    /// are independent), majority-vote reconciliation against the shared
+    /// per-group base inference (in parallel — group path sets are
+    /// independent), majority-vote reconciliation against the shared
     /// full-view inference, and provider-cycle repair.
     fn infer_prepared(&self, prep: PreparedPaths<'_>) -> Inference {
         let (clean, stats, full) = (prep.paths, prep.dense_stats(), prep.asrank_seed());

@@ -53,19 +53,19 @@ pub fn simulate(topology: &Topology) -> RibSnapshot {
     simulate_with_graph(topology, &graph)
 }
 
-/// Origins per parallel dispatch: peak intermediate memory is one chunk's
-/// per-origin results instead of the whole world's, while each dispatch
-/// still keeps the work-stealing pool saturated.
+/// Origins per parallel call: peak intermediate memory is one chunk's
+/// per-origin results instead of the whole world's, while each call still
+/// has enough origins to keep every thread busy.
 const ORIGIN_CHUNK: usize = 2048;
 
 /// [`simulate`] reusing a pre-built graph.
 ///
 /// Per-origin propagation cost is wildly skewed (Tier-1s reach everywhere,
-/// stubs almost nowhere), so origins are distributed over a work-stealing
-/// queue (`breval-par`), `ORIGIN_CHUNK` at a time. Only the vantage
-/// points' routes are read, so every propagation is narrowed to the
-/// [`Scope`] of the collector peers, built once per run and borrowed by
-/// every worker. Each worker reuses one [`Propagator`], a
+/// stubs almost nowhere), so each `breval-par` thread claims the next
+/// origin as it finishes the last, `ORIGIN_CHUNK` origins per call. Only
+/// the vantage points' routes are read, so every propagation is narrowed
+/// to the [`Scope`] of the collector peers, built once per run and
+/// borrowed by every worker. Each worker reuses one [`Propagator`], a
 /// `(OriginRoutes, PropScratch)` buffer pair and one hop buffer, so
 /// steady-state propagation allocates only each origin's observation list
 /// and path store, which are appended to the RIB in origin order. The

@@ -487,7 +487,8 @@ pub fn answer_line(set: &SnapshotSet, line: &str) -> String {
 }
 
 /// Answers a batch of request lines against **one** generation, fanning
-/// out over the persistent worker pool. The whole batch sees the same
+/// out over `breval_par`'s scoped threads (inline at a thread cap of 1).
+/// The whole batch sees the same
 /// immutable set, so a concurrent reload never splits a batch across
 /// generations; responses come back in request order at any thread cap.
 #[must_use]

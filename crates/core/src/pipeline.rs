@@ -117,7 +117,10 @@ impl Scenario {
         if cfg!(debug_assertions) {
             sanitize::debug_assert_clean("generate", &sanitize::check_ground_truth(&topology));
         }
-        let snapshot = bgpsim::simulate(&topology);
+        // One ground-truth graph serves the simulation and the validation
+        // decoder.
+        let sim_graph = bgpsim::SimGraph::build(&topology);
+        let snapshot = bgpsim::simulate_with_graph(&topology, &sim_graph);
         let paths = PathSet::sanitized_shared(&snapshot.paths);
         if cfg!(debug_assertions) {
             sanitize::debug_assert_clean("sanitized_paths", &sanitize::check_pathset(&paths));
@@ -135,7 +138,7 @@ impl Scenario {
         // preparation; the full-view ASRank result additionally seeds the
         // bootstrap classifiers (ProbLink, TopoScope). ASRank runs first on
         // this thread — it is the shared seed — then the remaining
-        // classifiers fan out over the work-stealing pool (one thread each;
+        // classifiers fan out over `breval_par` (one thread each;
         // `breval_par` degrades to inline execution at a thread cap of 1,
         // keeping results and span nesting identical either way: workers
         // adopt this thread's span context, so per-classifier timings land
@@ -161,7 +164,9 @@ impl Scenario {
             asrank
         };
 
-        let validation_raw = valdata::compile_all(&topology, &snapshot, &config.valdata);
+        let validation_raw =
+            valdata::compile_all_on_graph(&topology, sim_graph.csr(), &snapshot, &config.valdata);
+        drop(sim_graph);
         let org = topology.as2org();
         let selected = if config.use_all_sources {
             validation_raw.clone()

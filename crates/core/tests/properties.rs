@@ -4,6 +4,7 @@
 
 use asgraph::{AsPath, Asn, Link, PathSet, PathStats, Rel, RelClass};
 use breval_core::cleaning::{clean, AmbiguousPolicy, CleaningConfig};
+use breval_core::coverage::coverage_by_class_keyed;
 use breval_core::hardlinks::{classify_hard_links, HardLinkConfig, HardLinkFlags};
 use breval_core::heatmap::{Heatmap, HeatmapConfig};
 use breval_core::metrics::{confusion, ConfusionMatrix, EvalTable, ScoredLink};
@@ -147,7 +148,89 @@ fn arb_scored(n: usize) -> impl Strategy<Value = Vec<ScoredLink>> {
     })
 }
 
+/// An inferred link set larger than one 512-link coverage chunk, and two
+/// validated sets `V ⊆ V′` drawn from it.
+fn arb_nested_validation() -> impl Strategy<Value = (BTreeSet<Link>, BTreeSet<Link>, BTreeSet<Link>)>
+{
+    let pairs = prop::collection::btree_set((1u32..3000, 3001u32..6000), 700..1600);
+    // Per inferred link: 0 = unvalidated, 1 = in V′ only, 2 = in V and V′.
+    let levels = prop::collection::vec(0u8..3, 1600);
+    (pairs, levels).prop_map(|(pairs, levels)| {
+        let inferred: BTreeSet<Link> = pairs
+            .into_iter()
+            .filter_map(|(a, b)| Link::new(Asn(a), Asn(b)))
+            .collect();
+        let validated_at = |min: u8| -> BTreeSet<Link> {
+            inferred
+                .iter()
+                .zip(&levels)
+                .filter(|(_, &level)| level >= min)
+                .map(|(link, _)| *link)
+                .collect()
+        };
+        let (small, grown) = (validated_at(2), validated_at(1));
+        (inferred, small, grown)
+    })
+}
+
 proptest! {
+    /// Growing the validation never moves a class's share or link count,
+    /// and never lowers its coverage; the rows do not depend on the thread
+    /// cap.
+    #[test]
+    fn coverage_never_falls_when_validation_grows(
+        (inferred, small, grown) in arb_nested_validation(),
+    ) {
+        prop_assert!(inferred.len() > 512, "one chunk only: {}", inferred.len());
+        prop_assert!(small.is_subset(&grown) && grown.is_subset(&inferred));
+        let rows = |validated: &BTreeSet<Link>| {
+            coverage_by_class_keyed(
+                &inferred,
+                validated,
+                |l| (l.a().0 % 7 != 0).then_some(l.a().0 % 5),
+                |class| format!("c{class}"),
+            )
+        };
+        let (before, after) = (rows(&small), rows(&grown));
+        prop_assert_eq!(before.len(), after.len());
+        for (b, a) in before.iter().zip(&after) {
+            prop_assert_eq!(&b.class, &a.class);
+            prop_assert_eq!(b.inferred_links, a.inferred_links, "{}", b.class);
+            prop_assert_eq!(b.share, a.share, "{}", b.class);
+            prop_assert!(a.coverage >= b.coverage, "{}: {} -> {}", b.class, b.coverage, a.coverage);
+        }
+        let one = breval_par::with_thread_cap(Some(1), || rows(&grown));
+        let two = breval_par::with_thread_cap(Some(2), || rows(&grown));
+        prop_assert_eq!(one, two);
+    }
+
+    /// Scored against itself, every class row with both P2P and P2C links
+    /// scores MCC 1, and a row with one relationship only scores MCC 0 (the
+    /// denominator vanishes: `ConfusionMatrix::mcc`'s Chicco convention).
+    #[test]
+    fn perfect_inference_scores_one_where_both_relationships_occur(
+        scored in arb_scored(60),
+    ) {
+        let perfect: Vec<ScoredLink> = scored
+            .iter()
+            .map(|s| ScoredLink { inferred: s.validation, ..*s })
+            .collect();
+        let class_of = |l: Link| Some((l.a().0 % 16).to_string());
+        let mut seen: BTreeMap<String, BTreeSet<RelClass>> = BTreeMap::new();
+        for s in &perfect {
+            if let Some(class) = class_of(s.link) {
+                seen.entry(class).or_default().insert(s.validation.class());
+            }
+        }
+        let table = EvalTable::build("perfect", &perfect, class_of, 0);
+        prop_assert!(table.rows.keys().eq(seen.keys()));
+        for (class, row) in &table.rows {
+            let both = seen[class].contains(&RelClass::P2p) && seen[class].contains(&RelClass::P2c);
+            let expect = if both { 1.0 } else { 0.0 };
+            prop_assert!((row.mcc - expect).abs() < 1e-12, "{}: MCC {}", class, row.mcc);
+        }
+    }
+
     /// MCC is symmetric in the positive-class choice and bounded in [-1, 1];
     /// PPV/TPR/F1/FM are in [0, 1]; the four cells always sum to the input.
     #[test]

@@ -356,10 +356,10 @@ impl Drop for JournalSpanGuard {
 /// `parent/name` in the registry and emits journal begin/end events for
 /// the thread timeline.
 ///
-/// This is the instrument for pool workers: `breval-par` adopts the
-/// submitting stage's context on each worker, then wraps the worker's
+/// This is the instrument for parallel workers: `breval-par` adopts the
+/// calling stage's context on each worker thread, then wraps the thread's
 /// busy slice in `journal_span("pool_worker")` — the trace shows one
-/// slice per worker under the stage, and the manifest gains a
+/// slice per thread under the stage, and the manifest gains a
 /// `<stage>/pool_worker` row whose wall time is the summed worker busy
 /// time, while counter attribution to the stage itself is unchanged.
 #[must_use]

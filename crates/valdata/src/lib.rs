@@ -39,19 +39,31 @@ pub use config::ValDataConfig;
 pub use report::direct_reports;
 pub use set::{LabelRecord, LabelSource, ValidationSet};
 
-/// Compiles the full validation set from all three sources. The
-/// topology's ground-truth graph is built once, for the community decoder
-/// and the RPSL objects both.
+/// Compiles the full validation set from all three sources, over a
+/// ground-truth graph built here. See [`compile_all_on_graph`].
 #[must_use]
 pub fn compile_all(
     topology: &topogen::Topology,
     snapshot: &bgpsim::RibSnapshot,
     cfg: &ValDataConfig,
 ) -> ValidationSet {
+    compile_all_on_graph(topology, &topology.ground_truth_graph(), snapshot, cfg)
+}
+
+/// Compiles the full validation set from all three sources over `graph`,
+/// the topology's [`topogen::Topology::ground_truth_graph`] (for example
+/// the one [`bgpsim::SimGraph`] holds), which the community decoder and the
+/// RPSL objects both read.
+#[must_use]
+pub fn compile_all_on_graph(
+    topology: &topogen::Topology,
+    graph: &asgraph::CsrGraph,
+    snapshot: &bgpsim::RibSnapshot,
+    cfg: &ValDataConfig,
+) -> ValidationSet {
     let _span = breval_obs::span!("compile_validation");
-    let graph = topology.ground_truth_graph();
-    let mut set = compile::compile_on_graph(topology, &graph, snapshot, cfg);
-    let rpsl_objects = rpsl::generate_autnums(topology, &graph, cfg);
+    let mut set = compile::compile_on_graph(topology, graph, snapshot, cfg);
+    let rpsl_objects = rpsl::generate_autnums(topology, graph, cfg);
     set.merge(rpsl::labels_from_autnums(&rpsl_objects, cfg));
     set.merge(direct_reports(topology, cfg));
     breval_obs::counter("validation_labels_compiled", set.len() as u64);

@@ -1,5 +1,5 @@
 //! L011 fixture: the closure handed to `parallel_map` takes a lock —
-//! cross-worker contention the pool is designed to avoid.
+//! cross-thread contention the shared index counter is designed to avoid.
 
 use std::sync::Mutex;
 

@@ -10,10 +10,10 @@
 //!   work floats to the top;
 //! * a **pool-utilisation table**: for every stage that ran a
 //!   `parallel_map`, the summed `pool_worker` busy time against the stage
-//!   wall × thread cap, i.e. how much of the pool's theoretical capacity
+//!   wall × thread cap, i.e. how much of the threads' theoretical capacity
 //!   the stage actually used;
-//! * the `parallel_map` item-latency quantiles and the pool-health
-//!   counters.
+//! * the `parallel_map` item-latency quantiles and the `pool_items_*`
+//!   counters (items run in total and by the calling threads).
 //!
 //! `pool_worker` children accumulate busy time across *all* worker
 //! threads, so they routinely exceed their parent's single-thread wall;
@@ -221,7 +221,7 @@ pub fn render(doc: &Json) -> String {
             .map(|(k, v)| format!("{k}={}", num(Some(v))))
             .collect();
         if !pool.is_empty() {
-            let _ = writeln!(out, "pool health: {}", pool.join(" "));
+            let _ = writeln!(out, "pool items: {}", pool.join(" "));
         }
     }
     out

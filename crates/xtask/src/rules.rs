@@ -242,8 +242,9 @@ pub fn collect_emitted_labels(scanned: &Scanned, into: &mut std::collections::BT
 /// must be emitted by some call site, or carry an inline
 /// `# keep: <reason>` annotation (the waiver path for labels built
 /// dynamically, e.g. `format!("infer_{name}")`). Wildcard entries are
-/// implicitly kept — they exist precisely for dynamic suffixes. Runs only
-/// on whole-workspace lints: a partial file list cannot prove staleness.
+/// implicitly kept — they exist precisely for dynamic suffixes. An entry
+/// listed twice is flagged at its second line. Runs only on
+/// whole-workspace lints: a partial file list cannot prove staleness.
 #[must_use]
 pub fn check_stale_labels(
     registry_text: &str,
@@ -251,12 +252,26 @@ pub fn check_stale_labels(
     emitted: &std::collections::BTreeSet<String>,
 ) -> Vec<Violation> {
     let mut out = Vec::new();
+    let mut first_line = std::collections::BTreeMap::new();
     for (i, raw) in registry_text.lines().enumerate() {
         let (entry, comment) = match raw.split_once('#') {
             Some((e, c)) => (e.trim(), c.trim()),
             None => (raw.trim(), ""),
         };
-        if entry.is_empty() || entry.ends_with('*') {
+        if entry.is_empty() {
+            continue;
+        }
+        if let Some(&first) = first_line.get(entry) {
+            out.push(Violation {
+                file: registry_file.to_owned(),
+                line: i + 1,
+                rule: "L003",
+                message: format!("label \"{entry}\" is registered twice (first at line {first})"),
+            });
+            continue;
+        }
+        first_line.insert(entry, i + 1);
+        if entry.ends_with('*') {
             continue;
         }
         if let Some(rest) = comment.strip_prefix("keep:") {
@@ -501,16 +516,21 @@ mod tests {
         let registry = "# header\nalive\ndead_label\n\
                         dyn_built  # keep: format!-constructed\n\
                         bad_keep  # keep:\n\
-                        prefix.*\n";
+                        prefix.*\n\
+                        alive  # listed again\n";
         let emitted: std::collections::BTreeSet<String> =
             std::iter::once("alive".to_owned()).collect();
         let v = check_stale_labels(registry, "crates/obs/labels.txt", &emitted);
-        assert_eq!(v.len(), 2, "got: {v:?}");
+        assert_eq!(v.len(), 3, "got: {v:?}");
         assert!(v[0].message.contains("dead_label"));
         assert!(v[0].message.contains("never emitted"));
         assert_eq!(v[0].line, 3);
         assert!(v[1].message.contains("bad_keep"));
         assert!(v[1].message.contains("no reason"));
+        assert!(v[2]
+            .message
+            .contains("\"alive\" is registered twice (first at line 2)"));
+        assert_eq!(v[2].line, 7);
     }
 
     #[test]

@@ -11,11 +11,11 @@
 //!   no `Vec::new`/`push`/`collect`/`clone`/`format!`/`to_string`/
 //!   `Box::new` and friends.
 //! - **L011 parallel-closure hygiene** — closures handed to
-//!   `parallel_map*` must not take locks, open journal spans (the pool
-//!   worker already wraps each item), or mutate captured state through
-//!   interior mutability; the same holds transitively for everything the
-//!   closure calls outside the sanctioned `breval_par`/`breval_obs`
-//!   internals.
+//!   `parallel_map*` must not take locks, open journal spans (each worker
+//!   thread's `pool_worker` slice already covers its items), or mutate
+//!   captured state through interior mutability; the same holds
+//!   transitively for everything the closure calls outside the sanctioned
+//!   `breval_par`/`breval_obs` internals.
 //!
 //! All three respect the standard waiver pragma
 //! (`// breval-lint: allow(L0xx) -- reason`), resolved through
@@ -624,7 +624,8 @@ fn hygiene_offenses(src: &str, toks: &[Tok], start: usize, end: usize) -> Vec<(u
         {
             out.push((
                 t.line,
-                "opens a journal span (the pool worker already wraps each item)".to_owned(),
+                "opens a journal span (the worker's `pool_worker` slice already covers each item)"
+                    .to_owned(),
             ));
         }
         i += 1;

@@ -17,7 +17,7 @@
 //!   analyses, scenario pipeline and report rendering.
 //! * [`obs`] (= `breval-obs`) — span timers, metrics, and run manifests
 //!   (enabled via the `BREVAL_OBS` environment variable).
-//! * [`par`] (= `breval-par`) — work-stealing parallel execution layer
+//! * [`par`] (= `breval-par`) — scoped parallel execution layer
 //!   (thread cap via `BREVAL_THREADS` / `par::set_max_threads`).
 //!
 //! ## Quickstart

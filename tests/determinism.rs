@@ -21,7 +21,7 @@ fn same_seed_same_world() {
     assert_eq!(fa, fb);
 }
 
-/// The work-stealing parallel layer must be invisible in the output: a
+/// The parallel layer must be invisible in the output: a
 /// forced single-thread run and a forced multi-thread run of the same seed
 /// must produce byte-identical route observations and identical inferences,
 /// for multiple seeds.
