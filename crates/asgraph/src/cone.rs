@@ -100,9 +100,8 @@ impl ConeSizes {
 ///
 /// Fans the per-AS BFS walks out over `breval_par`'s threads with one
 /// reusable [`ConeScratch`] per thread, so the steady state allocates
-/// nothing. Results are identical at any thread count. Pipeline code shares
-/// one graph through the scenario snapshot (`Scenario::cone_sizes_arc`)
-/// instead of rebuilding it per call.
+/// nothing. Results are identical at any thread count. `Scenario::run`
+/// computes them once per inference, into its snapshot.
 #[must_use]
 pub fn customer_cone_sizes_csr(csr: &CsrGraph) -> ConeSizes {
     let n = csr.node_count();

@@ -284,20 +284,20 @@ fn main() {
                 );
                 let validated: std::collections::BTreeSet<_> =
                     scenario.validation.labels.keys().copied().collect();
-                let scored = scenario.scored("asrank");
-                let hl = breval_core::hardlinks::hard_link_report(&flags, &validated, &scored);
+                let scored = &scenario.snapshots["asrank"].scored;
+                let hl = breval_core::hardlinks::hard_link_report(&flags, &validated, scored);
                 write_json(&args.out, "hardlinks", &hl);
                 emit("hardlinks", report::render_hard_links(&hl), None);
             }
             "features" => {
-                let ppdc = scenario.ppdc_sizes_arc("asrank");
+                let asrank = &scenario.snapshots["asrank"];
                 let metrics = breval_core::linkfeatures::compute_link_metrics(
                     &scenario.topology,
                     &scenario.snapshot,
                     &scenario.stats,
-                    &ppdc,
+                    &asrank.ppdc.sizes(),
                 );
-                let scored = scenario.scored("asrank");
+                let scored = &asrank.scored;
                 let mut rows = Vec::new();
                 type Feature = (
                     &'static str,
@@ -317,7 +317,7 @@ fn main() {
                 ];
                 for (name, f) in feats {
                     rows.extend(breval_core::linkfeatures::error_by_feature_quartile(
-                        &scored, &metrics, name, f,
+                        scored, &metrics, name, f,
                     ));
                 }
                 emit(

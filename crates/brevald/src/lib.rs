@@ -12,10 +12,10 @@
 //!
 //! The serving core is three layers, each its own module:
 //!
-//! * [`set`] — one query-ready generation: every classifier's snapshot
-//!   resolved into direct `Arc`s ([`set::ClassifierView`]) plus the
-//!   region×topology [`slices::SliceIndex`]. Incomplete snapshots are an
-//!   explicit error, never silently-empty answers.
+//! * [`set`] — one query-ready generation: every classifier's
+//!   `ScenarioSnapshot` (CSR, customer cones, PPDC cones, scored join),
+//!   shared by `Arc` with the scenario that built it or warm-loaded whole,
+//!   plus the region×topology [`slices::SliceIndex`].
 //! * [`store`] — one `Mutex<Arc<SnapshotSet>>` cell: a read
 //!   ([`store::SnapshotStore::current`]) clones the active `Arc` under the
 //!   lock, a publish swaps in the next generation, and an old generation
@@ -23,7 +23,7 @@
 //! * [`engine`] — parse → allocation-free eval kernel → format. Replies
 //!   are a pure function of (generation, query), so responses within a
 //!   generation are byte-identical at any thread count; batches fan out
-//!   over `breval_par`'s persistent pool.
+//!   over `breval_par`'s scoped threads.
 //!
 //! [`server::Server`] ties them together over any `BufRead`/`Write` pair;
 //! the `brevald` binary wires it to stdin/stdout with warm start from the
@@ -39,6 +39,6 @@ pub mod store;
 
 pub use engine::{answer_batch, answer_line, eval, parse, Query, Reply};
 pub use server::Server;
-pub use set::{ClassifierView, SnapshotSet, MAX_CLASSIFIERS};
+pub use set::{SnapshotSet, MAX_CLASSIFIERS};
 pub use slices::{SliceIndex, SliceTable};
 pub use store::SnapshotStore;

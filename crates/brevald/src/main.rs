@@ -98,8 +98,8 @@ fn main() {
                 Ok(written) => eprintln!("brevald: wrote {written} snapshot files"),
                 Err(e) => eprintln!("brevald: persisting snapshots failed: {e} (serving anyway)"),
             }
-            SnapshotSet::from_scenario(&scenario)
-                .unwrap_or_else(|e| die(format_args!("building the query set failed: {e}")))
+            let Ok(set) = SnapshotSet::from_scenario(&scenario);
+            set
         }
     };
 

@@ -3,8 +3,8 @@
 //! reply must match its generation's serial ground truth, and a replaced
 //! generation must drop once no reader holds it.
 
-use breval_core::snapshot::{build_snapshot, ScenarioSnapshot, SnapshotKey};
-use brevald::set::{ClassifierView, SnapshotSet};
+use breval_core::snapshot::ScenarioSnapshot;
+use brevald::set::SnapshotSet;
 use brevald::slices::SliceTable;
 use brevald::store::SnapshotStore;
 use std::collections::BTreeMap;
@@ -13,7 +13,6 @@ use std::sync::{Arc, Barrier};
 
 /// A cheap one-classifier set whose answers depend on `tag`: a provider
 /// chain `1 → 2 → … → tag+3`, so `cone 1` reports a cone of `tag + 3`.
-/// Round-tripping through the codec materialises every snapshot part.
 fn tiny_set(tag: u32) -> SnapshotSet {
     let rels: BTreeMap<_, _> = (1..=(tag + 2))
         .map(|i| {
@@ -24,15 +23,14 @@ fn tiny_set(tag: u32) -> SnapshotSet {
             (link, rel)
         })
         .collect();
-    let snap = build_snapshot("asrank", &rels);
-    let key = SnapshotKey {
-        config_hash: u64::from(tag),
-        seed: 0,
+    let csr = asgraph::CsrGraph::build(&rels);
+    let snap = ScenarioSnapshot {
         name: "asrank".to_owned(),
+        cones: Arc::new(asgraph::cone::customer_cone_sizes_csr(&csr)),
+        csr: Arc::new(csr),
+        ..ScenarioSnapshot::default()
     };
-    let (_, full) = ScenarioSnapshot::from_bytes(&snap.to_bytes(&key)).expect("round trip");
-    let view = ClassifierView::resolve(&full).expect("codec materialises every part");
-    SnapshotSet::new(vec![view], &SliceTable::empty())
+    SnapshotSet::new(vec![Arc::new(snap)], &SliceTable::empty())
 }
 
 const PROBES: [&str; 4] = ["cone 1", "member 1 3", "class 1 2", "ascov 1"];

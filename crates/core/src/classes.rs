@@ -132,12 +132,10 @@ impl TopoIndex {
 pub struct LinkClassifier {
     region_map: RegionMap,
     topo: TopoIndex,
-    cone_sizes: Arc<ConeSizes>,
 }
 
 impl LinkClassifier {
-    /// Builds a classifier around already-computed customer-cone sizes,
-    /// shared with the caller instead of re-derived per classifier.
+    /// Builds a classifier from already-computed customer-cone sizes.
     ///
     /// * `region_map` — the §5 ASN→region mapping,
     /// * `cone_sizes` — customer-cone sizes over the graph of *inferred*
@@ -151,18 +149,7 @@ impl LinkClassifier {
         hypergiants: BTreeSet<Asn>,
     ) -> Self {
         let topo = TopoIndex::build(&cone_sizes, &tier1, &hypergiants);
-        LinkClassifier {
-            region_map,
-            topo,
-            cone_sizes,
-        }
-    }
-
-    /// Shared handle to the customer-cone sizes backing the Stub/Transit
-    /// split.
-    #[must_use]
-    pub fn cone_sizes_arc(&self) -> Arc<ConeSizes> {
-        Arc::clone(&self.cone_sizes)
+        LinkClassifier { region_map, topo }
     }
 
     /// The dense topological partition the classifier works over.

@@ -8,13 +8,13 @@ use crate::coverage::{coverage_by_class_keyed, ClassCoverage};
 use crate::heatmap::{Heatmap, HeatmapConfig};
 use crate::metrics::{EvalTable, ScoredLink};
 use crate::sanitize;
-use crate::snapshot::{self, ScenarioSnapshot, SnapshotError, SnapshotKey};
-use asgraph::{cone, ConeSizes, Link, PathSet, PathStats, PpdcCones};
+use crate::snapshot::{ScenarioSnapshot, SnapshotError, SnapshotKey};
+use asgraph::{cone, ConeSizes, CsrGraph, Link, PathSet, PathStats, PpdcCones};
 use asinfer::{AsRank, Classifier, GaoClassifier, Inference, PreparedPaths, ProbLink, TopoScope};
 use bgpsim::RibSnapshot;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::Arc;
 use topogen::{Topology, TopologyConfig};
 use valdata::{ValDataConfig, ValidationSet};
 
@@ -100,12 +100,8 @@ pub struct Scenario {
     pub validation: CleanValidation,
     /// Link classifier (§5).
     pub classifier: LinkClassifier,
-    /// One immutable [`ScenarioSnapshot`] per classifier, built lazily and
-    /// shared (`Arc`) by every analysis path — the single cache that
-    /// replaced the old per-kind cone/PPDC/scored maps.
-    snapshot_cache: Mutex<BTreeMap<String, Arc<ScenarioSnapshot>>>,
-    /// Set once the one PPDC walk has filled every inference's snapshot.
-    ppdc_walked: OnceLock<()>,
+    /// Every inference's [`ScenarioSnapshot`], keyed like `inferences`.
+    pub snapshots: BTreeMap<String, Arc<ScenarioSnapshot>>,
 }
 
 impl Scenario {
@@ -167,31 +163,30 @@ impl Scenario {
         let validation_raw =
             valdata::compile_all_on_graph(&topology, sim_graph.csr(), &snapshot, &config.valdata);
         drop(sim_graph);
-        let org = topology.as2org();
-        let selected = if config.use_all_sources {
-            validation_raw.clone()
-        } else {
-            validation_raw.only_source(valdata::LabelSource::Communities)
+        let validation = {
+            let org = topology.as2org();
+            let selected = if config.use_all_sources {
+                validation_raw.clone()
+            } else {
+                validation_raw.only_source(valdata::LabelSource::Communities)
+            };
+            clean(&selected, &org, &config.cleaning)
         };
-        let validation = clean(&selected, &org, &config.cleaning);
 
         // The §5 classifier derives cones from ASRank's inference (the CAIDA
         // cone dataset analogue) and takes the Tier-1 / hypergiant lists.
-        // Its cones ARE the ASRank snapshot's cones: build that snapshot
-        // here, once, and share it — the classifier, the ensemble, coverage,
-        // and the heatmaps all read the same `Arc`s.
-        let (classifier, asrank_snapshot) = {
+        // Its cones are the ASRank snapshot's cones.
+        let (classifier, asrank_graph) = {
             let _span = breval_obs::span!("link_classifier");
             breval_obs::counter("classifier_cone_links", asrank.rels.len() as u64);
-            let snap = snapshot::build_snapshot("asrank", &asrank.rels);
-            let cones = snap.cone_sizes().unwrap_or_default();
+            let (csr, cones) = graph_parts(&asrank);
             let classifier = LinkClassifier::with_cone_sizes(
                 region_map(&topology),
-                cones,
+                Arc::clone(&cones),
                 topology.tier1.clone(),
                 topology.hypergiants.clone(),
             );
-            (classifier, snap)
+            (classifier, (csr, cones))
         };
         inferences.insert("asrank".into(), asrank);
 
@@ -211,12 +206,7 @@ impl Scenario {
             );
         }
 
-        // Seed the cache with the ASRank snapshot built alongside the
-        // classifier, so `snapshot_arc("asrank")` never re-derives it.
-        let snapshot_cache = Mutex::new(BTreeMap::from([(
-            "asrank".to_owned(),
-            Arc::new(asrank_snapshot),
-        )]));
+        let snapshots = build_snapshots(&paths, &inferences, &validation, asrank_graph);
 
         Scenario {
             config,
@@ -229,97 +219,16 @@ impl Scenario {
             validation_raw,
             validation,
             classifier,
-            snapshot_cache,
-            ppdc_walked: OnceLock::new(),
+            snapshots,
         }
     }
 
-    /// The named classifier's [`ScenarioSnapshot`], built at most once and
-    /// shared (the ASRank entry is pre-seeded from [`Scenario::run`]).
-    /// Unknown names yield an empty snapshot, mirroring the empty tables
-    /// the old per-kind caches handed out.
-    #[must_use]
-    pub fn snapshot_arc(&self, classifier_name: &str) -> Arc<ScenarioSnapshot> {
-        let mut cache = self
-            .snapshot_cache
-            .lock()
-            .unwrap_or_else(|p| p.into_inner());
-        if let Some(hit) = cache.get(classifier_name) {
-            return Arc::clone(hit);
-        }
-        let built = Arc::new(if self.inferences.contains_key(classifier_name) {
-            ScenarioSnapshot::new_lazy(classifier_name)
-        } else {
-            ScenarioSnapshot::empty(classifier_name)
-        });
-        cache.insert(classifier_name.to_owned(), Arc::clone(&built));
-        built
-    }
-
-    /// The CSR mirror of the named inference's relationships, materialised
-    /// into the snapshot on first use and shared.
-    #[must_use]
-    pub fn csr_arc(&self, classifier_name: &str) -> Arc<asgraph::CsrGraph> {
-        let snap = self.snapshot_arc(classifier_name);
-        Arc::clone(snap.csr.get_or_init(|| {
-            Arc::new(match self.inferences.get(classifier_name) {
-                Some(inference) => asgraph::CsrGraph::build(&inference.rels),
-                None => asgraph::CsrGraph::default(),
-            })
-        }))
-    }
-
-    /// Customer-cone sizes over the named inference's relationship graph,
-    /// materialised into the snapshot on first use and shared (the ASRank
-    /// entry is pre-built in [`Scenario::run`]). Unknown names yield an
-    /// empty size table.
-    #[must_use]
-    pub fn cone_sizes_arc(&self, classifier_name: &str) -> Arc<ConeSizes> {
-        let snap = self.snapshot_arc(classifier_name);
-        Arc::clone(snap.cone_sizes.get_or_init(|| {
-            if self.inferences.contains_key(classifier_name) {
-                Arc::new(cone::customer_cone_sizes_csr(
-                    &self.csr_arc(classifier_name),
-                ))
-            } else {
-                Arc::new(ConeSizes::empty())
-            }
-        }))
-    }
-
-    /// PPDC bitset cones (paths × the named inference's relationships),
-    /// shared through the snapshot. The first call for any known classifier
-    /// fills every inference's snapshot from one walk over the paths
-    /// ([`cone::ppdc_cones_each`]); the walk runs at most once per scenario,
-    /// however many threads ask at once. Unknown names yield empty cones.
+    /// The named classifier's PPDC cones (empty for an unknown name).
     #[must_use]
     pub fn ppdc_cones_arc(&self, classifier_name: &str) -> Arc<PpdcCones> {
-        let snap = self.snapshot_arc(classifier_name);
-        if self.inferences.contains_key(classifier_name) {
-            self.ppdc_walked.get_or_init(|| {
-                let labellings: Vec<_> = self.inferences.values().map(|i| &i.rels).collect();
-                let tables = cone::ppdc_cones_each(&self.paths, &labellings);
-                for (name, cones) in self.inferences.keys().zip(tables) {
-                    let _ = self.snapshot_arc(name).ppdc.set(Arc::new(cones));
-                }
-            });
-        }
-        snap.ppdc_cones()
-            .expect("the walk fills every inference's cones; empty snapshots hold empty ones")
-    }
-
-    /// PPDC cone sizes, derived once from the snapshot's bitset cones
-    /// (popcount per row) and shared. Unknown names yield an empty table.
-    #[must_use]
-    pub fn ppdc_sizes_arc(&self, classifier_name: &str) -> Arc<ConeSizes> {
-        let snap = self.snapshot_arc(classifier_name);
-        Arc::clone(snap.ppdc_sizes.get_or_init(|| {
-            let sizes = self.ppdc_cones_arc(classifier_name).sizes();
-            if self.inferences.contains_key(classifier_name) {
-                breval_obs::counter("ppdc_sizes_computed", sizes.len() as u64);
-            }
-            Arc::new(sizes)
-        }))
+        self.snapshots
+            .get(classifier_name)
+            .map_or_else(Arc::default, |snap| Arc::clone(&snap.ppdc))
     }
 
     /// The named inference (`"asrank"`, `"problink"`, `"toposcope"`, `"gao"`).
@@ -328,34 +237,23 @@ impl Scenario {
         self.inferences.get(name)
     }
 
-    /// Joins one classifier's inferences with the cleaned validation labels.
-    ///
-    /// The join is computed at most once per classifier and cached; this
-    /// returns a shared handle to the cached vector. Prefer this over
-    /// [`Scenario::scored`] when the result is only read.
-    #[must_use]
-    pub fn scored_arc(&self, classifier_name: &str) -> Arc<Vec<ScoredLink>> {
-        let snap = self.snapshot_arc(classifier_name);
-        Arc::clone(snap.scored.get_or_init(|| {
-            breval_obs::counter("scored_join_computed", 1);
-            Arc::new(self.compute_scored(classifier_name))
-        }))
-    }
-
-    /// Forces every lazy snapshot part for `classifier_name` and writes the
-    /// snapshot to `dir`, keyed by (config hash, seed, classifier). Returns
-    /// the path written.
+    /// Writes the named classifier's snapshot to `dir`, keyed by (config
+    /// hash, seed, classifier), and returns the path written. An unknown
+    /// name writes an empty snapshot.
     pub fn save_snapshot(
         &self,
         dir: &std::path::Path,
         classifier_name: &str,
     ) -> Result<std::path::PathBuf, SnapshotError> {
-        let _ = self.cone_sizes_arc(classifier_name); // also forces the CSR
-        let _ = self.ppdc_cones_arc(classifier_name);
-        let _ = self.ppdc_sizes_arc(classifier_name);
-        let _ = self.scored_arc(classifier_name);
-        let snap = self.snapshot_arc(classifier_name);
-        snap.save(dir, &self.snapshot_key(classifier_name))
+        let key = self.snapshot_key(classifier_name);
+        match self.snapshots.get(classifier_name) {
+            Some(snap) => snap.save(dir, &key),
+            None => ScenarioSnapshot {
+                name: classifier_name.to_owned(),
+                ..ScenarioSnapshot::default()
+            }
+            .save(dir, &key),
+        }
     }
 
     /// The on-disk identity of this scenario's snapshot for one classifier.
@@ -374,35 +272,17 @@ impl Scenario {
         ScenarioSnapshot::load(dir, &SnapshotKey::of(config, classifier_name))
     }
 
-    fn compute_scored(&self, classifier_name: &str) -> Vec<ScoredLink> {
-        let Some(inference) = self.inferences.get(classifier_name) else {
-            return Vec::new();
-        };
-        self.validation
-            .labels
-            .iter()
-            .filter_map(|(link, val)| {
-                inference.rel(*link).map(|inf| ScoredLink {
-                    link: *link,
-                    validation: *val,
-                    inferred: inf,
-                })
-            })
-            .collect()
-    }
-
-    /// Joins one classifier's inferences with the cleaned validation labels,
-    /// returning an owned copy (see [`Scenario::scored_arc`] for the
-    /// borrowing variant backing it).
-    #[must_use]
-    pub fn scored(&self, classifier_name: &str) -> Vec<ScoredLink> {
-        self.scored_arc(classifier_name).to_vec()
+    /// The named classifier's scored join (empty for an unknown name).
+    fn scored_links(&self, classifier_name: &str) -> &[ScoredLink] {
+        self.snapshots
+            .get(classifier_name)
+            .map_or(&[], |snap| &snap.scored)
     }
 
     /// Scored links restricted to one class label (regional or topological).
     #[must_use]
     pub fn scored_in_class(&self, classifier_name: &str, class: &str) -> Vec<ScoredLink> {
-        self.scored_arc(classifier_name)
+        self.scored_links(classifier_name)
             .iter()
             .filter(|s| {
                 self.classifier
@@ -419,16 +299,16 @@ impl Scenario {
     /// topological class rows merged into one table.
     #[must_use]
     pub fn eval_table(&self, classifier_name: &str) -> EvalTable {
-        let scored = self.scored_arc(classifier_name);
+        let scored = self.scored_links(classifier_name);
         let regional = EvalTable::build(
             classifier_name,
-            &scored,
+            scored,
             |l| self.classifier.region_class(l).map(|c| c.label()),
             self.config.min_class_links,
         );
         let topo = EvalTable::build(
             classifier_name,
-            &scored,
+            scored,
             |l| Some(self.classifier.topo_class(l)),
             self.config.min_class_links,
         );
@@ -520,15 +400,12 @@ impl Scenario {
             HeatmapMetric::Ppdc | HeatmapMetric::PpdcNoVp => HeatmapConfig::ppdc(),
             HeatmapMetric::NodeDegree => HeatmapConfig::node_degree(),
         };
-        let ppdc: Arc<ConeSizes> = match metric {
-            HeatmapMetric::Ppdc | HeatmapMetric::PpdcNoVp => self.ppdc_sizes_arc(classifier_name),
-            _ => Arc::new(ConeSizes::empty()),
-        };
+        let ppdc = self.ppdc_cones_arc(classifier_name);
         let metric_fn = |asn: asgraph::Asn| -> usize {
             match metric {
                 HeatmapMetric::TransitDegree => self.stats.transit_degree(asn),
                 HeatmapMetric::NodeDegree => self.stats.node_degree(asn),
-                HeatmapMetric::Ppdc | HeatmapMetric::PpdcNoVp => ppdc.get(asn).unwrap_or(1),
+                HeatmapMetric::Ppdc | HeatmapMetric::PpdcNoVp => ppdc.size(asn).unwrap_or(1),
             }
         };
         (
@@ -536,6 +413,59 @@ impl Scenario {
             Heatmap::build(validated.iter(), metric_fn, config),
         )
     }
+}
+
+/// The CSR mirror of an inference's relationships and the customer-cone
+/// sizes over it.
+fn graph_parts(inference: &Inference) -> (Arc<CsrGraph>, Arc<ConeSizes>) {
+    let csr = CsrGraph::build(&inference.rels);
+    let cones = cone::customer_cone_sizes_csr(&csr);
+    (Arc::new(csr), Arc::new(cones))
+}
+
+/// Every inference's snapshot: its CSR and customer cones (ASRank's come
+/// prebuilt from the link classifier), the PPDC cones of all of them from
+/// one walk over `paths`, and each one's join with the cleaned labels.
+fn build_snapshots(
+    paths: &PathSet,
+    inferences: &BTreeMap<String, Inference>,
+    validation: &CleanValidation,
+    asrank_graph: (Arc<CsrGraph>, Arc<ConeSizes>),
+) -> BTreeMap<String, Arc<ScenarioSnapshot>> {
+    let graphs: Vec<_> = inferences
+        .iter()
+        .map(|(name, inference)| match name.as_str() {
+            "asrank" => asrank_graph.clone(),
+            _ => graph_parts(inference),
+        })
+        .collect();
+    let labellings: Vec<_> = inferences.values().map(|i| &i.rels).collect();
+    let ppdc = cone::ppdc_cones_each(paths, &labellings);
+    inferences
+        .iter()
+        .zip(graphs.into_iter().zip(ppdc))
+        .map(|((name, inference), ((csr, cones), ppdc))| {
+            let scored: Vec<ScoredLink> = validation
+                .labels
+                .iter()
+                .filter_map(|(link, val)| {
+                    inference.rel(*link).map(|inf| ScoredLink {
+                        link: *link,
+                        validation: *val,
+                        inferred: inf,
+                    })
+                })
+                .collect();
+            let snap = ScenarioSnapshot {
+                name: name.clone(),
+                csr,
+                cones,
+                ppdc: Arc::new(ppdc),
+                scored: Arc::new(scored),
+            };
+            (name.clone(), Arc::new(snap))
+        })
+        .collect()
 }
 
 /// Builds the §5 region map from the topology's registry artefacts, going
@@ -562,7 +492,7 @@ mod tests {
         assert!(s.inferences.contains_key("asrank"));
         assert!(s.inferences.contains_key("problink"));
         assert!(s.inferences.contains_key("toposcope"));
-        let scored = s.scored("asrank");
+        let scored = &s.snapshots["asrank"].scored;
         assert!(scored.len() > 100);
         // Every scored link is both validated and inferred.
         for sl in scored.iter().take(50) {

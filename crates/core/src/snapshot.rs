@@ -1,13 +1,11 @@
 //! Per-classifier scenario snapshots: one immutable, `Arc`-shared bundle of
 //! every dense structure the analysis layer reads — the CSR mirror of the
-//! inferred graph, its customer-cone sizes, the PPDC bitset cones, and the
+//! inferred graph, its customer-cone sizes, the PPDC cones, and the
 //! scored-link join against the cleaned validation labels.
 //!
-//! A [`ScenarioSnapshot`] is built **once** per classifier (the CSR and cone
-//! sizes eagerly, PPDC and scored links lazily on first use) and shared by
-//! the ensemble, coverage, heatmap, and link-feature paths — replacing the
-//! three ad-hoc `Mutex<BTreeMap>` caches `Scenario` used to carry and fixing
-//! the per-call `CsrGraph::build` rebuild at its root.
+//! `Scenario::run` builds every classifier's [`ScenarioSnapshot`] whole,
+//! once, at its end; the coverage, heatmap, table and link-feature paths
+//! and `brevald` read the same `Arc`s.
 //!
 //! Snapshots also persist. The on-disk form is the flat typed-array codec of
 //! [`asgraph::io`]:
@@ -34,11 +32,10 @@
 use crate::metrics::{confusion, ScoredLink};
 use crate::pipeline::ScenarioConfig;
 use asgraph::io::{ByteReader, ByteWriter, IoError};
-use asgraph::{cone, Asn, ConeSizes, CsrGraph, Link, PpdcCones, Rel, RelClass};
-use std::collections::BTreeMap;
+use asgraph::{Asn, ConeSizes, CsrGraph, Link, PpdcCones, Rel, RelClass};
 use std::fmt;
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 /// Leading magic of every snapshot file.
 pub const MAGIC: [u8; 8] = *b"BREVSNAP";
@@ -64,16 +61,6 @@ pub enum SnapshotError {
         /// What the file actually holds.
         found: SnapshotKey,
     },
-    /// The snapshot is missing a part the caller requires — either a save
-    /// was attempted before the lazy parts were forced (which would have
-    /// silently persisted empty tables), or a query server asked for a
-    /// part that was never materialised.
-    Incomplete {
-        /// The classifier name of the offending snapshot.
-        name: String,
-        /// Which part is missing (`"csr"`, `"cone_sizes"`, …).
-        part: &'static str,
-    },
 }
 
 impl fmt::Display for SnapshotError {
@@ -84,10 +71,6 @@ impl fmt::Display for SnapshotError {
             SnapshotError::KeyMismatch { expected, found } => write!(
                 f,
                 "snapshot key mismatch: expected {expected}, file holds {found}"
-            ),
-            SnapshotError::Incomplete { name, part } => write!(
-                f,
-                "snapshot '{name}' is incomplete: part '{part}' was never materialised"
             ),
         }
     }
@@ -160,113 +143,22 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
 }
 
 /// The immutable per-classifier analysis bundle (see the module docs).
-///
-/// Every part is `OnceLock`-lazy — a caller that only needs the scored-link
-/// join never pays for a CSR build or bitset cones — and once set, a part is
-/// immutable and `Arc`-shared by every reader. `Scenario` materialises parts
-/// on first use; loaded snapshots arrive fully materialised.
 #[derive(Debug, Default)]
 pub struct ScenarioSnapshot {
-    name: String,
-    pub(crate) csr: OnceLock<Arc<CsrGraph>>,
-    pub(crate) cone_sizes: OnceLock<Arc<ConeSizes>>,
-    pub(crate) ppdc: OnceLock<Arc<PpdcCones>>,
-    pub(crate) ppdc_sizes: OnceLock<Arc<ConeSizes>>,
-    pub(crate) scored: OnceLock<Arc<Vec<ScoredLink>>>,
+    /// The classifier this snapshot belongs to (`"asrank"`, …).
+    pub name: String,
+    /// CSR mirror of the inferred relationship graph.
+    pub csr: Arc<CsrGraph>,
+    /// Customer-cone sizes over the inferred graph.
+    pub cones: Arc<ConeSizes>,
+    /// PPDC cones: the observed paths under the inferred relationships.
+    pub ppdc: Arc<PpdcCones>,
+    /// Validation ⋈ inference join, ascending by link.
+    pub scored: Arc<Vec<ScoredLink>>,
 }
 
 impl ScenarioSnapshot {
-    /// A snapshot with every part still unset.
-    #[must_use]
-    pub fn new_lazy(name: impl Into<String>) -> Self {
-        ScenarioSnapshot {
-            name: name.into(),
-            ..ScenarioSnapshot::default()
-        }
-    }
-
-    /// A snapshot whose graph parts are already built (the ASRank snapshot
-    /// is constructed this way alongside the link classifier).
-    #[must_use]
-    pub fn new(name: impl Into<String>, csr: Arc<CsrGraph>, cone_sizes: Arc<ConeSizes>) -> Self {
-        let snap = ScenarioSnapshot::new_lazy(name);
-        let _ = snap.csr.set(csr);
-        let _ = snap.cone_sizes.set(cone_sizes);
-        snap
-    }
-
-    /// An empty snapshot — the stand-in for unknown classifier names,
-    /// mirroring the empty tables the old per-kind caches handed out.
-    #[must_use]
-    pub fn empty(name: impl Into<String>) -> Self {
-        let snap = ScenarioSnapshot::new(
-            name,
-            Arc::new(CsrGraph::default()),
-            Arc::new(ConeSizes::empty()),
-        );
-        let _ = snap.ppdc.set(Arc::new(PpdcCones::default()));
-        let _ = snap.ppdc_sizes.set(Arc::new(ConeSizes::empty()));
-        let _ = snap.scored.set(Arc::new(Vec::new()));
-        snap
-    }
-
-    /// The classifier this snapshot belongs to.
-    #[must_use]
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// The CSR mirror of the inferred graph, if already materialised.
-    #[must_use]
-    pub fn csr(&self) -> Option<Arc<CsrGraph>> {
-        self.csr.get().map(Arc::clone)
-    }
-
-    /// Customer-cone sizes over the inferred graph, if already materialised.
-    #[must_use]
-    pub fn cone_sizes(&self) -> Option<Arc<ConeSizes>> {
-        self.cone_sizes.get().map(Arc::clone)
-    }
-
-    /// The PPDC cones, if already materialised.
-    #[must_use]
-    pub fn ppdc_cones(&self) -> Option<Arc<PpdcCones>> {
-        self.ppdc.get().map(Arc::clone)
-    }
-
-    /// The PPDC cone sizes, if already materialised.
-    #[must_use]
-    pub fn ppdc_sizes(&self) -> Option<Arc<ConeSizes>> {
-        self.ppdc_sizes.get().map(Arc::clone)
-    }
-
-    /// The scored-link join, if already materialised.
-    #[must_use]
-    pub fn scored(&self) -> Option<Arc<Vec<ScoredLink>>> {
-        self.scored.get().map(Arc::clone)
-    }
-
-    /// The first persisted part that is still unset, or `None` if the
-    /// snapshot is save-complete. `ppdc_sizes` is exempt: it is never
-    /// stored (loads rebuild it as a popcount of the PPDC rows).
-    #[must_use]
-    pub fn missing_part(&self) -> Option<&'static str> {
-        if self.csr.get().is_none() {
-            Some("csr")
-        } else if self.cone_sizes.get().is_none() {
-            Some("cone_sizes")
-        } else if self.ppdc.get().is_none() {
-            Some("ppdc_cones")
-        } else if self.scored.get().is_none() {
-            Some("scored")
-        } else {
-            None
-        }
-    }
-
-    /// Serializes the snapshot under `key`. The lazy parts must be
-    /// materialised first (`Scenario::save_snapshot` forces them); missing
-    /// parts are written as their empty forms.
+    /// Serializes the snapshot under `key`.
     #[must_use]
     pub fn to_bytes(&self, key: &SnapshotKey) -> Vec<u8> {
         let mut w = ByteWriter::new();
@@ -275,28 +167,16 @@ impl ScenarioSnapshot {
         w.put_u64(key.config_hash);
         w.put_u64(key.seed);
         w.put_str(&self.name);
-        match self.csr.get() {
-            Some(csr) => asgraph::io::write_csr_graph(&mut w, csr),
-            None => asgraph::io::write_csr_graph(&mut w, &CsrGraph::default()),
-        }
-        match self.cone_sizes.get() {
-            Some(c) => asgraph::io::write_cone_sizes(&mut w, c),
-            None => asgraph::io::write_cone_sizes(&mut w, &ConeSizes::empty()),
-        }
-        match self.ppdc.get() {
-            Some(p) => asgraph::io::write_ppdc_cones(&mut w, p),
-            None => asgraph::io::write_ppdc_cones(&mut w, &PpdcCones::default()),
-        }
-        match self.scored.get() {
-            Some(s) => write_scored(&mut w, s),
-            None => write_scored(&mut w, &[]),
-        }
+        asgraph::io::write_csr_graph(&mut w, &self.csr);
+        asgraph::io::write_cone_sizes(&mut w, &self.cones);
+        asgraph::io::write_ppdc_cones(&mut w, &self.ppdc);
+        write_scored(&mut w, &self.scored);
         w.into_bytes()
     }
 
     /// Decodes a snapshot stream, returning the key it was written under
-    /// and the fully materialised snapshot. All structural invariants are
-    /// re-validated; any failure is an `Err`, never a panic.
+    /// and the snapshot. All structural invariants are re-validated; any
+    /// failure is an `Err`, never a panic.
     pub fn from_bytes(bytes: &[u8]) -> Result<(SnapshotKey, Self), SnapshotError> {
         let mut r = ByteReader::new(bytes);
         r.expect_bytes(&MAGIC)?;
@@ -308,7 +188,7 @@ impl ScenarioSnapshot {
         let seed = r.take_u64()?;
         let name = r.take_str()?;
         let csr = asgraph::io::read_csr_graph(&mut r)?;
-        let cone_sizes = asgraph::io::read_cone_sizes(&mut r)?;
+        let cones = asgraph::io::read_cone_sizes(&mut r)?;
         let ppdc = asgraph::io::read_ppdc_cones(&mut r)?;
         let scored = read_scored(&mut r)?;
         r.finish()?;
@@ -317,31 +197,21 @@ impl ScenarioSnapshot {
             seed,
             name: name.clone(),
         };
-        let snap = ScenarioSnapshot::new(name, Arc::new(csr), Arc::new(cone_sizes));
-        // PPDC sizes are a pure popcount of the loaded rows — rebuild them
-        // rather than trusting (or storing) a redundant copy.
-        let _ = snap.ppdc_sizes.set(Arc::new(ppdc.sizes()));
-        let _ = snap.ppdc.set(Arc::new(ppdc));
-        let _ = snap.scored.set(Arc::new(scored));
+        let snap = ScenarioSnapshot {
+            name,
+            csr: Arc::new(csr),
+            cones: Arc::new(cones),
+            ppdc: Arc::new(ppdc),
+            scored: Arc::new(scored),
+        };
         Ok((key, snap))
     }
 
     /// Writes the snapshot to `dir/<key.file_name()>`, creating `dir` if
     /// needed. Returns the path written. Emits the `snapshot_save` span and
     /// the `snapshot_bytes_written` counter.
-    ///
-    /// Refuses to persist an incomplete snapshot: `to_bytes` would encode
-    /// unset parts as their empty forms, and a warm start from such a file
-    /// would silently answer every query from empty tables. Callers must
-    /// force the lazy parts first (`Scenario::save_snapshot` does).
     pub fn save(&self, dir: &Path, key: &SnapshotKey) -> Result<PathBuf, SnapshotError> {
         let _span = breval_obs::span!("snapshot_save");
-        if let Some(part) = self.missing_part() {
-            return Err(SnapshotError::Incomplete {
-                name: self.name.clone(),
-                part,
-            });
-        }
         let bytes = self.to_bytes(key);
         std::fs::create_dir_all(dir)?;
         let path = dir.join(key.file_name());
@@ -379,26 +249,15 @@ impl ScenarioSnapshot {
         let push = |out: &mut String, key: &str, value: u64| {
             out.push_str(&format!("{},{},{}\n", self.name, key, value));
         };
-        let nodes = self.csr.get().map_or(0, |c| c.node_count() as u64);
-        push(&mut out, "nodes", nodes);
-        let cone_total: u64 = self
-            .cone_sizes
-            .get()
-            .map_or(0, |c| c.iter().map(|(_, s)| s as u64).sum());
+        push(&mut out, "nodes", self.csr.node_count() as u64);
+        let cone_total: u64 = self.cones.iter().map(|(_, s)| s as u64).sum();
         push(&mut out, "cone_size_total", cone_total);
-        let (ppdc_rows, ppdc_total) = match self.ppdc.get() {
-            Some(p) => (
-                p.indexer().len() as u64,
-                p.sizes().iter().map(|(_, s)| s as u64).sum(),
-            ),
-            None => (0, 0),
-        };
-        push(&mut out, "ppdc_ases", ppdc_rows);
+        let ppdc_total: u64 = self.ppdc.sizes().iter().map(|(_, s)| s as u64).sum();
+        push(&mut out, "ppdc_ases", self.ppdc.indexer().len() as u64);
         push(&mut out, "ppdc_size_total", ppdc_total);
-        let scored = self.scored.get().map(Arc::clone).unwrap_or_default();
-        push(&mut out, "scored_links", scored.len() as u64);
+        push(&mut out, "scored_links", self.scored.len() as u64);
         for class in [RelClass::P2c, RelClass::P2p, RelClass::S2s] {
-            let m = confusion(&scored, class);
+            let m = confusion(&self.scored, class);
             push(&mut out, &format!("{class}_tp"), m.tp as u64);
             push(&mut out, &format!("{class}_fp"), m.fp as u64);
             push(&mut out, &format!("{class}_fn"), m.fn_ as u64);
@@ -466,18 +325,10 @@ fn read_scored(r: &mut ByteReader) -> Result<Vec<ScoredLink>, SnapshotError> {
     Ok(scored)
 }
 
-/// Builds the eager snapshot parts for one inference: the CSR mirror of its
-/// relationships plus customer-cone sizes over it.
-#[must_use]
-pub fn build_snapshot(name: &str, rels: &BTreeMap<Link, Rel>) -> ScenarioSnapshot {
-    let csr = Arc::new(CsrGraph::build(rels));
-    let cones = Arc::new(cone::customer_cone_sizes_csr(&csr));
-    ScenarioSnapshot::new(name, csr, cones)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeMap;
 
     fn sample_snapshot() -> ScenarioSnapshot {
         let l = |a: u32, b: u32| Link::new(Asn(a), Asn(b)).unwrap();
@@ -486,14 +337,18 @@ mod tests {
             (l(2, 3), Rel::P2c { provider: Asn(2) }),
             (l(2, 5), Rel::P2p),
         ]);
-        let snap = build_snapshot("asrank", &rels);
-        let _ = snap.scored.set(Arc::new(vec![ScoredLink {
-            link: l(1, 2),
-            validation: Rel::P2c { provider: Asn(1) },
-            inferred: Rel::P2p,
-        }]));
-        let _ = snap.ppdc.set(Arc::new(PpdcCones::default()));
-        snap
+        let csr = CsrGraph::build(&rels);
+        ScenarioSnapshot {
+            name: "asrank".into(),
+            cones: Arc::new(asgraph::cone::customer_cone_sizes_csr(&csr)),
+            csr: Arc::new(csr),
+            ppdc: Arc::new(PpdcCones::default()),
+            scored: Arc::new(vec![ScoredLink {
+                link: l(1, 2),
+                validation: Rel::P2c { provider: Asn(1) },
+                inferred: Rel::P2p,
+            }]),
+        }
     }
 
     fn key() -> SnapshotKey {
@@ -510,9 +365,9 @@ mod tests {
         let bytes = snap.to_bytes(&key());
         let (found, loaded) = ScenarioSnapshot::from_bytes(&bytes).unwrap();
         assert_eq!(found, key());
-        assert_eq!(loaded.name(), "asrank");
-        assert_eq!(loaded.cone_sizes().unwrap().get(Asn(1)), Some(3));
-        assert_eq!(loaded.scored().unwrap().len(), 1);
+        assert_eq!(loaded.name, "asrank");
+        assert_eq!(loaded.cones.get(Asn(1)), Some(3));
+        assert_eq!(loaded.scored.len(), 1);
         // Re-encoding the loaded snapshot is byte-identical.
         assert_eq!(loaded.to_bytes(&key()), bytes);
         assert_eq!(loaded.summary_csv(), snap.summary_csv());
@@ -556,30 +411,6 @@ mod tests {
             ScenarioSnapshot::from_bytes(&bad),
             Err(SnapshotError::Codec(IoError::TrailingBytes { .. }))
         ));
-    }
-
-    #[test]
-    fn save_refuses_incomplete_snapshots() {
-        let dir = std::env::temp_dir().join("breval_snap_incomplete_test");
-        // A lazy snapshot has nothing materialised: refuse at the first part.
-        let lazy = ScenarioSnapshot::new_lazy("asrank");
-        assert!(matches!(
-            lazy.save(&dir, &key()),
-            Err(SnapshotError::Incomplete { part: "csr", .. })
-        ));
-        // Graph parts alone are still not enough — the scored join and the
-        // PPDC cones would round-trip as silently empty tables.
-        let partial = build_snapshot("asrank", &BTreeMap::new());
-        assert_eq!(partial.missing_part(), Some("ppdc_cones"));
-        assert!(matches!(
-            partial.save(&dir, &key()),
-            Err(SnapshotError::Incomplete {
-                part: "ppdc_cones",
-                ..
-            })
-        ));
-        // A complete snapshot reports no missing part.
-        assert_eq!(sample_snapshot().missing_part(), None);
     }
 
     #[test]

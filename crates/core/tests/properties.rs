@@ -1,6 +1,7 @@
 //! Property tests for the analysis core: metric algebra, heatmap
-//! normalisation, coverage accounting, cleaning invariants, and the hard
-//! links against the hash-based pass they replaced.
+//! normalisation, coverage accounting, the Appendix A sweep at full size,
+//! cleaning invariants, and the hard links against the hash-based pass
+//! they replaced.
 
 use asgraph::{AsPath, Asn, Link, PathSet, PathStats, Rel, RelClass};
 use breval_core::cleaning::{clean, AmbiguousPolicy, CleaningConfig};
@@ -8,6 +9,7 @@ use breval_core::coverage::coverage_by_class_keyed;
 use breval_core::hardlinks::{classify_hard_links, HardLinkConfig, HardLinkFlags};
 use breval_core::heatmap::{Heatmap, HeatmapConfig};
 use breval_core::metrics::{confusion, ConfusionMatrix, EvalTable, ScoredLink};
+use breval_core::sampling::{sampling_sweep, SamplingConfig};
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
 #[expect(
@@ -264,6 +266,30 @@ proptest! {
         }
         if m.tp > 0 && m.tn > 0 {
             prop_assert!((m.mcc() - 1.0).abs() < 1e-12);
+        }
+    }
+
+    /// Appendix A at 100 %: every trial's sample is the whole set, so the
+    /// sweep returns one point whose spreads collapse onto the full set's
+    /// PPV_P, TPR_P and MCC, for any trial count and seed.
+    #[test]
+    fn full_size_sample_is_the_full_set(
+        scored in arb_scored(60),
+        trials in 1usize..12,
+        seed in any::<u64>(),
+    ) {
+        let cfg = SamplingConfig { min_percent: 100, max_percent: 100, step: 1, trials, seed };
+        let points = sampling_sweep(&scored, &cfg);
+        prop_assert_eq!(points.len(), 1);
+        prop_assert_eq!(points[0].percent, 100);
+        let full = confusion(&scored, RelClass::P2p);
+        for (spread, value) in [
+            (points[0].ppv_p, full.ppv()),
+            (points[0].tpr_p, full.tpr()),
+            (points[0].mcc, full.mcc()),
+        ] {
+            let same = [spread.median, spread.q1, spread.q3].map(f64::to_bits);
+            prop_assert_eq!(same, [value.to_bits(); 3], "{:?} against {}", spread, value);
         }
     }
 

@@ -2,6 +2,7 @@
 //! snapshot and reloading it must reproduce the analysis byte-for-byte,
 //! at any thread count — and corrupt files must fail loudly but gracefully.
 
+use breval_core::metrics::ScoredLink;
 use breval_core::pipeline::{HeatmapMetric, Scenario, ScenarioConfig};
 use breval_core::snapshot::{ScenarioSnapshot, SnapshotError};
 use std::collections::BTreeMap;
@@ -71,31 +72,19 @@ fn snapshots_round_trip_byte_identical_across_classifiers_and_threads() {
         // Warm load reproduces every analysis output of the cold build.
         let loaded = Scenario::load_snapshot(&dir4, &s4.config, name)
             .unwrap_or_else(|e| panic!("loading {name}: {e}"));
-        let cold = s4.snapshot_arc(name);
+        let cold = &s4.snapshots[name];
         assert_eq!(
             loaded.summary_csv(),
             cold.summary_csv(),
             "summary of {name}"
         );
+        assert_eq!(loaded.cones, cold.cones, "cone sizes of {name}");
         assert_eq!(
-            *loaded
-                .cone_sizes()
-                .expect("loaded snapshots are materialised"),
-            *s4.cone_sizes_arc(name),
-            "cone sizes of {name}"
-        );
-        assert_eq!(
-            *loaded
-                .ppdc_sizes()
-                .expect("loaded snapshots are materialised"),
-            *s4.ppdc_sizes_arc(name),
+            loaded.ppdc.sizes(),
+            cold.ppdc.sizes(),
             "PPDC sizes of {name}"
         );
-        assert_eq!(
-            *loaded.scored().expect("loaded snapshots are materialised"),
-            *s4.scored_arc(name),
-            "scored join of {name}"
-        );
+        assert_eq!(loaded.scored, cold.scored, "scored join of {name}");
         // And re-encoding the loaded snapshot recreates the file bytes.
         assert_eq!(
             loaded.to_bytes(&s4.snapshot_key(name)),
@@ -119,10 +108,10 @@ fn ppdc_heatmaps_follow_the_requested_classifier() {
     // into every classifier's plot: the per-classifier path must actually
     // use the named classifier's cones.
     let s = shared_scenario();
-    let asrank = s.ppdc_sizes_arc("asrank");
-    let problink = s.ppdc_sizes_arc("problink");
+    let asrank = s.snapshots["asrank"].ppdc.sizes();
+    let problink = s.snapshots["problink"].ppdc.sizes();
     assert_ne!(
-        *asrank, *problink,
+        asrank, problink,
         "seed 99 must give ASRank and ProbLink different PPDC cones; pick another seed"
     );
     let (inf_a, val_a) = s.heatmaps_for("asrank", HeatmapMetric::Ppdc);
@@ -137,26 +126,50 @@ fn ppdc_heatmaps_follow_the_requested_classifier() {
 }
 
 #[test]
-fn one_ppdc_request_fills_every_classifier() {
-    // The first PPDC request walks the paths once for every inference, so
-    // asking for ProbLink's sizes alone leaves every snapshot with its own
-    // cones, each byte-identical to a standalone build.
-    let s = Scenario::run(config());
-    let _ = s.ppdc_sizes_arc("problink");
-    let encode = |cones: &asgraph::PpdcCones| {
+fn every_snapshot_equals_a_standalone_build() {
+    // `Scenario::run` builds each classifier's parts together (ASRank's
+    // with the link classifier, every PPDC table from one walk); each must
+    // equal what the part's own builder makes from that classifier alone.
+    let s = shared_scenario();
+    assert!(s.snapshots.keys().eq(s.inferences.keys()));
+    let encode = |write: &dyn Fn(&mut asgraph::io::ByteWriter)| {
         let mut w = asgraph::io::ByteWriter::new();
-        asgraph::io::write_ppdc_cones(&mut w, cones);
+        write(&mut w);
         w.into_bytes()
     };
     for (name, inference) in &s.inferences {
-        let cones = s
-            .snapshot_arc(name)
-            .ppdc_cones()
-            .unwrap_or_else(|| panic!("{name} has no PPDC cones after one request"));
+        let snap = &s.snapshots[name];
+        assert_eq!(snap.name, *name);
+        let csr = asgraph::CsrGraph::build(&inference.rels);
         assert_eq!(
-            encode(&cones),
-            encode(&asgraph::cone::ppdc_cones(&s.paths, &inference.rels)),
+            encode(&|w| asgraph::io::write_csr_graph(w, &snap.csr)),
+            encode(&|w| asgraph::io::write_csr_graph(w, &csr)),
+            "CSR of {name}"
+        );
+        assert_eq!(
+            *snap.cones,
+            asgraph::cone::customer_cone_sizes_csr(&csr),
+            "cone sizes of {name}"
+        );
+        let ppdc = asgraph::cone::ppdc_cones(&s.paths, &inference.rels);
+        assert_eq!(
+            encode(&|w| asgraph::io::write_ppdc_cones(w, &snap.ppdc)),
+            encode(&|w| asgraph::io::write_ppdc_cones(w, &ppdc)),
             "PPDC cones of {name}"
         );
+        let scored: Vec<ScoredLink> = s
+            .validation
+            .labels
+            .iter()
+            .filter_map(|(&link, &validation)| {
+                let inferred = *inference.rels.get(&link)?;
+                Some(ScoredLink {
+                    link,
+                    validation,
+                    inferred,
+                })
+            })
+            .collect();
+        assert_eq!(*snap.scored, scored, "scored join of {name}");
     }
 }

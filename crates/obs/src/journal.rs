@@ -6,9 +6,12 @@
 //!
 //! The aggregate registry in the crate root answers "how much, in total?";
 //! the journal answers "when, and on which thread?". Every thread that
-//! records an event lazily registers one `ThreadBuf` — an append-only
+//! records an event lazily takes one `ThreadBuf` — an append-only
 //! `Vec<Event>` behind a mutex that only the owning thread and the drain
-//! contend on — in a global list. Recording an event is: one relaxed
+//! contend on — from a global list. A thread that exits hands its buffer
+//! back, and the next thread of the same name that journals appends to it,
+//! so `breval-par`'s per-call workers share one track per worker slot
+//! instead of adding one per call. Recording an event is: one relaxed
 //! atomic load (the journal switch), one monotonic-clock read against the
 //! process `epoch`, two thread-local allocation-counter reads, and a
 //! `Vec::push`. No event is ever written when the journal is off, so the
@@ -137,29 +140,49 @@ struct ThreadBuf {
 /// All buffers ever registered, in thread-registration order. Buffers are
 /// kept alive past thread exit so the drain sees completed workers.
 static THREAD_BUFS: Mutex<Vec<Arc<ThreadBuf>>> = Mutex::new(Vec::new());
+/// Buffers whose threads have exited, each waiting for the next thread of
+/// its name.
+static FREE_BUFS: Mutex<Vec<Arc<ThreadBuf>>> = Mutex::new(Vec::new());
 static NEXT_TID: AtomicU64 = AtomicU64::new(0);
 
+/// The calling thread's buffer, handed back to [`FREE_BUFS`] when the
+/// thread exits.
+struct MyBuf(Option<Arc<ThreadBuf>>);
+
+impl Drop for MyBuf {
+    fn drop(&mut self) {
+        if let Some(buf) = self.0.take() {
+            FREE_BUFS.lock().push(buf);
+        }
+    }
+}
+
 thread_local! {
-    static MY_BUF: RefCell<Option<Arc<ThreadBuf>>> = const { RefCell::new(None) };
+    static MY_BUF: RefCell<MyBuf> = const { RefCell::new(MyBuf(None)) };
+}
+
+/// A free buffer of the calling thread's name, else a newly registered one.
+fn take_buf() -> Arc<ThreadBuf> {
+    let name = std::thread::current()
+        .name()
+        .unwrap_or("unnamed")
+        .to_owned();
+    let mut free = FREE_BUFS.lock();
+    if let Some(at) = free.iter().position(|buf| buf.name == name) {
+        return free.remove(at);
+    }
+    drop(free);
+    let buf = Arc::new(ThreadBuf {
+        tid: NEXT_TID.fetch_add(1, Ordering::Relaxed),
+        name,
+        events: Mutex::new(Vec::new()),
+    });
+    THREAD_BUFS.lock().push(Arc::clone(&buf));
+    buf
 }
 
 fn with_buf(f: impl FnOnce(&ThreadBuf)) {
-    MY_BUF.with(|slot| {
-        let mut slot = slot.borrow_mut();
-        let buf = slot.get_or_insert_with(|| {
-            let buf = Arc::new(ThreadBuf {
-                tid: NEXT_TID.fetch_add(1, Ordering::Relaxed),
-                name: std::thread::current()
-                    .name()
-                    .unwrap_or("unnamed")
-                    .to_owned(),
-                events: Mutex::new(Vec::new()),
-            });
-            THREAD_BUFS.lock().push(Arc::clone(&buf));
-            buf
-        });
-        f(buf);
-    });
+    MY_BUF.with(|slot| f(slot.borrow_mut().0.get_or_insert_with(take_buf)));
 }
 
 /// Records a span-begin for the calling thread. `allocs`/`bytes` are the

@@ -41,14 +41,15 @@ fn parallel_run_matches_single_thread() {
         }
         out
     };
-    // The dense kernels (CSR cone BFS with per-worker scratch, bitset PPDC):
-    // force computation while the thread cap is in force and snapshot the
-    // full (Asn, size) sequences, ordering included.
+    // The dense kernels (CSR cone BFS with per-worker scratch, bitset PPDC)
+    // run inside `Scenario::run`, so under the run's cap: compare the full
+    // (Asn, size) sequences, ordering included.
     let dense_kernels = |s: &Scenario| {
         let mut out = Vec::new();
         for name in ["asrank", "problink"] {
-            out.push(s.cone_sizes_arc(name).iter().collect::<Vec<_>>());
-            out.push(s.ppdc_sizes_arc(name).iter().collect::<Vec<_>>());
+            let snap = &s.snapshots[name];
+            out.push(snap.cones.iter().collect::<Vec<_>>());
+            out.push(snap.ppdc.sizes().iter().collect::<Vec<_>>());
         }
         out
     };
@@ -82,8 +83,8 @@ fn parallel_run_matches_single_thread() {
                 multi.inference(name).unwrap().rels,
                 "seed {seed}: {name} inference must not depend on thread count"
             );
-            let a = serde_json::to_string(&*single.scored_arc(name)).unwrap();
-            let b = serde_json::to_string(&*multi.scored_arc(name)).unwrap();
+            let a = serde_json::to_string(&single.snapshots[name].scored).unwrap();
+            let b = serde_json::to_string(&multi.snapshots[name].scored).unwrap();
             assert_eq!(a, b, "seed {seed}: {name} scored join must match");
         }
 

@@ -5,6 +5,7 @@
 //! Observability state is process-global, so this file keeps everything in
 //! a single test function.
 
+use breval::analysis::pipeline::HeatmapMetric;
 use breval::analysis::{Scenario, ScenarioConfig};
 use breval::obs;
 
@@ -14,8 +15,8 @@ fn small_scenario_manifest_covers_all_stages() {
     obs::reset();
     let scenario = Scenario::run(ScenarioConfig::small(99));
 
-    // Exercise the cached join: repeated eval_table/scored_in_class calls
-    // must compute the underlying join once per classifier.
+    // Reading the snapshots' parts recomputes nothing: repeated tables
+    // agree, and the PPDC walk stays at the one run inside the scenario.
     let table_a = scenario.eval_table("asrank");
     let table_b = scenario.eval_table("asrank");
     assert_eq!(
@@ -23,17 +24,9 @@ fn small_scenario_manifest_covers_all_stages() {
         serde_json::to_string(&table_b).unwrap()
     );
     let _ = scenario.scored_in_class("asrank", "TR°");
-    let _ = scenario.scored_in_class("asrank", "S-TR");
     let _ = scenario.eval_table("problink");
-    assert_eq!(
-        obs::counter_value("scored_join_computed"),
-        2,
-        "join must run once per classifier (asrank, problink)"
-    );
-
-    // One PPDC walk fills every classifier's cones, however many ask.
-    let _ = scenario.ppdc_sizes_arc("toposcope");
-    let _ = scenario.ppdc_sizes_arc("asrank");
+    let _ = scenario.heatmaps_for("toposcope", HeatmapMetric::Ppdc);
+    let _ = scenario.heatmaps(HeatmapMetric::PpdcNoVp);
 
     let manifest = obs::RunManifest::capture("integration", 99);
     obs::set_enabled(false);
@@ -52,6 +45,7 @@ fn small_scenario_manifest_covers_all_stages() {
         "scenario_run/compile_validation",
         "scenario_run/clean_validation",
         "scenario_run/link_classifier",
+        "scenario_run/ppdc",
     ];
     for name in expected_stages {
         let stage = manifest
@@ -109,8 +103,15 @@ fn small_scenario_manifest_covers_all_stages() {
     let ppdc = manifest
         .stages
         .iter()
-        .find(|s| s.name == "ppdc")
-        .expect("the PPDC walk is a stage");
+        .find(|s| s.name == "scenario_run/ppdc")
+        .expect("the PPDC walk is a stage of the run");
+    assert!(
+        manifest
+            .stages
+            .iter()
+            .all(|s| s.name == ppdc.name || !s.name.ends_with("ppdc")),
+        "the PPDC walk runs nowhere else"
+    );
     assert_eq!(ppdc.calls, 1, "the PPDC walk must run once per scenario");
     assert_eq!(
         manifest.counters["ppdc_labellings"],
